@@ -12,9 +12,10 @@ is what determines the outcome. Three process-level injectors target the
   (``os._exit``) before computing it, as a crashed rank would;
 * ``"stall-worker"`` — the worker sleeps past the shard deadline; the
   coordinator fails the shard over and drops the late result as stale;
-* ``"corrupt-shard-result"`` — the worker flips a bit in its ``y`` block
-  *after* computing the transport CRC, so the coordinator's checksum
-  verification catches the corruption and retries.
+* ``"corrupt-shard-result"`` — the worker flips one bit of one element
+  of its ``y`` block *after* computing the transport CRC, so the
+  coordinator's checksum verification catches the corruption and
+  retries.
 
 Any :func:`repro.integrity.faults.fault_kinds` name (``stream_bit_flip``,
 ``value_nan``, ...) is also accepted: the executing side injects that

@@ -2,8 +2,11 @@
 
 :func:`execute_sharded` is where a ``devices > 1``
 :class:`~repro.exec.policy.ExecutionPolicy` lands after
-:func:`repro.kernels.run_spmv` has done its verify/fallback work. The
-engine
+:func:`repro.kernels.run_spmv` or :func:`repro.kernels.run_spmm` has
+done its verify/fallback work. It takes a vector ``x`` of shape ``(n,)``
+or a multi-RHS block of shape ``(n, k)``; a block is one call — one
+task per device carrying the whole block — never ``k`` column calls.
+The engine
 
 1. partitions the matrix (or accepts a pre-built
    :class:`~repro.exec.partition.ShardedMatrix`), caching the partition
@@ -14,14 +17,16 @@ engine
    (``policy.backend="process"``) where each worker mmaps its own sealed
    ``.brx`` shard container and shard failures fail over to surviving
    workers;
-3. concatenates the per-shard ``y`` blocks (bit-identical to the
+3. concatenates the per-shard ``y`` row blocks (bit-identical to the
    single-device result, because shards are contiguous row blocks and
    every kernel accumulates rows in ascending-column order);
 4. merges the per-shard :class:`~repro.gpu.counters.KernelCounters` and
    adds the modeled interconnect traffic
    (:func:`~repro.exec.comms.model_comms`), so
    ``merged == sum(shard counters)`` in every DRAM field while
-   ``interconnect_bytes`` carries the communication volume.
+   ``interconnect_bytes`` carries the communication volume — ``k``
+   times the single-vector volume for an ``(n, k)`` block, so a block's
+   counters equal the sum of its ``k`` per-column records.
 
 Both backends honor ``policy.shard_timeout_s``: the thread engine raises
 a typed :class:`~repro.errors.ShardTimeoutError` when a shard future
@@ -56,6 +61,7 @@ from ..gpu.counters import KernelCounters
 from ..gpu.device import DeviceSpec, get_device
 from ..gpu.timing import MultiDeviceBreakdown, predict_sharded
 from ..kernels.base import SpMVResult
+from ..kernels.plan import check_multi_x
 from ..telemetry import metrics as _metrics
 from ..telemetry.tracer import get_tracer
 from ..telemetry.tracer import span as _span
@@ -74,7 +80,7 @@ __all__ = [
 
 @dataclass
 class ShardedSpMVResult(SpMVResult):
-    """Result of a multi-device SpMV.
+    """Result of a multi-device SpMV (or SpMM block).
 
     ``y``/``counters`` behave exactly like the single-device record
     (``counters`` is the merged view, carrying the modeled
@@ -144,12 +150,13 @@ def shutdown_pools(matrix: SparseFormat) -> int:
 
 
 def _merge(
-    shard_results: List[SpMVResult], comms: CommsReport
+    shard_results: List[SpMVResult], comms: CommsReport, k: int
 ) -> KernelCounters:
+    """Per-shard sum plus ``k`` vectors' worth of modeled x distribution."""
     merged = KernelCounters.sum(r.counters for r in shard_results)
     return replace(
         merged,
-        interconnect_bytes=merged.interconnect_bytes + comms.total_bytes,
+        interconnect_bytes=merged.interconnect_bytes + k * comms.total_bytes,
     )
 
 
@@ -181,7 +188,9 @@ def _execute_thread(
     policy: ExecutionPolicy,
 ) -> Tuple[List[SpMVResult], Dict[str, object]]:
     """The in-process thread backend (with per-shard deadlines)."""
-    from ..kernels.dispatch import run_spmv  # late: dispatch imports us
+    from ..kernels.dispatch import run_spmm, run_spmv  # late: dispatch imports us
+
+    run = run_spmm if x.ndim == 2 else run_spmv
 
     shard_policy = policy.with_(
         devices=1, verify=False, fallback=None, plan=None,
@@ -222,11 +231,11 @@ def _execute_thread(
                 victim = _apply_container_fault(
                     shard, event.kind, event.call * 8191 + d
                 )
-                return run_spmv(
+                return run(
                     victim, x, device,
                     policy=shard_policy.with_(verify="checksum"),
                 )
-        return run_spmv(shard, x, device, policy=shard_policy)
+        return run(shard, x, device, policy=shard_policy)
 
     if get_tracer() is not None or sharded.n_shards == 1:
         # The tracer's span stack is global: keep the tree deterministic.
@@ -330,12 +339,16 @@ def execute_sharded(
 ) -> ShardedSpMVResult:
     """Run ``y = A @ x`` across ``policy.devices`` simulated devices.
 
-    Integrity (verify/fallback) is the caller's concern —
-    :func:`repro.kernels.run_spmv` wraps this call in its guarded
-    region, so corruption inside any shard degrades exactly like a
-    single-device failure. Each shard runs with a single-device variant
-    of ``policy`` (same engine selection and plan cache); the backend —
-    thread pool or failover-capable worker processes — is selected by
+    ``x`` is a vector of shape ``(n,)`` or a block of shape ``(n, k)``;
+    a block runs as one sharded call whose every shard replays all ``k``
+    columns (``run_spmm`` per shard), and comes back as one ``(m, k)``
+    result. Integrity (verify/fallback) is the caller's concern —
+    :func:`repro.kernels.run_spmv` / :func:`~repro.kernels.run_spmm`
+    wrap this call in their guarded region, so corruption inside any
+    shard degrades exactly like a single-device failure. Each shard
+    runs with a single-device variant of ``policy`` (same engine
+    selection and plan cache); the backend — thread pool or
+    failover-capable worker processes — is selected by
     ``policy.backend``.
     """
     if isinstance(device, str):
@@ -345,7 +358,8 @@ def execute_sharded(
 
     sharded = sharded_view(matrix, policy.devices, policy.partitioner)
     comms = model_comms(sharded, device, policy.comms)
-    x = sharded.check_x(x)
+    x = check_multi_x(sharded, x) if np.ndim(x) == 2 else sharded.check_x(x)
+    k = x.shape[1] if x.ndim == 2 else 1
 
     with _span(
         "exec.sharded",
@@ -362,7 +376,7 @@ def execute_sharded(
             results, recovery = _execute_thread(sharded, x, device, policy)
 
     y = np.concatenate([r.y for r in results])
-    merged = _merge(results, comms)
+    merged = _merge(results, comms, k)
     _metrics.record_exec(
         sharded.inner_format, device.name, sharded.n_shards, merged, comms
     )

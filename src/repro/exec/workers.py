@@ -4,10 +4,12 @@
 a :class:`WorkerPool`: a coordinator that writes every shard to its own
 sealed ``.brx`` container and spawns one ``multiprocessing`` worker per
 shard. Workers mmap their shard containers (zero-copy via the aligned
-array table of :mod:`repro.serialize`), receive the broadcast ``x`` with
-each task, and return the shard's ``y`` block and
+array table of :mod:`repro.serialize`), receive the broadcast ``x`` — a
+vector, or a whole ``(n, k)`` multi-RHS block, which the worker replays
+with one ``run_spmm`` (plan ``execute_many``) — with each task, and
+return the shard's ``y`` rows and
 :class:`~repro.gpu.counters.KernelCounters` tagged with a CRC32 of the
-result bytes.
+result bytes (the whole block for a multi-RHS task).
 
 The robustness core is the coordinator's recovery loop. Every task
 carries a ``(call, shard, attempt)`` tag, and three detectors feed one
@@ -82,6 +84,13 @@ def _crc(y: np.ndarray) -> int:
     return zlib.crc32(np.ascontiguousarray(y).tobytes())
 
 
+def _flip_one_bit(y: np.ndarray) -> np.ndarray:
+    """A copy of ``y`` with one bit of its first element flipped."""
+    y = np.array(y, copy=True)
+    y.reshape(-1).view(np.uint64)[0] ^= np.uint64(1) << np.uint64(40)
+    return y
+
+
 # ---------------------------------------------------------------------------
 # Worker process
 # ---------------------------------------------------------------------------
@@ -126,7 +135,7 @@ def _worker_main(
     """
     import threading
 
-    from ..kernels.dispatch import run_spmv
+    from ..kernels.dispatch import run_spmm, run_spmv
     from ..kernels.plancache import PLAN_CACHE
     from ..serialize import load_container
 
@@ -157,6 +166,7 @@ def _worker_main(
         if task[0] == "stop":
             return
         _, call, shard_idx, attempt, x, chaos, telem = task
+        run = run_spmm if x.ndim == 2 else run_spmv
         try:
             matrix = shards.get(shard_idx)
             if matrix is None:
@@ -178,10 +188,10 @@ def _worker_main(
                     victim = _apply_container_fault(
                         matrix, kind, int(chaos[2])
                     )
-                    return run_spmv(
+                    return run(
                         victim, x, device_name, policy=verify_policy
                     )
-                return run_spmv(matrix, x, device_name, policy=policy)
+                return run(matrix, x, device_name, policy=policy)
 
             if telem is None:
                 result = _run()
@@ -207,8 +217,7 @@ def _worker_main(
             if kind == "corrupt-shard-result":
                 # Transport corruption: flip a bit AFTER the CRC was
                 # computed, so the coordinator's end-to-end check fires.
-                y = y.copy()
-                y.view(np.uint64)[0] ^= np.uint64(1) << np.uint64(40)
+                y = _flip_one_bit(y)
             result_queue.put(
                 ("done", call, shard_idx, attempt, slot, y, result.counters, crc)
             )
@@ -452,7 +461,9 @@ class WorkerPool:
         x: np.ndarray,
         telem: Optional[Tuple[str, Optional[int]]] = None,
     ) -> Tuple[List[Tuple[np.ndarray, KernelCounters]], CallStats]:
-        """Run one SpMV across the pool; returns per-shard results + stats.
+        """Run one SpMV (1-D ``x``) or one SpMM block (``(n, k)`` ``x``)
+        across the pool: one task per shard; returns per-shard results +
+        stats.
 
         ``telem`` is the trace context ``(trace_id, parent_span_id)`` to
         propagate to the workers; when given, each shard's telemetry

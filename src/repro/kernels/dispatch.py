@@ -35,7 +35,8 @@ With ``policy.devices > 1`` (or a pre-built
 :class:`~repro.exec.partition.ShardedMatrix`) the primary execution
 routes through the sharded engine (:mod:`repro.exec.engine`) *inside*
 the guarded region, so verification and graceful degradation apply to
-multi-device runs unchanged.
+multi-device runs unchanged. An SpMM block is one sharded call: every
+shard receives the whole ``(n, k)`` block.
 
 The pre-policy loose keywords (``verify=``, ``fallback=``, ``engine=``,
 ``plan=``, ``plan_cache=``) went through one deprecation release and are
@@ -126,14 +127,17 @@ def _check_plan(plan: SpMVPlan, matrix: SparseFormat, device: DeviceSpec) -> Non
         )
 
 
-def _primary_spmv(
+def _primary(
     matrix: SparseFormat,
     x: np.ndarray,
     device: DeviceSpec,
     engine: str,
     policy: ExecutionPolicy,
+    multi: bool,
 ) -> SpMVResult:
-    """Run the selected engine for one vector (no integrity handling)."""
+    """Run the selected engine for a vector or, with ``multi``, an
+    ``(n, k)`` block (no integrity handling)."""
+    x = check_multi_x(matrix, x) if multi else matrix.check_x(x)
     if _is_sharded_run(matrix, policy):
         from ..exec.engine import execute_sharded  # lazy: engine imports us
 
@@ -147,52 +151,93 @@ def _primary_spmv(
             )
         else:
             _check_plan(plan, matrix, device)
-        return plan.execute(x)
-    return kernel_for(matrix.format_name).run(matrix, x, device)
-
-
-def _primary_spmm(
-    matrix: SparseFormat,
-    X: np.ndarray,
-    device: DeviceSpec,
-    engine: str,
-    policy: ExecutionPolicy,
-) -> SpMVResult:
-    """Run the selected engine for a multi-RHS block (no integrity handling)."""
-    if _is_sharded_run(matrix, policy):
-        from ..exec.engine import execute_sharded  # lazy: engine imports us
-
-        X = check_multi_x(matrix, X)
-        results = [
-            execute_sharded(matrix, X[:, j], device, policy)
-            for j in range(X.shape[1])
-        ]
-        return SpMVResult(
-            y=np.stack([r.y for r in results], axis=1),
-            counters=sum(r.counters for r in results),
-            device=device,
-        )
-    if engine == "fast":
-        plan = policy.plan
-        if plan is None:
-            cache = policy.plan_cache if policy.plan_cache is not None else PLAN_CACHE
-            plan = cache.get_or_build(
-                matrix, device, backend=policy.compute_backend
-            )
-        else:
-            _check_plan(plan, matrix, device)
-        return plan.execute_many(X)
+        return plan.execute_many(x) if x.ndim == 2 else plan.execute(x)
+    kernel = kernel_for(matrix.format_name)
+    if x.ndim == 1:
+        return kernel.run(matrix, x, device)
     # Reference SpMM: k independent kernel runs, one per column. The
     # summed counters equal the fast engine's scaled prototype because
     # the accounting is x-independent (k identical records).
-    X = check_multi_x(matrix, X)
-    kernel = kernel_for(matrix.format_name)
-    results = [kernel.run(matrix, X[:, j], device) for j in range(X.shape[1])]
+    results = [kernel.run(matrix, x[:, j], device) for j in range(x.shape[1])]
     return SpMVResult(
         y=np.stack([r.y for r in results], axis=1),
         counters=sum(r.counters for r in results),
         device=device,
     )
+
+
+def _dispatch(
+    matrix: SparseFormat,
+    x: np.ndarray,
+    device: DeviceSpec | str,
+    policy: Optional[ExecutionPolicy],
+    multi: bool,
+) -> SpMVResult:
+    """The integrity boundary shared by :func:`run_spmv` and :func:`run_spmm`."""
+    pol = policy if policy is not None else ExecutionPolicy()
+    if isinstance(device, str):
+        device = get_device(device)
+    level = pol.verify
+    eng = _resolve_engine(matrix, pol, prefer_fast=multi)
+    span_name = "spmm.dispatch" if multi else "spmv.dispatch"
+
+    if level is False and pol.fallback is None:
+        # The historical fast path: no verification, failures propagate.
+        # Telemetry-free unless a tracer is active (the kernel's own span
+        # still fires inside run() when one is).
+        if get_tracer() is None:
+            return _primary(matrix, x, device, eng, pol, multi)
+        with _span(
+            span_name,
+            "pipeline",
+            format=matrix.format_name,
+            device=device.name,
+            verify="off",
+            engine=eng,
+            devices=pol.devices,
+        ):
+            return _primary(matrix, x, device, eng, pol, multi)
+
+    with _span(
+        span_name,
+        "pipeline",
+        format=matrix.format_name,
+        device=device.name,
+        verify=level if level is not False else "off",
+        fallback=pol.fallback.format_name if pol.fallback is not None else None,
+        engine=eng,
+        devices=pol.devices,
+    ) as sp:
+        COUNTERS.record_verification()
+        try:
+            if level is not False:
+                _verify_matrix(matrix, level)
+            # Plan building (and shard re-encoding on the multi-device
+            # path) happens inside the guarded region: a corrupted
+            # stream fails the vectorized decode with the same typed
+            # errors the stepwise decoder raises, and degrades identically.
+            result = _primary(matrix, x, device, eng, pol, multi)
+        except _CORRUPTION_ERRORS as exc:
+            COUNTERS.record_detection()
+            if sp is not NULL_SPAN:
+                sp.event(
+                    "integrity.detected",
+                    error=f"{type(exc).__name__}: {exc}",
+                )
+            if pol.fallback is None:
+                COUNTERS.record_raised()
+                raise
+            result = _primary(
+                pol.fallback, x, device, "reference", ExecutionPolicy(), multi
+            )
+            COUNTERS.record_fallback()
+            if sp is not NULL_SPAN:
+                sp.event("integrity.fallback", format=pol.fallback.format_name)
+            result.fault_detected = True
+            result.fallback_used = True
+            result.integrity_error = f"{type(exc).__name__}: {exc}"
+        result.integrity_counters = COUNTERS.snapshot()
+        return result
 
 
 def run_spmv(
@@ -230,69 +275,7 @@ def run_spmv(
         :class:`~repro.exec.engine.ShardedSpMVResult` carrying per-shard
         results and the communication report.
     """
-    pol = policy if policy is not None else ExecutionPolicy()
-    if isinstance(device, str):
-        device = get_device(device)
-    level = pol.verify
-    eng = _resolve_engine(matrix, pol, prefer_fast=False)
-
-    if level is False and pol.fallback is None:
-        # The historical fast path: no verification, failures propagate.
-        # Telemetry-free unless a tracer is active (the kernel's own span
-        # still fires inside run() when one is).
-        if get_tracer() is None:
-            return _primary_spmv(matrix, x, device, eng, pol)
-        with _span(
-            "spmv.dispatch",
-            "pipeline",
-            format=matrix.format_name,
-            device=device.name,
-            verify="off",
-            engine=eng,
-            devices=pol.devices,
-        ):
-            return _primary_spmv(matrix, x, device, eng, pol)
-
-    with _span(
-        "spmv.dispatch",
-        "pipeline",
-        format=matrix.format_name,
-        device=device.name,
-        verify=level if level is not False else "off",
-        fallback=pol.fallback.format_name if pol.fallback is not None else None,
-        engine=eng,
-        devices=pol.devices,
-    ) as sp:
-        COUNTERS.record_verification()
-        try:
-            if level is not False:
-                _verify_matrix(matrix, level)
-            # Plan building (and shard re-encoding on the multi-device
-            # path) happens inside the guarded region: a corrupted
-            # stream fails the vectorized decode with the same typed
-            # errors the stepwise decoder raises, and degrades identically.
-            result = _primary_spmv(matrix, x, device, eng, pol)
-        except _CORRUPTION_ERRORS as exc:
-            COUNTERS.record_detection()
-            if sp is not NULL_SPAN:
-                sp.event(
-                    "integrity.detected",
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            if pol.fallback is None:
-                COUNTERS.record_raised()
-                raise
-            result = kernel_for(pol.fallback.format_name).run(
-                pol.fallback, x, device
-            )
-            COUNTERS.record_fallback()
-            if sp is not NULL_SPAN:
-                sp.event("integrity.fallback", format=pol.fallback.format_name)
-            result.fault_detected = True
-            result.fallback_used = True
-            result.integrity_error = f"{type(exc).__name__}: {exc}"
-        result.integrity_counters = COUNTERS.snapshot()
-        return result
+    return _dispatch(matrix, x, device, policy, multi=False)
 
 
 def run_spmm(
@@ -310,59 +293,4 @@ def run_spmm(
     every plannable format (one decode amortized over ``k`` vectors);
     ``policy`` behaves exactly as in :func:`run_spmv`.
     """
-    pol = policy if policy is not None else ExecutionPolicy()
-    if isinstance(device, str):
-        device = get_device(device)
-    level = pol.verify
-    eng = _resolve_engine(matrix, pol, prefer_fast=True)
-
-    if level is False and pol.fallback is None:
-        if get_tracer() is None:
-            return _primary_spmm(matrix, X, device, eng, pol)
-        with _span(
-            "spmm.dispatch",
-            "pipeline",
-            format=matrix.format_name,
-            device=device.name,
-            verify="off",
-            engine=eng,
-            devices=pol.devices,
-        ):
-            return _primary_spmm(matrix, X, device, eng, pol)
-
-    with _span(
-        "spmm.dispatch",
-        "pipeline",
-        format=matrix.format_name,
-        device=device.name,
-        verify=level if level is not False else "off",
-        fallback=pol.fallback.format_name if pol.fallback is not None else None,
-        engine=eng,
-        devices=pol.devices,
-    ) as sp:
-        COUNTERS.record_verification()
-        try:
-            if level is not False:
-                _verify_matrix(matrix, level)
-            result = _primary_spmm(matrix, X, device, eng, pol)
-        except _CORRUPTION_ERRORS as exc:
-            COUNTERS.record_detection()
-            if sp is not NULL_SPAN:
-                sp.event(
-                    "integrity.detected",
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            if pol.fallback is None:
-                COUNTERS.record_raised()
-                raise
-            result = _primary_spmm(
-                pol.fallback, X, device, "reference", ExecutionPolicy()
-            )
-            COUNTERS.record_fallback()
-            if sp is not NULL_SPAN:
-                sp.event("integrity.fallback", format=pol.fallback.format_name)
-            result.fault_detected = True
-            result.fallback_used = True
-            result.integrity_error = f"{type(exc).__name__}: {exc}"
-        result.integrity_counters = COUNTERS.snapshot()
-        return result
+    return _dispatch(matrix, X, device, policy, multi=True)

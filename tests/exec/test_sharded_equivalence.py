@@ -3,7 +3,9 @@
 For every acceptance format × device count the sharded product must be
 bit-identical to the single-device product, and the merged counters
 must equal the per-shard sum in every field plus the modeled
-interconnect bytes.
+interconnect bytes. A sharded SpMM block is one engine call on either
+backend and equals its stacked per-column sharded calls, bits and
+counters alike.
 """
 
 import dataclasses
@@ -11,15 +13,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.exec.engine import ShardedSpMVResult
+from repro.exec.engine import ShardedSpMVResult, sharded_view, shutdown_pools
+from repro.exec.workers import WorkerPool, worker_pool
 from repro.exec.policy import ExecutionPolicy
 from repro.exec.partition import ShardedMatrix, partition
 from repro.formats.conversion import convert
+from repro.gpu.device import get_device
 from repro.gpu.timing import MultiDeviceBreakdown
 from repro.integrity import seal
 from repro.kernels.dispatch import run_spmm, run_spmv
 from repro.matrices.suite import generate
 from repro.pipeline import Session
+from repro.telemetry import metrics as M
 
 FORMATS = ("bro_ell", "bro_coo", "bro_hyb", "csr")
 
@@ -95,7 +100,24 @@ class TestShardedTiming:
         assert res.timing.t_kernel == pytest.approx(slowest)
 
 
+SPMM_FORMATS = ("bro_ell", "bro_hyb", "csr", "sell_c_sigma")
+
+
+@pytest.fixture(scope="module")
+def spmm_mats(coo):
+    mats = {fmt: convert(coo, fmt) for fmt in SPMM_FORMATS}
+    yield mats
+    for mat in mats.values():
+        shutdown_pools(mat)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 class TestShardedSpMM:
+    """A sharded block is one engine call, equal to its k column calls."""
+
     def test_columns_match_spmv(self, coo):
         mat = convert(coo, "bro_ell")
         X = np.random.default_rng(3).standard_normal((mat.shape[1], 3))
@@ -104,6 +126,74 @@ class TestShardedSpMM:
         for j in range(3):
             single = run_spmv(mat, X[:, j], "k20", policy=pol)
             assert np.array_equal(block.y[:, j], single.y)
+
+    @pytest.mark.parametrize("k", (1, 3, 8))
+    @pytest.mark.parametrize("fmt", SPMM_FORMATS)
+    @pytest.mark.parametrize("backend", ("thread", "process"))
+    def test_block_equals_single_device_and_columns(
+        self, spmm_mats, backend, fmt, k
+    ):
+        mat = spmm_mats[fmt]
+        X = np.random.default_rng(k).standard_normal((mat.shape[1], k))
+        pol = ExecutionPolicy(devices=2, backend=backend)
+        block = run_spmm(mat, X, "k20", policy=pol)
+        columns = [run_spmv(mat, X[:, j], "k20", policy=pol)
+                   for j in range(k)]
+
+        assert isinstance(block, ShardedSpMVResult)
+        assert block.y.shape == (mat.shape[0], k)
+        assert np.array_equal(bits(block.y), bits(run_spmm(mat, X, "k20").y))
+        assert np.array_equal(
+            bits(block.y), bits(np.stack([c.y for c in columns], axis=1))
+        )
+        column_sum = sum(c.counters for c in columns)
+        for f in dataclasses.fields(block.counters):
+            assert (getattr(block.counters, f.name)
+                    == getattr(column_sum, f.name)), f.name
+        assert block.counters.interconnect_bytes == (
+            sum(r.counters.interconnect_bytes for r in block.shard_results)
+            + k * block.comms.total_bytes
+        )
+
+    def test_process_block_is_one_pool_round_trip(self, spmm_mats,
+                                                  monkeypatch):
+        mat = spmm_mats["bro_ell"]
+        pol = ExecutionPolicy(devices=2, backend="process")
+        X = np.random.default_rng(5).standard_normal((mat.shape[1], 8))
+        run_spmm(mat, X, "k20", policy=pol)  # warm: the pool exists
+        pool = worker_pool(sharded_view(mat, 2, pol.partitioner),
+                           get_device("k20"), pol)
+        payloads = []
+        execute = WorkerPool.execute
+
+        def counting(self, x, telem=None):
+            payloads.append(x.shape)
+            return execute(self, x, telem=telem)
+
+        monkeypatch.setattr(WorkerPool, "execute", counting)
+        before = pool._call
+        run_spmm(mat, X, "k20", policy=pol)
+        assert pool._call == before + 1
+        assert payloads == [X.shape]
+
+    @pytest.mark.parametrize("backend", ("thread", "process"))
+    def test_exec_metrics_record_once_per_block(self, spmm_mats, backend):
+        mat = spmm_mats["csr"]
+        X = np.random.default_rng(6).standard_normal((mat.shape[1], 8))
+        pol = ExecutionPolicy(devices=2, backend=backend)
+        reg = M.MetricsRegistry()
+        M.start_collecting(reg)
+        try:
+            run_spmm(mat, X, "k20", policy=pol)
+        finally:
+            M.stop_collecting()
+        snap = reg.snapshot()
+        (runs,) = [v for key, v in snap["counters"].items()
+                   if key.startswith("exec.sharded_runs")]
+        assert runs == 1
+        latencies = [h["count"] for key, h in snap["histograms"].items()
+                     if key.startswith("exec.shard_latency_seconds")]
+        assert sorted(latencies) == [1, 1]
 
 
 class TestIntegrityComposition:

@@ -180,6 +180,82 @@ class TestFaultRecovery:
             shutdown_pools(mat)
 
 
+class TestBlockFaultRecovery:
+    """The same faults on an (n, 8) SpMM block: one task per shard
+    carries the whole block, so every fault hits a 2-D payload."""
+
+    K = 8
+
+    @pytest.fixture(scope="class")
+    def X(self, coo):
+        return np.random.default_rng(23).standard_normal(
+            (coo.shape[1], self.K)
+        )
+
+    @pytest.mark.parametrize("kind", PROCESS_FAULT_KINDS + ("stream_bit_flip",))
+    def test_block_recovers_bit_identical(self, coo, X, kind):
+        from repro.kernels.dispatch import run_spmm
+
+        mat = convert(coo, "bro_ell")
+        base = run_spmm(mat, X, "k20")
+        chaos = ChaosPolicy(seed=3, kinds=(kind,), max_faults=1, stall_s=1.2)
+        pol = _policy(devices=2, shard_timeout_s=0.4, chaos=chaos)
+        reg = M.MetricsRegistry()
+        M.start_collecting(reg)
+        try:
+            res = run_spmm(mat, X, "k20", policy=pol)
+        finally:
+            M.stop_collecting()
+            shutdown_pools(mat)
+        assert isinstance(res, ShardedSpMVResult)
+        assert np.array_equal(
+            res.y.view(np.uint64), np.ascontiguousarray(base.y).view(np.uint64)
+        ), kind
+        assert res.retries >= 1
+        counters = reg.snapshot()["counters"]
+        assert counters["exec.retries"] == res.retries
+        if kind in ("kill-worker", "stall-worker"):
+            assert counters["exec.worker_deaths"] == res.worker_deaths >= 1
+        if kind == "corrupt-shard-result":
+            events = [e["event"] for e in res.recovery_events]
+            assert "shard_crc_mismatch" in events
+
+    def test_thread_container_fault_degrades_typed(self, coo, X):
+        """The thread backend has no retry: a corrupted shard container
+        is caught by its checksum verify and the block degrades to the
+        fallback — or raises typed without one."""
+        from repro.errors import ReproError
+        from repro.integrity.counters import COUNTERS
+        from repro.kernels.dispatch import run_spmm
+
+        mat = convert(coo, "bro_ell")
+        fallback = convert(coo, "csr")
+        base = run_spmm(mat, X, "k20")
+
+        # Two live chaos policies: each keeps its own one-fault budget.
+        chaos = [ChaosPolicy(seed=5, kinds=("stream_bit_flip",),
+                             max_faults=1) for _ in range(2)]
+        fallbacks = COUNTERS.snapshot().fallbacks
+        res = run_spmm(mat, X, "k20", policy=ExecutionPolicy(
+            devices=2, backend="thread", chaos=chaos[0], fallback=fallback))
+        assert res.fallback_used
+        assert np.array_equal(res.y, base.y)
+        assert COUNTERS.snapshot().fallbacks == fallbacks + 1
+        with pytest.raises(ReproError):
+            run_spmm(mat, X, "k20", policy=ExecutionPolicy(
+                devices=2, backend="thread", chaos=chaos[1]))
+
+    def test_result_corruption_flips_one_bit_of_a_block(self):
+        from repro.exec.workers import _crc, _flip_one_bit
+
+        Y = np.random.default_rng(0).standard_normal((5, self.K))
+        flipped = _flip_one_bit(Y)
+        diff = np.bitwise_xor(Y.view(np.uint64), flipped.view(np.uint64))
+        assert int(np.unpackbits(diff.view(np.uint8)).sum()) == 1
+        assert _crc(flipped) != _crc(Y)
+        assert np.array_equal(Y[1:], flipped[1:])
+
+
 class TestRecoveryAccounting:
     def test_metrics_expose_worker_events(self, coo, x):
         from repro.kernels.dispatch import run_spmv
