@@ -1,8 +1,8 @@
 """Micro-benchmark: the executor's fused inner loops vs their NumPy replays.
 
 PR 8 gave every plan a compiled fast path: one fused gather+mask+
-segmented-reduce loop per kernel family (ELL slice, COO scatter, CSR row
-sums, ELLPACK column accumulation), compiled with Numba when it is
+segmented-reduce loop per kernel family (jagged sliced ELL, ELL slice,
+COO scatter, CSR row sums, ELLPACK column accumulation), compiled with Numba when it is
 importable and interpreted otherwise.  This file pins two things:
 
 * **bit-identity** — each kernel accumulates in exactly the order of the
@@ -22,7 +22,10 @@ import numpy as np
 from conftest import save_table
 
 from repro.bench.experiments import microbench_exec
+from repro.formats.conversion import convert
+from repro.formats.coo import COOMatrix
 from repro.kernels import backends as _bk
+from repro.kernels import prepare
 from repro.types import VALUE_DTYPE
 
 COLUMNS = ["format", "mode", "backend", "ref_time_ms", "fast_time_ms", "ratio"]
@@ -64,6 +67,39 @@ class TestKernelBitIdentity:
         y = np.zeros(m, dtype=VALUE_DTYPE)
         _bk.PY_KERNELS["ell_slice_spmv"](vals_t, gather_t, valid_t, x, y)
         assert np.array_equal(y, expected)
+
+    def _jagged_plan(self, fmt):
+        # Uneven rows (empty, short, dense) over slices of 8: the width
+        # sort and per-column prefix counts both matter.
+        rng = np.random.default_rng(5)
+        dense = rng.standard_normal((40, 33))
+        dense[rng.random((40, 33)) < 0.8] = 0.0
+        dense[3] = rng.standard_normal(33)
+        dense[16:24] = 0.0
+        kwargs = {"c": 8} if fmt == "bro_sell" else {"h": 8}
+        return prepare(convert(COOMatrix.from_dense(dense), fmt, **kwargs), "k20")
+
+    def test_jagged_spmv_matches_numpy_replay(self):
+        for fmt in ("bro_ell", "bro_sell", "sliced_ellpack"):
+            plan = self._jagged_plan(fmt)
+            x = np.random.default_rng(1).standard_normal(plan.shape[1])
+            y = np.zeros(plan.shape[0], dtype=VALUE_DTYPE)
+            _bk.PY_KERNELS["jagged_spmv"](
+                plan._counts, plan._gather, plan._vals, plan._rows,
+                plan._extend(x), y,
+            )
+            assert np.array_equal(y, plan.execute(x).y), fmt
+
+    def test_jagged_spmm_matches_numpy_replay(self):
+        for fmt in ("bro_ell", "bro_sell", "sliced_ellpack"):
+            plan = self._jagged_plan(fmt)
+            X = np.random.default_rng(2).standard_normal((plan.shape[1], 5))
+            Y = np.zeros((plan.shape[0], 5), dtype=VALUE_DTYPE)
+            _bk.PY_KERNELS["jagged_spmm"](
+                plan._counts, plan._gather, plan._vals, plan._rows,
+                plan._extend(X), Y,
+            )
+            assert np.array_equal(Y, plan.execute_many(X).y), fmt
 
     def test_coo_scatter(self):
         rng, m, _, x = _operands()

@@ -1,10 +1,13 @@
 """Pluggable executor backends for prepared-plan replay.
 
 The prepared-plan engine (:mod:`repro.kernels.plan`) replays cached
-gather/validity/value tables with vectorized NumPy — fast, but every hot
-inner loop (gather + mask + segmented reduce) still round-trips through
+gather/value tables with vectorized NumPy — fast, but every hot inner
+loop (gather + multiply + segmented reduce) still round-trips through
 interpreter-dispatched array ops. This module makes the replay loop
-itself pluggable:
+itself pluggable. The sliced-ELL family shares one of them, the jagged
+loop (``jagged_spmv``/``jagged_spmm``): its plans store every slice's
+lanes in one width-sorted, column-major array, so a single pass over the
+ELL columns replaces a loop per slice.
 
 * ``"numpy"`` — the existing interpreted replay. Always available; the
   reference point every other backend must match bit-for-bit.
@@ -17,7 +20,7 @@ Bit-identity contract
 ---------------------
 Every kernel here performs the *same floating-point operations in the
 same order* as the NumPy replay it replaces: sequential per-column
-accumulation from a zero accumulator for the ELL family, the
+accumulation from a ``+0.0`` accumulator for the ELL family, the
 element-ordered ``np.add.at`` scatter for the COO family, zero-initialised
 sequential row sums for CSR and column-sequential accumulation for
 ELLPACK. No ``fastmath`` is ever enabled — reassociation would break the
@@ -67,9 +70,11 @@ EXECUTOR_BACKENDS = ("numpy", "jit")
 #: Formats whose prepared-plan replay has compiled inner loops. The
 #: composite formats (bro_hyb, bro_ell_mt, hyb) compile through their
 #: part plans; everything else gets a fused loop below. The ELL-style
-#: families share loops: sliced_ellpack and sell_c_sigma chunks replay
-#: through ``ellpack_spmv`` (unmasked), ellpack_r and bro_sell through
-#: ``ell_slice_spmv`` (masked), cmrs and coo through ``coo_scatter_spmv``.
+#: families share loops: bro_ell, bro_ell_vc, bro_sell, sliced_ellpack
+#: and sell_c_sigma replay through the jagged loop ``jagged_spmv``
+#: (masked lanes gather a zero slot), ellpack_r through
+#: ``ell_slice_spmv``, ellpack through ``ellpack_spmv``, and cmrs and coo
+#: through ``coo_scatter_spmv``.
 JIT_FORMATS = frozenset(
     {"bro_ell", "bro_ell_mt", "bro_ell_vc", "bro_coo", "bro_hyb", "bro_sell",
      "csr", "ellpack", "ellpack_r", "sliced_ellpack", "sell_c_sigma",
@@ -149,8 +154,38 @@ def resolve_backend(
 # floating-point operation order and are what the local test suite runs —
 # then compiled in place with numba.njit when it is importable.
 # ----------------------------------------------------------------------
+def _jagged_spmv(counts, gather, vals, rows, x, y):
+    # Matches JaggedELLPlan._replay_numpy: jagged column c holds the lanes
+    # of the counts[c] widest rows, so every row adds its lanes in column
+    # order to a +0.0 accumulator; then one scatter through rows.
+    acc = np.zeros(rows.shape[0])
+    pos = 0
+    for c in range(counts.shape[0]):
+        for r in range(counts[c]):
+            acc[r] += vals[pos + r] * x[gather[pos + r]]
+        pos += counts[c]
+    for r in range(rows.shape[0]):
+        y[rows[r]] = acc[r]
+
+
+def _jagged_spmm(counts, gather, vals, rows, X, Y):
+    K = X.shape[1]
+    acc = np.zeros((rows.shape[0], K))
+    pos = 0
+    for c in range(counts.shape[0]):
+        for r in range(counts[c]):
+            v = vals[pos + r]
+            g = gather[pos + r]
+            for j in range(K):
+                acc[r, j] += v * X[g, j]
+        pos += counts[c]
+    for r in range(rows.shape[0]):
+        for j in range(K):
+            Y[rows[r], j] = acc[r, j]
+
+
 def _ell_slice_spmv(vals_t, gather_t, valid_t, x, out):
-    # Matches BROELLPlan._replay_numpy: per row, a zero accumulator takes
+    # Matches ELLPACKRPlan._replay_numpy: per row, a zero accumulator takes
     # one masked product per column in column order (invalid lanes add a
     # literal +0.0, exactly like the np.where path).
     L, H = vals_t.shape
@@ -269,6 +304,8 @@ def _bellpack_spmm(bcol, bvals, X_pad, Y_blocks):
 #: The interpreted (pure-Python) kernel set, kept un-compiled for the
 #: bit-identity tests — Numba or not, these define the loop order.
 PY_KERNELS: Dict[str, Callable] = {
+    "jagged_spmv": _jagged_spmv,
+    "jagged_spmm": _jagged_spmm,
     "ell_slice_spmv": _ell_slice_spmv,
     "ell_slice_spmm": _ell_slice_spmm,
     "coo_scatter_spmv": _coo_scatter_spmv,
@@ -290,6 +327,8 @@ def _compile(fn: Callable) -> Callable:
     return numba.njit(cache=False, fastmath=False)(fn)
 
 
+jagged_spmv = _compile(_jagged_spmv)
+jagged_spmm = _compile(_jagged_spmm)
 ell_slice_spmv = _compile(_ell_slice_spmv)
 ell_slice_spmm = _compile(_ell_slice_spmm)
 coo_scatter_spmv = _compile(_coo_scatter_spmv)

@@ -10,9 +10,9 @@ phases the way SMASH-style schemes separate setup from multiply:
 * :func:`prepare` runs the decode exactly once per (matrix, device) using
   the vectorized :func:`~repro.bitstream.packing.unpack_slice` instead of
   the per-column decoder loop, and caches everything that is independent
-  of ``x``: per-slice gather indices, validity masks, transposed value
-  blocks, and the *entire* traffic accounting as a
-  :class:`~repro.gpu.counters.KernelCounters` prototype.
+  of ``x``: gather indices and value tables (one width-sorted jagged
+  layout for the sliced-ELL family), and the *entire* traffic accounting
+  as a :class:`~repro.gpu.counters.KernelCounters` prototype.
 * :meth:`SpMVPlan.execute` replays the plan for one ``x`` — a handful of
   NumPy gathers/FMAs plus a counter copy.
 * :meth:`SpMVPlan.execute_many` batches a multi-RHS ``X`` of shape
@@ -24,7 +24,7 @@ Equivalence contract
 A plan replay is **bit-identical** to the reference kernel — same ``y``
 to the last ulp and an equal :class:`KernelCounters` record — because the
 replay performs the same floating-point operations in the same order
-(sequential per-column accumulation, the same ``np.where`` masking, the
+(sequential per-column accumulation, masked lanes adding ``+0.0``, the
 same element-ordered ``np.add.at`` scatter) and the counters prototype
 reproduces the reference accounting term by term
 (``symbol_loads == row_stream_symbols`` for a fully-consumed stream, and
@@ -443,64 +443,145 @@ def _ell_slice_traffic(
     return idx_tx, int(warp_valid.sum()), x_bytes, decode_ops
 
 
-#: One prepared slice: (r0, r1, vals_T, gather_T, valid_T), all (l_i, h_i)
-#: C-contiguous so the replay's per-column accumulation reads rows.
-_EllSlice = Tuple[int, int, np.ndarray, np.ndarray, np.ndarray]
+#: One non-empty slice or chunk handed to :class:`JaggedELLPlan`:
+#: ``(rows, gather, vals, valid)`` with ``(h_i, l_i)`` lane blocks, ``rows``
+#: the output row of each block row, and ``valid`` the lane mask of the
+#: masked formats (``None`` keeps every lane as stored).
+_EllBlock = Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]
 
 
-class BROELLPlan(SpMVPlan):
-    """Replay plan for Algorithm 1: gather, mask, accumulate per column."""
+def _jagged_layout(
+    blocks: List[_EllBlock], n: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Flatten ELL blocks into the jagged-diagonal order (pJDS).
 
-    format_name = "bro_ell"
+    The blocks are stably sorted by decreasing width, so ELL column ``c``
+    of every block wide enough to have one covers a prefix of the sorted
+    rows: ``counts[c]`` rows. ``gather``/``vals`` hold column 0's lanes,
+    then column 1's, ... and ``rows`` maps a sorted row to its output row.
+    Masked-out lanes gather index ``n`` (the zero slot appended to ``x``)
+    with a ``+0.0`` value. The fill is one scatter per block, never a loop
+    over (column x block).
+    """
+    widths = np.array([b[1].shape[1] for b in blocks], dtype=np.int64)
+    heights = np.array([b[1].shape[0] for b in blocks], dtype=np.int64)
+    order = np.argsort(-widths, kind="stable")
+    widths, heights = widths[order], heights[order]
+    row_start = np.zeros(len(blocks) + 1, dtype=np.int64)
+    np.cumsum(heights, out=row_start[1:])
+    max_width = int(widths[0]) if len(blocks) else 0
+    # Blocks wider than column c form a prefix of the sorted order.
+    wider = np.searchsorted(-widths, -np.arange(max_width), side="left")
+    counts = row_start[wider]
+    col_start = np.zeros(max_width + 1, dtype=np.int64)
+    np.cumsum(counts, out=col_start[1:])
+
+    index_dtype = np.int32 if n < 2**31 - 1 else np.int64
+    gather = np.empty(int(col_start[-1]), dtype=index_dtype)
+    vals = np.empty(int(col_start[-1]), dtype=VALUE_DTYPE)
+    rows = np.empty(int(row_start[-1]), dtype=np.int64)
+    for s, i in enumerate(order):
+        block_rows, g, v, valid = blocks[i]
+        h_i, l_i = g.shape
+        r0 = int(row_start[s])
+        live = g if valid is None else np.where(valid, g, 0)
+        if live.min() < 0 or live.max() >= n:
+            raise IndexError(
+                f"ELL column index out of range for x of length {n}"
+            )
+        if valid is not None:
+            g = np.where(valid, g, n)
+            v = np.where(valid, v, 0.0)
+        dest = (col_start[:l_i, None] + np.arange(r0, r0 + h_i)).ravel()
+        gather[dest] = g.T.ravel()
+        vals[dest] = v.T.ravel()
+        rows[r0 : r0 + h_i] = block_rows
+    return counts, gather, vals, rows
+
+
+class JaggedELLPlan(SpMVPlan):
+    """The sliced-ELL replay: one gather-multiply-prefix-add per ELL column.
+
+    Shared by bro_ell, bro_ell_vc, bro_sell, sliced_ellpack and
+    sell_c_sigma. Every row adds exactly its slice's lanes, in column
+    order, to a ``+0.0`` accumulator, as the stepwise kernels do, so ``y``
+    is bit-identical. A masked lane adds ``+0.0 * 0.0`` where the kernel
+    adds a literal ``+0.0``; the accumulator can never hold ``-0.0`` (an
+    exact zero sum rounds to ``+0.0``), so such an add never changes a bit.
+    """
 
     def __init__(
         self,
         matrix: SparseFormat,
         device: DeviceSpec,
         counters: KernelCounters,
-        slices: List[_EllSlice],
+        blocks: List[_EllBlock],
     ) -> None:
         super().__init__(matrix, device, counters)
-        self._slices = slices
+        n = matrix.shape[1]
+        self._counts, self._gather, self._vals, self._rows = _jagged_layout(
+            blocks, n
+        )
+        #: whether some masked lane gathers the zero slot ``x[n]``.
+        self._zero_slot = bool(np.any(self._gather == n))
+
+    def _extend(self, x: np.ndarray) -> np.ndarray:
+        """``x`` (or ``X``) with the zero slot appended when a lane uses it."""
+        if not self._zero_slot:
+            return x
+        n = x.shape[0]
+        xe = np.empty((n + 1,) + x.shape[1:], dtype=VALUE_DTYPE)
+        xe[:n] = x
+        xe[n] = 0.0
+        return xe
 
     def _replay_numpy(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.matrix.shape[0], dtype=VALUE_DTYPE)
-        for r0, r1, vals_t, gather_t, valid_t in self._slices:
-            # Same ops, same order as the stepwise kernel: a masked FMA
-            # per column, accumulated sequentially (not pairwise), so the
-            # result is bit-identical — including the -0.0 and 0*inf
-            # corner cases the np.where masking preserves.
-            prod = np.where(valid_t, vals_t * x[gather_t], 0.0)
-            acc = np.zeros(r1 - r0, dtype=VALUE_DTYPE)
-            for c in range(prod.shape[0]):
-                acc += prod[c]
-            y[r0:r1] = acc
+        # SpMV and SpMM alike: one row of xt per input vector, so every
+        # column-c temporary is a (k, counts[c]) block of contiguous rows,
+        # never the whole lane array.
+        xe = self._extend(x)
+        xt = np.ascontiguousarray(xe.T).reshape(-1, xe.shape[0])
+        k = xt.shape[0]
+        acc = np.zeros((k, self._rows.shape[0]), dtype=VALUE_DTYPE)
+        buf = np.empty(acc.size)  # column 0 covers every row
+        lo = 0
+        for cnt in self._counts.tolist():
+            hi = lo + cnt
+            prod = buf[: k * cnt].reshape(k, cnt)
+            # Indices were range-checked at build, so "clip" never clips;
+            # it only skips the buffered copy "raise" makes.
+            np.take(xt, self._gather[lo:hi], axis=1, out=prod, mode="clip")
+            np.multiply(self._vals[lo:hi], prod, out=prod)
+            head = acc[:, :cnt]
+            head += prod
+            lo = hi
+        y = np.zeros((self.matrix.shape[0],) + x.shape[1:], dtype=VALUE_DTYPE)
+        y[self._rows] = acc.T.reshape((-1,) + x.shape[1:])
         return y
 
-    def _replay_many_numpy(self, X: np.ndarray) -> np.ndarray:
-        k = X.shape[1]
-        y = np.zeros((self.matrix.shape[0], k), dtype=VALUE_DTYPE)
-        for r0, r1, vals_t, gather_t, valid_t in self._slices:
-            prod = np.where(
-                valid_t[:, :, None], vals_t[:, :, None] * X[gather_t], 0.0
-            )
-            acc = np.zeros((r1 - r0, k), dtype=VALUE_DTYPE)
-            for c in range(prod.shape[0]):
-                acc += prod[c]
-            y[r0:r1] = acc
-        return y
+    _replay_many_numpy = _replay_numpy
 
     def _replay_jit(self, x: np.ndarray) -> np.ndarray:
         y = np.zeros(self.matrix.shape[0], dtype=VALUE_DTYPE)
-        for r0, r1, vals_t, gather_t, valid_t in self._slices:
-            _backends.ell_slice_spmv(vals_t, gather_t, valid_t, x, y[r0:r1])
+        _backends.jagged_spmv(
+            self._counts, self._gather, self._vals, self._rows,
+            self._extend(x), y,
+        )
         return y
 
     def _replay_many_jit(self, X: np.ndarray) -> np.ndarray:
-        y = np.zeros((self.matrix.shape[0], X.shape[1]), dtype=VALUE_DTYPE)
-        for r0, r1, vals_t, gather_t, valid_t in self._slices:
-            _backends.ell_slice_spmm(vals_t, gather_t, valid_t, X, y[r0:r1])
-        return y
+        Y = np.zeros((self.matrix.shape[0], X.shape[1]), dtype=VALUE_DTYPE)
+        _backends.jagged_spmm(
+            self._counts, self._gather, self._vals, self._rows,
+            self._extend(X), Y,
+        )
+        return Y
+
+
+class BROELLPlan(JaggedELLPlan):
+    """Replay plan for Algorithm 1 over the decoded, masked slices."""
+
+    format_name = "bro_ell"
 
 
 @register_planner("bro_ell")
@@ -515,7 +596,7 @@ def _plan_bro_ell(matrix: SparseFormat, device: DeviceSpec) -> BROELLPlan:
     val_per_iter = ceil_div(ws * 8, tb)
 
     idx_tx = val_tx = x_bytes = decode_ops = 0
-    slices: List[_EllSlice] = []
+    blocks: List[_EllBlock] = []
     for r0, r1, bit_alloc, stream_view, val_block in matrix.iter_slices():
         h_i, l_i = val_block.shape
         if l_i == 0:
@@ -530,15 +611,7 @@ def _plan_bro_ell(matrix: SparseFormat, device: DeviceSpec) -> BROELLPlan:
         val_tx += warp_cols * val_per_iter
         x_bytes += s_x_bytes
         decode_ops += s_decode
-        slices.append(
-            (
-                r0,
-                r1,
-                np.ascontiguousarray(val_block.T),
-                np.ascontiguousarray(gather.T),
-                np.ascontiguousarray(valid.T),
-            )
-        )
+        blocks.append((np.arange(r0, r1), gather, val_block, valid))
 
     counters = KernelCounters(
         index_bytes=idx_tx * tb,
@@ -552,7 +625,7 @@ def _plan_bro_ell(matrix: SparseFormat, device: DeviceSpec) -> BROELLPlan:
         launches=1,
         threads=launch.total_threads,
     )
-    return BROELLPlan(matrix, device, counters, slices)
+    return BROELLPlan(matrix, device, counters, blocks)
 
 
 class BROELLVCPlan(BROELLPlan):
@@ -572,7 +645,7 @@ def _plan_bro_ell_vc(matrix: SparseFormat, device: DeviceSpec) -> BROELLVCPlan:
     tex = TextureCacheModel(device)
 
     idx_tx = val_bytes = x_bytes = decode_ops = 0
-    slices: List[_EllSlice] = []
+    blocks: List[_EllBlock] = []
     for i in range(matrix.num_slices):
         r0 = int(matrix.slice_edges[i])
         r1 = int(matrix.slice_edges[i + 1])
@@ -597,15 +670,7 @@ def _plan_bro_ell_vc(matrix: SparseFormat, device: DeviceSpec) -> BROELLVCPlan:
             decode_ops += DECODE_OPS_PER_ITER * h_i * l_i
         x_bytes += s_x_bytes
         decode_ops += s_decode
-        slices.append(
-            (
-                r0,
-                r1,
-                np.ascontiguousarray(val_block.T),
-                np.ascontiguousarray(gather.T),
-                np.ascontiguousarray(valid.T),
-            )
-        )
+        blocks.append((np.arange(r0, r1), gather, val_block, valid))
 
     counters = KernelCounters(
         index_bytes=idx_tx * tb,
@@ -619,7 +684,7 @@ def _plan_bro_ell_vc(matrix: SparseFormat, device: DeviceSpec) -> BROELLVCPlan:
         launches=1,
         threads=launch.total_threads,
     )
-    return BROELLVCPlan(matrix, device, counters, slices)
+    return BROELLVCPlan(matrix, device, counters, blocks)
 
 
 # ----------------------------------------------------------------------
@@ -1052,74 +1117,23 @@ def _plan_csr(matrix: SparseFormat, device: DeviceSpec) -> CSRPlan:
 # (sliced_ell_counters, ellpack_r_counters, ...) so plan and kernel
 # accounting can never drift apart.
 # ----------------------------------------------------------------------
-class SlicedELLPlan(SpMVPlan):
-    """Per-slice unmasked column accumulation over cached transposes."""
+class SlicedELLPlan(JaggedELLPlan):
+    """Unmasked slice accumulation: padded lanes replay as stored."""
 
     format_name = "sliced_ellpack"
-
-    def __init__(
-        self,
-        matrix: SparseFormat,
-        device: DeviceSpec,
-        counters: KernelCounters,
-        slices: List[Tuple[int, int, np.ndarray, np.ndarray]],
-    ) -> None:
-        super().__init__(matrix, device, counters)
-        #: (r0, r1, cols_T, vals_T) with (l_i, h_i) C-contiguous blocks.
-        self._slices = slices
-
-    def _replay_numpy(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.matrix.shape[0], dtype=VALUE_DTYPE)
-        for r0, r1, cols_t, vals_t in self._slices:
-            prod = vals_t * x[cols_t]
-            acc = np.zeros(r1 - r0, dtype=VALUE_DTYPE)
-            for c in range(prod.shape[0]):
-                acc += prod[c]
-            y[r0:r1] = acc
-        return y
-
-    def _replay_many_numpy(self, X: np.ndarray) -> np.ndarray:
-        k = X.shape[1]
-        y = np.zeros((self.matrix.shape[0], k), dtype=VALUE_DTYPE)
-        for r0, r1, cols_t, vals_t in self._slices:
-            prod = vals_t[:, :, None] * X[cols_t]
-            acc = np.zeros((r1 - r0, k), dtype=VALUE_DTYPE)
-            for c in range(prod.shape[0]):
-                acc += prod[c]
-            y[r0:r1] = acc
-        return y
-
-    def _replay_jit(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.matrix.shape[0], dtype=VALUE_DTYPE)
-        for r0, r1, cols_t, vals_t in self._slices:
-            _backends.ellpack_spmv(cols_t, vals_t, x, y[r0:r1])
-        return y
-
-    def _replay_many_jit(self, X: np.ndarray) -> np.ndarray:
-        y = np.zeros((self.matrix.shape[0], X.shape[1]), dtype=VALUE_DTYPE)
-        for r0, r1, cols_t, vals_t in self._slices:
-            _backends.ellpack_spmm(cols_t, vals_t, X, y[r0:r1])
-        return y
 
 
 @register_planner("sliced_ellpack")
 def _plan_sliced_ell(matrix: SparseFormat, device: DeviceSpec) -> SlicedELLPlan:
     _check_plan_type(matrix, SlicedELLPACKMatrix)
     assert isinstance(matrix, SlicedELLPACKMatrix)
-    slices: List[Tuple[int, int, np.ndarray, np.ndarray]] = []
-    for r0, r1, col_block, val_block in matrix.iter_slices():
-        if col_block.shape[1] == 0:
-            continue
-        slices.append(
-            (
-                r0,
-                r1,
-                np.ascontiguousarray(col_block.T),
-                np.ascontiguousarray(val_block.T),
-            )
-        )
+    blocks = [
+        (np.arange(r0, r1), col_block, val_block, None)
+        for r0, r1, col_block, val_block in matrix.iter_slices()
+        if col_block.shape[1]
+    ]
     return SlicedELLPlan(
-        matrix, device, sliced_ell_counters(matrix, device), slices
+        matrix, device, sliced_ell_counters(matrix, device), blocks
     )
 
 
@@ -1330,134 +1344,28 @@ def _plan_bellpack(matrix: SparseFormat, device: DeviceSpec) -> BELLPACKPlan:
 # ----------------------------------------------------------------------
 # SELL-C-σ family: chunked ELL replays + permutation scatter
 # ----------------------------------------------------------------------
-class SELLCSigmaPlan(SpMVPlan):
+class SELLCSigmaPlan(JaggedELLPlan):
     """Unmasked chunk accumulation scattered through ``row_ids``."""
 
     format_name = "sell_c_sigma"
-
-    def __init__(
-        self,
-        matrix: SparseFormat,
-        device: DeviceSpec,
-        counters: KernelCounters,
-        chunks: List[Tuple[int, int, np.ndarray, np.ndarray, np.ndarray]],
-    ) -> None:
-        super().__init__(matrix, device, counters)
-        #: (r0, r1, cols_T, vals_T, ids) per non-empty chunk.
-        self._chunks = chunks
-
-    def _replay_numpy(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.matrix.shape[0], dtype=VALUE_DTYPE)
-        for r0, r1, cols_t, vals_t, ids in self._chunks:
-            prod = vals_t * x[cols_t]
-            acc = np.zeros(r1 - r0, dtype=VALUE_DTYPE)
-            for c in range(prod.shape[0]):
-                acc += prod[c]
-            y[ids] = acc
-        return y
-
-    def _replay_many_numpy(self, X: np.ndarray) -> np.ndarray:
-        k = X.shape[1]
-        y = np.zeros((self.matrix.shape[0], k), dtype=VALUE_DTYPE)
-        for r0, r1, cols_t, vals_t, ids in self._chunks:
-            prod = vals_t[:, :, None] * X[cols_t]
-            acc = np.zeros((r1 - r0, k), dtype=VALUE_DTYPE)
-            for c in range(prod.shape[0]):
-                acc += prod[c]
-            y[ids] = acc
-        return y
-
-    def _replay_jit(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.matrix.shape[0], dtype=VALUE_DTYPE)
-        for r0, r1, cols_t, vals_t, ids in self._chunks:
-            tmp = np.empty(r1 - r0, dtype=VALUE_DTYPE)
-            _backends.ellpack_spmv(cols_t, vals_t, x, tmp)
-            y[ids] = tmp
-        return y
-
-    def _replay_many_jit(self, X: np.ndarray) -> np.ndarray:
-        y = np.zeros((self.matrix.shape[0], X.shape[1]), dtype=VALUE_DTYPE)
-        for r0, r1, cols_t, vals_t, ids in self._chunks:
-            tmp = np.empty((r1 - r0, X.shape[1]), dtype=VALUE_DTYPE)
-            _backends.ellpack_spmm(cols_t, vals_t, X, tmp)
-            y[ids] = tmp
-        return y
 
 
 @register_planner("sell_c_sigma")
 def _plan_sell_c_sigma(matrix: SparseFormat, device: DeviceSpec) -> SELLCSigmaPlan:
     _check_plan_type(matrix, SELLCSigmaMatrix)
     assert isinstance(matrix, SELLCSigmaMatrix)
-    chunks: List[Tuple[int, int, np.ndarray, np.ndarray, np.ndarray]] = []
-    for r0, r1, col_block, val_block in matrix.iter_chunks():
-        if col_block.shape[1] == 0:
-            continue
-        chunks.append(
-            (
-                r0,
-                r1,
-                np.ascontiguousarray(col_block.T),
-                np.ascontiguousarray(val_block.T),
-                np.ascontiguousarray(matrix.row_ids[r0:r1]),
-            )
-        )
-    return SELLCSigmaPlan(matrix, device, sell_counters(matrix, device), chunks)
+    blocks = [
+        (matrix.row_ids[r0:r1], col_block, val_block, None)
+        for r0, r1, col_block, val_block in matrix.iter_chunks()
+        if col_block.shape[1]
+    ]
+    return SELLCSigmaPlan(matrix, device, sell_counters(matrix, device), blocks)
 
 
-class BROSELLPlan(SpMVPlan):
+class BROSELLPlan(JaggedELLPlan):
     """BRO-ELL's masked replay over sorted chunks + permutation scatter."""
 
     format_name = "bro_sell"
-
-    def __init__(
-        self,
-        matrix: SparseFormat,
-        device: DeviceSpec,
-        counters: KernelCounters,
-        chunks: List[Tuple[int, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
-    ) -> None:
-        super().__init__(matrix, device, counters)
-        #: (r0, r1, vals_T, gather_T, valid_T, ids) per non-empty chunk.
-        self._chunks = chunks
-
-    def _replay_numpy(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.matrix.shape[0], dtype=VALUE_DTYPE)
-        for r0, r1, vals_t, gather_t, valid_t, ids in self._chunks:
-            prod = np.where(valid_t, vals_t * x[gather_t], 0.0)
-            acc = np.zeros(r1 - r0, dtype=VALUE_DTYPE)
-            for c in range(prod.shape[0]):
-                acc += prod[c]
-            y[ids] = acc
-        return y
-
-    def _replay_many_numpy(self, X: np.ndarray) -> np.ndarray:
-        k = X.shape[1]
-        y = np.zeros((self.matrix.shape[0], k), dtype=VALUE_DTYPE)
-        for r0, r1, vals_t, gather_t, valid_t, ids in self._chunks:
-            prod = np.where(
-                valid_t[:, :, None], vals_t[:, :, None] * X[gather_t], 0.0
-            )
-            acc = np.zeros((r1 - r0, k), dtype=VALUE_DTYPE)
-            for c in range(prod.shape[0]):
-                acc += prod[c]
-            y[ids] = acc
-        return y
-
-    def _replay_jit(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.matrix.shape[0], dtype=VALUE_DTYPE)
-        for r0, r1, vals_t, gather_t, valid_t, ids in self._chunks:
-            tmp = np.empty(r1 - r0, dtype=VALUE_DTYPE)
-            _backends.ell_slice_spmv(vals_t, gather_t, valid_t, x, tmp)
-            y[ids] = tmp
-        return y
-
-    def _replay_many_jit(self, X: np.ndarray) -> np.ndarray:
-        y = np.zeros((self.matrix.shape[0], X.shape[1]), dtype=VALUE_DTYPE)
-        for r0, r1, vals_t, gather_t, valid_t, ids in self._chunks:
-            tmp = np.empty((r1 - r0, X.shape[1]), dtype=VALUE_DTYPE)
-            _backends.ell_slice_spmm(vals_t, gather_t, valid_t, X, tmp)
-            y[ids] = tmp
-        return y
 
 
 @register_planner("bro_sell")
@@ -1472,7 +1380,7 @@ def _plan_bro_sell(matrix: SparseFormat, device: DeviceSpec) -> BROSELLPlan:
     val_per_iter = ceil_div(ws * 8, tb)
 
     idx_tx = val_tx = x_bytes = decode_ops = 0
-    chunks: List[Tuple[int, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+    blocks: List[_EllBlock] = []
     for r0, r1, bit_alloc, stream_view, val_block in matrix.iter_chunks():
         h_i, l_i = val_block.shape
         if l_i == 0:
@@ -1487,16 +1395,7 @@ def _plan_bro_sell(matrix: SparseFormat, device: DeviceSpec) -> BROSELLPlan:
         val_tx += warp_cols * val_per_iter
         x_bytes += s_x_bytes
         decode_ops += s_decode
-        chunks.append(
-            (
-                r0,
-                r1,
-                np.ascontiguousarray(val_block.T),
-                np.ascontiguousarray(gather.T),
-                np.ascontiguousarray(valid.T),
-                np.ascontiguousarray(matrix.row_ids[r0:r1]),
-            )
-        )
+        blocks.append((matrix.row_ids[r0:r1], gather, val_block, valid))
 
     counters = KernelCounters(
         index_bytes=idx_tx * tb,
@@ -1512,7 +1411,7 @@ def _plan_bro_sell(matrix: SparseFormat, device: DeviceSpec) -> BROSELLPlan:
         launches=1,
         threads=launch.total_threads,
     )
-    return BROSELLPlan(matrix, device, counters, chunks)
+    return BROSELLPlan(matrix, device, counters, blocks)
 
 
 # ----------------------------------------------------------------------

@@ -276,11 +276,10 @@ class ServerCore:
         for j, w in enumerate(waiters):
             if w.future.done():  # client went away mid-batch
                 continue
-            y = result.y if k == 1 else np.ascontiguousarray(result.y[:, j])
             w.future.set_result(
                 SpMVResponse.success(
                     w.request,
-                    y,
+                    result.y if k == 1 else result.y[:, j],
                     format=matrix.format_name,
                     batch_size=k,
                     queue_ms=queue_ms[w.request.request_id],

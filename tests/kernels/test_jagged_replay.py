@@ -1,0 +1,172 @@
+"""Adversarial equivalence of the jagged sliced-ELL replay.
+
+The bro_ell, bro_ell_vc, bro_sell, sliced_ellpack and sell_c_sigma plans
+(and bro_hyb through its ELL part) replay width-sorted, column-major lane
+arrays: one gather-multiply-prefix-add per ELL column, masked lanes
+gathering a zero slot appended to ``x``. The generator below aims at
+what that layout can get wrong:
+
+* slice widths that differ widely — empty slices, an all-empty matrix,
+  one dense row among empty ones — so the per-column prefix counts and
+  the stable width sort matter;
+* ``n = 1``, non-square shapes and slice heights ``h >= m``;
+* ``x`` holding ``inf``, ``nan``, ``-0.0`` and ``+0.0``, and explicit
+  ``±0.0`` matrix values, where a dropped or reordered ``+0.0`` add
+  or a masked ``0 * inf`` would show in the bits.
+
+For each format the plan's ``y`` bits must equal the stepwise reference
+kernel's, every SpMM column (k = 1, 3, 8) must equal the single-vector
+replay, the interpreted twin of the compiled loop must agree, and the
+``KernelCounters`` must equal the reference engine's. The ``@example``
+cases are committed regressions and named edge shapes; Hypothesis
+explores around them with a bounded budget.
+
+"Bits" means every bit of every non-NaN element (so ``-0.0``/``+0.0``
+and ``±inf`` are told apart) and NaN exactly where the other side has
+NaN. When an add meets two NaNs (say ``inf - inf`` and a NaN from
+``x``), IEEE 754 leaves the result's sign and payload open, and NumPy's
+choice depends on the element's position in the array (SIMD body or
+scalar tail), not on the operation order: the parent's per-slice SpMM
+columns already differed from its own SpMV there.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.exec.policy import ExecutionPolicy
+from repro.formats.conversion import convert
+from repro.formats.coo import COOMatrix
+from repro.kernels import prepare, run_spmm, run_spmv
+
+_REF = ExecutionPolicy(engine="reference")
+
+FORMATS = ("bro_ell", "bro_ell_vc", "bro_sell", "sliced_ellpack",
+           "sell_c_sigma", "bro_hyb")
+
+SPECIALS = (np.inf, -np.inf, np.nan, -0.0, 0.0)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _assert_same(a: np.ndarray, b: np.ndarray, label) -> None:
+    """Equal bits off NaN, NaN in the same places (see module docstring)."""
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b)), label
+    assert np.array_equal(_bits(a[~nan]), _bits(b[~nan])), label
+
+
+def _case(rows, shape, h, sigma=1, x=None):
+    """An explicit case: ``rows`` maps row -> [(col, val), ...]."""
+    entries = [(r, c, v) for r, cols in rows.items() for c, v in cols]
+    r, c, v = (zip(*entries) if entries else ((), (), ()))
+    coo = COOMatrix(np.array(r, dtype=np.int64), np.array(c, dtype=np.int64),
+                    np.array(v, dtype=np.float64), shape)
+    if x is None:
+        x = np.arange(1.0, shape[1] + 1.0)
+    return coo, h, sigma, np.asarray(x, dtype=np.float64)
+
+
+@st.composite
+def jagged_cases(draw, max_dim=36):
+    """(coo, h, sigma, x) with deliberately uneven row lengths."""
+    m = draw(st.integers(1, max_dim))
+    n = draw(st.integers(1, max_dim))
+    kinds = draw(st.lists(st.sampled_from(("empty", "short", "long", "dense")),
+                          min_size=m, max_size=m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols, vals = [], [], []
+    for r, kind in enumerate(kinds):
+        length = {"empty": 0, "short": min(2, n), "dense": n,
+                  "long": int(rng.integers(1, n + 1))}[kind]
+        rows += [r] * length
+        cols += rng.choice(n, size=length, replace=False).tolist()
+        v = rng.standard_normal(length)
+        v[rng.random(length) < 0.1] = 0.0
+        v[rng.random(length) < 0.1] = -0.0
+        vals += v.tolist()
+    coo = COOMatrix(np.array(rows, dtype=np.int64),
+                    np.array(cols, dtype=np.int64),
+                    np.array(vals, dtype=np.float64), (m, n))
+    h = draw(st.sampled_from((1, 2, 3, 8, 64)))
+    sigma = draw(st.sampled_from((1, 4, 128)))
+    x = draw(st.lists(st.one_of(st.sampled_from(SPECIALS),
+                                st.floats(-1e3, 1e3)),
+                      min_size=n, max_size=n))
+    return coo, h, sigma, np.array(x, dtype=np.float64)
+
+
+def _convert(coo, fmt, h, sigma):
+    if fmt in ("sell_c_sigma", "bro_sell"):
+        return convert(coo, fmt, c=min(h, coo.shape[0]), sigma=sigma)
+    return convert(coo, fmt, h=h)
+
+
+def _block(x, k):
+    """``k`` columns: x itself, then rolls and sign flips of it."""
+    cols = [x] + [np.roll(x, j) * (-1.0) ** j for j in range(1, k)]
+    return np.stack(cols, axis=1)
+
+
+def _check_format(coo, fmt, h, sigma, x):
+    mat = _convert(coo, fmt, h, sigma)
+    ref = run_spmv(mat, x, "k20", policy=_REF)
+    plan = prepare(mat, "k20")
+    fast = plan.execute(x)
+    _assert_same(fast.y, ref.y, fmt)
+    assert fast.counters == ref.counters, fmt
+
+    for k in (1, 3, 8):
+        X = _block(x, k)
+        many = plan.execute_many(X)
+        for j in range(k):
+            _assert_same(many.y[:, j], plan.execute(X[:, j]).y, (fmt, k, j))
+        assert many.counters == run_spmm(mat, X, "k20", policy=_REF).counters
+
+    # The compiled loop's interpreted twin (what Numba compiles) agrees.
+    plan.set_backend("jit")
+    _assert_same(plan.execute(x).y, fast.y, (fmt, "jit"))
+    X = _block(x, 3)
+    many = plan.execute_many(X).y
+    for j in range(3):
+        _assert_same(many[:, j], plan.execute(X[:, j]).y, (fmt, "jit", j))
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@given(case=jagged_cases())
+@settings(max_examples=25, deadline=None)
+# All-empty matrix: no slice has a column, y is all +0.0.
+@example(case=_case({}, (5, 4), h=2, x=[np.nan, np.inf, -0.0, 1.0]))
+# n = 1, one empty slice between two non-empty ones.
+@example(case=_case({0: [(0, 2.0)], 3: [(0, -0.0)]}, (4, 1), h=1,
+                    x=[np.inf]))
+# One dense row among empty rows; h >= m; non-square.
+@example(case=_case({2: [(c, 1.0 + c) for c in range(7)]}, (3, 7), h=64,
+                    x=[-0.0, 0.0, np.inf, 1.0, np.nan, -2.0, 3.0]))
+# Narrow slice before a wide one: the width sort must be stable and
+# the narrow slice's rows must still get their own lanes only.
+@example(case=_case({0: [(1, 1.0)], 2: [(0, 1.0), (1, -1.0), (2, 0.5)]},
+                    (4, 3), h=2, sigma=1, x=[np.inf, -0.0, 2.0]))
+# Shrunk from a failure of a bit-for-bit NaN comparison: inf - inf meets
+# the NaN from x in one row, and which NaN survives depends on where the
+# row sits in the arrays NumPy adds (see module docstring).
+@example(case=_case({0: [(0, 1.0), (1, -1.0), (2, 1.0)]}, (1, 3), h=1,
+                    x=[np.inf, np.inf, np.nan]))
+def test_jagged_replay_matches_reference(fmt, case):
+    coo, h, sigma, x = case
+    _check_format(coo, fmt, h, sigma, x)
+
+
+def test_corrupt_column_index_is_rejected_at_build():
+    """An out-of-range stored index fails the build instead of reading
+    (or, compiled, silently gathering) past the end of ``x``."""
+    coo, _, _, _ = _case({0: [(0, 1.0)], 1: [(2, 2.0)]}, (2, 3), h=2)
+    mat = convert(coo, "sliced_ellpack", h=2)
+    cols, _ = mat.slice_block(0)  # a view of the stored index array
+    cols[cols == 2] = 3
+    with pytest.raises(IndexError, match="out of range"):
+        prepare(mat, "k20")
+
