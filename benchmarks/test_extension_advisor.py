@@ -11,9 +11,9 @@ from conftest import save_table
 
 from repro.bench.harness import bench_scale, cached_matrix
 from repro.formats.conversion import convert
-from repro.kernels.base import get_kernel
 from repro.gpu.device import TESLA_K20
-from repro.tuner.advisor import DEFAULT_CANDIDATES, rank_formats
+from repro.registry import kernel_for
+from repro.tuner.advisor import default_candidates, rank_formats
 
 COLUMNS = ["matrix", "advisor_pick", "exhaustive_best", "agreement",
            "pick_penalty_pct"]
@@ -27,13 +27,13 @@ def exhaustive_best(coo) -> dict:
     lengths = coo.row_lengths()
     padding = float(lengths.max()) / max(float(lengths.mean()), 1e-9)
     out = {}
-    for fmt in DEFAULT_CANDIDATES:
+    for fmt in default_candidates():
         if fmt in ("ellpack", "ellpack_r", "bellpack") and padding > 20.0:
             continue
         kwargs = {"h": 256} if fmt in ("sliced_ellpack", "bro_ell",
                                        "bro_hyb") else {}
         mat = convert(coo, fmt, **kwargs)
-        res = get_kernel(fmt).run(mat, x, TESLA_K20)
+        res = kernel_for(fmt).run(mat, x, TESLA_K20)
         out[fmt] = res.timing.time / coo.nnz
     return out
 

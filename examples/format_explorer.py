@@ -15,8 +15,9 @@ import sys
 import numpy as np
 
 from repro.formats import available_formats, convert
-from repro.kernels import available_kernels, run_spmv
+from repro.kernels import run_spmv
 from repro.matrices import TABLE2, analyze, generate
+from repro.registry import kernel_formats
 
 
 def main(name: str = "shipsec1", scale: float = 0.08) -> None:
@@ -38,7 +39,7 @@ def main(name: str = "shipsec1", scale: float = 0.08) -> None:
               f"{'C2070':>8s} {'GTX680':>8s} {'K20':>8s}")
     print("\n" + header)
     print("-" * len(header))
-    for fmt in sorted(set(available_formats()) & set(available_kernels())):
+    for fmt in sorted(set(available_formats()) & set(kernel_formats())):
         kwargs = {"h": 256} if fmt in ("sliced_ellpack", "bro_ell", "bro_hyb") else {}
         try:
             mat = convert(coo, fmt, **kwargs)

@@ -397,7 +397,7 @@ def wallclock_engines(
     Every row carries a ``backend`` column. The spmv/spmm modes run once
     per available executor backend (``numpy`` always; ``jit`` when Numba
     is importable, with the warm-compile inside ``build_time_ms``), and
-    the :func:`microbench_exec` inner-loop rows are appended at the end
+    the :func:`microbench_exec` inner-loop row is appended at the end
     so one report records the whole compiled-path trajectory.
     """
     import time
@@ -507,129 +507,67 @@ def wallclock_engines(
 
 
 # ----------------------------------------------------------------------
-# Executor inner-loop microbenchmarks (numpy vs the compiled kernels)
+# Executor inner-loop microbenchmark (numpy vs the compiled jagged loop)
 # ----------------------------------------------------------------------
 def microbench_exec(
     m: int = 4096,
     k: int = 24,
-    density: float = 0.004,
     repeats: int = 5,
     seed: int = 7,
 ) -> List[Dict]:
-    """Microbenchmark the executor's fused inner loops against NumPy.
+    """Microbenchmark the executor's one inner loop against NumPy.
 
-    For each compiled kernel family — the ELL gather+mask+segmented
-    reduce, the COO element-ordered scatter, the CSR row sums and the
-    ELLPACK column accumulation — time the vectorized NumPy replay
-    against the :mod:`repro.kernels.backends` kernel on one synthetic
-    matrix. With Numba importable the kernel rows are the compiled loops
-    (``backend="jit"``, warm-compiled before timing); without it they are
-    the pure-Python twins (``backend="python"``) — slower than NumPy by
-    construction, kept because they pin the loop order the jit path
-    compiles. Rows use a ``ratio`` column (numpy time / kernel time, >1
-    means the kernel wins) rather than ``speedup`` so the wallclock
-    ``--min-speedup`` gate never fails on a Numba-free host.
+    Every plannable format replays through the jagged layout, so one row
+    covers them all: a synthetic ``m``-row CSR matrix with uneven row
+    lengths (geometric, mean ``k``) lowered onto the jagged plan, timed
+    with the vectorized NumPy replay and with ``jagged_spmv``. With Numba
+    importable the kernel is the compiled loop (``backend="jit"``,
+    warm-compiled before timing); without it it is the pure-Python twin
+    (``backend="python"``) — slower than NumPy by construction, kept
+    because it pins the loop order the jit path compiles. The row uses a
+    ``ratio`` column (numpy time / kernel time, >1 means the kernel wins)
+    rather than ``speedup`` so the wallclock ``--min-speedup`` gate never
+    fails on a Numba-free host.
     """
-    import time
-
+    from ..formats.csr import CSRMatrix
     from ..kernels import backends as _bk
-    from ..types import VALUE_DTYPE
+    from ..kernels.plan import prepare
 
-    rng = np.random.default_rng(seed)
-    nnz_per_row = max(1, int(density * m))
     backend = "jit" if _bk.jit_available() else "python"
     if backend == "python":
-        # The interpreted twins are O(python-op) per nnz; shrink the
+        # The interpreted twin is O(python-op) per nnz; shrink the
         # problem so the microbench stays fast on Numba-free hosts.
         m, k = min(m, 512), min(k, 8)
 
-    # Shared synthetic operands ---------------------------------------
-    x = rng.standard_normal(m)
-    rows_out: List[Dict] = []
-
-    def _bench(mode: str, fmt: str, numpy_fn, kernel_fn) -> None:
-        numpy_fn()  # warm both paths (jit: triggers compilation)
-        kernel_fn()
-        t_numpy = _time_repeat(numpy_fn, repeats)
-        t_kernel = _time_repeat(kernel_fn, repeats)
-        rows_out.append(
-            {
-                "matrix": "synthetic",
-                "format": fmt,
-                "mode": mode,
-                "backend": backend,
-                "ref_time_ms": 1e3 * t_numpy,
-                "fast_time_ms": 1e3 * t_kernel,
-                "ratio": t_numpy / t_kernel if t_kernel > 0 else 0.0,
-            }
-        )
-
-    # ELL slice: gather + validity mask + segmented (per-row) reduce ---
-    vals_t = rng.standard_normal((k, m))
-    gather_t = rng.integers(0, m, size=(k, m))
-    valid_t = rng.random((k, m)) < 0.7
-    vals_t[~valid_t] = 0.0
-    y = np.zeros(m, dtype=VALUE_DTYPE)
-
-    def ell_numpy():
-        acc = np.zeros(m, dtype=VALUE_DTYPE)
-        for c in range(k):
-            acc += np.where(valid_t[c], vals_t[c] * x[gather_t[c]], 0.0)
-        return acc
-
-    _bench(
-        "micro:gather_reduce", "bro_ell",
-        ell_numpy,
-        lambda: _bk.ell_slice_spmv(vals_t, gather_t, valid_t, x, y),
-    )
-
-    # COO: element-ordered scatter -------------------------------------
-    nnz = m * nnz_per_row
-    coo_rows = np.sort(rng.integers(0, m, size=nnz))
-    coo_cols = rng.integers(0, m, size=nnz)
-    coo_vals = rng.standard_normal(nnz)
-
-    def coo_numpy():
-        acc = np.zeros(m, dtype=VALUE_DTYPE)
-        np.add.at(acc, coo_rows, coo_vals * x[coo_cols])
-        return acc
-
-    def coo_kernel():
-        y[:] = 0.0
-        _bk.coo_scatter_spmv(coo_rows, coo_cols, coo_vals, x, y)
-
-    _bench("micro:scatter", "bro_coo", coo_numpy, coo_kernel)
-
-    # CSR: zero-initialised sequential row sums ------------------------
-    lengths = rng.integers(1, 2 * nnz_per_row + 1, size=m)
+    rng = np.random.default_rng(seed)
+    lengths = np.minimum(rng.geometric(1.0 / k, size=m), m)
     indptr = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(lengths, out=indptr[1:])
-    csr_indices = rng.integers(0, m, size=int(indptr[-1]))
-    csr_vals = rng.standard_normal(int(indptr[-1]))
-    schedule = _bk.csr_column_schedule(indptr)
-
-    _bench(
-        "micro:row_sums", "csr",
-        lambda: _bk.csr_spmv_columns(csr_indices, csr_vals, x, schedule, m),
-        lambda: _bk.csr_spmv(indptr, csr_indices, csr_vals, x, y),
+    indices = np.concatenate(
+        [np.sort(rng.choice(m, size=int(n), replace=False)) for n in lengths]
     )
+    mat = CSRMatrix(indptr, indices, rng.standard_normal(int(indptr[-1])),
+                    (m, m))
+    x = rng.standard_normal(m)
 
-    # ELLPACK: column-sequential accumulation --------------------------
-    col_idx_t = rng.integers(0, m, size=(k, m))
-    ell_vals_t = rng.standard_normal((k, m))
-
-    def ellpack_numpy():
-        acc = np.zeros(m, dtype=VALUE_DTYPE)
-        for c in range(k):
-            acc += ell_vals_t[c] * x[col_idx_t[c]]
-        return acc
-
-    _bench(
-        "micro:column_acc", "ellpack",
-        ellpack_numpy,
-        lambda: _bk.ellpack_spmv(col_idx_t, ell_vals_t, x, y),
-    )
-    return rows_out
+    numpy_plan = prepare(mat, "k20")
+    kernel_plan = prepare(mat, "k20")
+    kernel_plan.set_backend("jit")  # the interpreted twin without Numba
+    numpy_plan.execute(x)  # warm both paths (jit: triggers compilation)
+    kernel_plan.execute(x)
+    t_numpy = _time_repeat(lambda: numpy_plan.execute(x), repeats)
+    t_kernel = _time_repeat(lambda: kernel_plan.execute(x), repeats)
+    return [
+        {
+            "matrix": "synthetic",
+            "format": "csr",
+            "mode": "micro:jagged",
+            "backend": backend,
+            "ref_time_ms": 1e3 * t_numpy,
+            "fast_time_ms": 1e3 * t_kernel,
+            "ratio": t_numpy / t_kernel if t_kernel > 0 else 0.0,
+        }
+    ]
 
 
 # ----------------------------------------------------------------------

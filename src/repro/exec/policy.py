@@ -1,7 +1,7 @@
 """The typed execution contract: one frozen object instead of five kwargs.
 
 Every execution entry point — ``run_spmv``, ``run_spmm``,
-:meth:`Session.execute`, ``SimulatedOperator`` — is configured by a
+:meth:`Session.run`, ``SimulatedOperator`` — is configured by a
 single frozen :class:`ExecutionPolicy`. The policy carries the
 single-device knobs (``engine``, ``verify``, ``fallback``, plan
 sourcing), the multi-device knobs (``devices``, ``partitioner``,

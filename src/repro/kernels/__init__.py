@@ -15,7 +15,7 @@ from .backends import (
     jit_available,
     resolve_backend,
 )
-from .base import SpMVKernel, SpMVResult, available_kernels, get_kernel
+from .base import SpMVKernel, SpMVResult
 from .dispatch import run_spmm, run_spmv
 from .plan import SpMVPlan, has_planner, plannable_formats, prepare
 from .plancache import PLAN_CACHE, PlanCache
@@ -38,8 +38,6 @@ from .spmv_bro_sell import BROSELLKernel
 __all__ = [
     "SpMVKernel",
     "SpMVResult",
-    "available_kernels",
-    "get_kernel",
     "run_spmv",
     "run_spmm",
     "SpMVPlan",

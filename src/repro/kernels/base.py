@@ -2,17 +2,15 @@
 
 Kernel registration lives in the unified capability registry
 (:mod:`repro.registry`); :func:`register_kernel` binds a kernel class to
-its format's :class:`~repro.registry.FormatSpec`. The module-level
-:func:`get_kernel`/:func:`available_kernels` lookups are deprecated
-shims over the registry, kept so pre-registry call sites keep working.
+its format's :class:`~repro.registry.FormatSpec`; look kernels up with
+:func:`repro.registry.kernel_for` / :func:`repro.registry.kernel_formats`.
 """
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple, Type
+from typing import TYPE_CHECKING, Optional, Type
 
 import numpy as np
 
@@ -32,8 +30,6 @@ __all__ = [
     "SpMVResult",
     "SpMVKernel",
     "register_kernel",
-    "get_kernel",
-    "available_kernels",
 ]
 
 
@@ -44,33 +40,6 @@ def register_kernel(cls: Type["SpMVKernel"]) -> Type["SpMVKernel"]:
         raise KernelError(f"{cls.__name__} does not define format_name")
     _registry.bind_kernel(name, cls)
     return cls
-
-
-def get_kernel(format_name: str) -> "SpMVKernel":
-    """Instantiate the kernel registered for a format name.
-
-    .. deprecated:: use :func:`repro.registry.kernel_for`.
-    """
-    warnings.warn(
-        "repro.kernels.get_kernel is deprecated; use repro.registry.kernel_for",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _registry.kernel_for(format_name)
-
-
-def available_kernels() -> Tuple[str, ...]:
-    """Format names that have a simulated kernel.
-
-    .. deprecated:: use :func:`repro.registry.kernel_formats`.
-    """
-    warnings.warn(
-        "repro.kernels.available_kernels is deprecated; "
-        "use repro.registry.kernel_formats",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _registry.kernel_formats()
 
 
 @dataclass

@@ -10,8 +10,8 @@ phases the way SMASH-style schemes separate setup from multiply:
 * :func:`prepare` runs the decode exactly once per (matrix, device) using
   the vectorized :func:`~repro.bitstream.packing.unpack_slice` instead of
   the per-column decoder loop, and caches everything that is independent
-  of ``x``: gather indices and value tables (one width-sorted jagged
-  layout for the sliced-ELL family), and the *entire* traffic accounting
+  of ``x``: every format's lanes lowered into one width-sorted jagged
+  layout (:class:`JaggedELLPlan`), and the *entire* traffic accounting
   as a :class:`~repro.gpu.counters.KernelCounters` prototype.
 * :meth:`SpMVPlan.execute` replays the plan for one ``x`` — a handful of
   NumPy gathers/FMAs plus a counter copy.
@@ -19,14 +19,25 @@ phases the way SMASH-style schemes separate setup from multiply:
   ``(n, k)`` through one plan (SpMM), amortizing the single decode across
   ``k`` vectors.
 
+Plan IR
+-------
+One leaf and two combinators. :class:`JaggedELLPlan` is the only replay:
+every row adds its lanes, in a fixed order, to a ``+0.0`` accumulator.
+Each format is build-time data for it — ELL-style formats hand over their
+slices, entry-list formats (COO, BRO-COO, CMRS, CSR) their rows grouped by
+length (:func:`_row_blocks`). :class:`SumPlan` adds part plans (HYB,
+BRO-HYB) and :class:`MultiRowBROELLPlan` folds row-split partial sums
+(BRO-ELL-MT).
+
 Equivalence contract
 --------------------
 A plan replay is **bit-identical** to the reference kernel — same ``y``
 to the last ulp and an equal :class:`KernelCounters` record — because the
 replay performs the same floating-point operations in the same order
-(sequential per-column accumulation, masked lanes adding ``+0.0``, the
-same element-ordered ``np.add.at`` scatter) and the counters prototype
-reproduces the reference accounting term by term
+(each row's products added one at a time from ``+0.0``, in the order the
+reference adds them: ELL column order, or stored entry order where the
+reference scatters entry by entry; masked lanes adding ``+0.0``) and
+the counters prototype reproduces the reference accounting term by term
 (``symbol_loads == row_stream_symbols`` for a fully-consumed stream, and
 the texture-cache model depends only on the decoded access pattern).
 ``tests/kernels/test_plan_equivalence.py`` enforces this for every suite
@@ -45,7 +56,7 @@ rather than per call — they are properties of the structure, not the run.
 from __future__ import annotations
 
 import time
-from abc import ABC, abstractmethod
+from abc import ABC
 from dataclasses import replace
 from typing import Callable, List, Optional, Tuple
 
@@ -272,7 +283,7 @@ class SpMVPlan(ABC):
         _metrics.record_kernel(self.format_name, self.device.name, result.counters)
         return result
 
-    # -- format-specific replay -----------------------------------------
+    # -- replay (the jagged leaf and the combinators override these) -----
     # The public replay entry points dispatch on the executor backend;
     # both implementations of each are bit-identical by construction
     # (same floating-point operations, same order — see
@@ -443,15 +454,15 @@ def _ell_slice_traffic(
     return idx_tx, int(warp_valid.sum()), x_bytes, decode_ops
 
 
-#: One non-empty slice or chunk handed to :class:`JaggedELLPlan`:
-#: ``(rows, gather, vals, valid)`` with ``(h_i, l_i)`` lane blocks, ``rows``
-#: the output row of each block row, and ``valid`` the lane mask of the
-#: masked formats (``None`` keeps every lane as stored).
+#: One lane block handed to :class:`JaggedELLPlan`: ``(rows, gather,
+#: vals, valid)`` with ``(h_i, l_i)`` lane blocks, ``rows`` the output row
+#: of each block row, and ``valid`` the lane mask of the masked formats
+#: (``None`` keeps every lane as stored).
 _EllBlock = Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]
 
 
 def _jagged_layout(
-    blocks: List[_EllBlock], n: int
+    blocks: List[_EllBlock], n: int, padded_n: Optional[int] = None
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Flatten ELL blocks into the jagged-diagonal order (pJDS).
 
@@ -460,9 +471,13 @@ def _jagged_layout(
     rows: ``counts[c]`` rows. ``gather``/``vals`` hold column 0's lanes,
     then column 1's, ... and ``rows`` maps a sorted row to its output row.
     Masked-out lanes gather index ``n`` (the zero slot appended to ``x``)
-    with a ``+0.0`` value. The fill is one scatter per block, never a loop
+    with a ``+0.0`` value. With ``padded_n``, ``x`` reads as zero-padded to
+    that length: lanes in ``[n, padded_n)`` gather the zero slot and keep
+    their stored value. The fill is one scatter per block, never a loop
     over (column x block).
     """
+    blocks = [b for b in blocks if b[1].size]
+    limit = n if padded_n is None else padded_n
     widths = np.array([b[1].shape[1] for b in blocks], dtype=np.int64)
     heights = np.array([b[1].shape[0] for b in blocks], dtype=np.int64)
     order = np.argsort(-widths, kind="stable")
@@ -485,10 +500,12 @@ def _jagged_layout(
         h_i, l_i = g.shape
         r0 = int(row_start[s])
         live = g if valid is None else np.where(valid, g, 0)
-        if live.min() < 0 or live.max() >= n:
+        if live.min() < 0 or live.max() >= limit:
             raise IndexError(
-                f"ELL column index out of range for x of length {n}"
+                f"ELL column index out of range for x of length {limit}"
             )
+        if limit > n:
+            g = np.minimum(g, n)
         if valid is not None:
             g = np.where(valid, g, n)
             v = np.where(valid, v, 0.0)
@@ -499,13 +516,45 @@ def _jagged_layout(
     return counts, gather, vals, rows
 
 
-class JaggedELLPlan(SpMVPlan):
-    """The sliced-ELL replay: one gather-multiply-prefix-add per ELL column.
+def _row_blocks(
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, m: int
+) -> List[_EllBlock]:
+    """Lower an entry list onto jagged blocks: one per distinct row length.
 
-    Shared by bro_ell, bro_ell_vc, bro_sell, sliced_ellpack and
-    sell_c_sigma. Every row adds exactly its slice's lanes, in column
-    order, to a ``+0.0`` accumulator, as the stepwise kernels do, so ``y``
-    is bit-identical. A masked lane adds ``+0.0 * 0.0`` where the kernel
+    Entries are stably sorted by row, so each row keeps its stored entry
+    order — the order the reference kernels' element-ordered scatter adds
+    them in, and a CSR row sum's. Rows of equal length ``L`` form one
+    ``(h, L)`` block. Entries are kept as stored, padding included
+    (``0.0 * x[col]`` stays NaN for an infinite ``x[col]``, as in the
+    scatter).
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size and (rows.min() < 0 or rows.max() >= m):
+        raise IndexError(f"row index out of range for {m} rows")
+    entries = np.argsort(rows, kind="stable")
+    lengths = np.bincount(rows, minlength=m)
+    starts = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(lengths, out=starts[1:])
+    by_length = np.argsort(lengths, kind="stable")
+    by_length = by_length[lengths[by_length] > 0]
+    groups = np.split(
+        by_length, np.flatnonzero(np.diff(lengths[by_length])) + 1
+    )
+    blocks: List[_EllBlock] = []
+    for group in groups:
+        if group.size:
+            pos = entries[starts[group, None] + np.arange(lengths[group[0]])]
+            blocks.append((group, cols[pos], vals[pos], None))
+    return blocks
+
+
+class JaggedELLPlan(SpMVPlan):
+    """The one leaf replay: a gather-multiply-prefix-add per ELL column.
+
+    Every plannable format lowers onto it at build time (see the module
+    docstring). Every row adds exactly its lanes, in column order, to a
+    ``+0.0`` accumulator, as the stepwise kernels do, so ``y`` is
+    bit-identical. A masked lane adds ``+0.0 * 0.0`` where the kernel
     adds a literal ``+0.0``; the accumulator can never hold ``-0.0`` (an
     exact zero sum rounds to ``+0.0``), so such an add never changes a bit.
     """
@@ -516,13 +565,15 @@ class JaggedELLPlan(SpMVPlan):
         device: DeviceSpec,
         counters: KernelCounters,
         blocks: List[_EllBlock],
+        padded_n: Optional[int] = None,
     ) -> None:
         super().__init__(matrix, device, counters)
+        self.format_name = matrix.format_name
         n = matrix.shape[1]
         self._counts, self._gather, self._vals, self._rows = _jagged_layout(
-            blocks, n
+            blocks, n, padded_n
         )
-        #: whether some masked lane gathers the zero slot ``x[n]``.
+        #: whether some lane gathers the zero slot ``x[n]``.
         self._zero_slot = bool(np.any(self._gather == n))
 
     def _extend(self, x: np.ndarray) -> np.ndarray:
@@ -578,14 +629,11 @@ class JaggedELLPlan(SpMVPlan):
         return Y
 
 
-class BROELLPlan(JaggedELLPlan):
-    """Replay plan for Algorithm 1 over the decoded, masked slices."""
-
-    format_name = "bro_ell"
-
-
+# ----------------------------------------------------------------------
+# BRO-ELL (and the value-compressed variant): decoded, masked slices
+# ----------------------------------------------------------------------
 @register_planner("bro_ell")
-def _plan_bro_ell(matrix: SparseFormat, device: DeviceSpec) -> BROELLPlan:
+def _plan_bro_ell(matrix: SparseFormat, device: DeviceSpec) -> JaggedELLPlan:
     _check_plan_type(matrix, BROELLMatrix)
     assert isinstance(matrix, BROELLMatrix)
     m, _ = matrix.shape
@@ -625,17 +673,11 @@ def _plan_bro_ell(matrix: SparseFormat, device: DeviceSpec) -> BROELLPlan:
         launches=1,
         threads=launch.total_threads,
     )
-    return BROELLPlan(matrix, device, counters, blocks)
-
-
-class BROELLVCPlan(BROELLPlan):
-    """Same replay as BRO-ELL; values were decoded once at build time."""
-
-    format_name = "bro_ell_vc"
+    return JaggedELLPlan(matrix, device, counters, blocks)
 
 
 @register_planner("bro_ell_vc")
-def _plan_bro_ell_vc(matrix: SparseFormat, device: DeviceSpec) -> BROELLVCPlan:
+def _plan_bro_ell_vc(matrix: SparseFormat, device: DeviceSpec) -> JaggedELLPlan:
     _check_plan_type(matrix, BROELLVCMatrix)
     assert isinstance(matrix, BROELLVCMatrix)
     m, _ = matrix.shape
@@ -684,14 +726,15 @@ def _plan_bro_ell_vc(matrix: SparseFormat, device: DeviceSpec) -> BROELLVCPlan:
         launches=1,
         threads=launch.total_threads,
     )
-    return BROELLVCPlan(matrix, device, counters, blocks)
+    return JaggedELLPlan(matrix, device, counters, blocks)
 
 
 # ----------------------------------------------------------------------
 # BRO-ELL multi-thread-per-row: inner plan + fold
 # ----------------------------------------------------------------------
 class MultiRowBROELLPlan(SpMVPlan):
-    """Inner BRO-ELL plan over the row-split storage plus the fold."""
+    """The ``Fold`` combinator: inner BRO-ELL plan over the row-split
+    storage, then each row's ``threads_per_row`` partial sums added."""
 
     format_name = "bro_ell_mt"
 
@@ -700,7 +743,7 @@ class MultiRowBROELLPlan(SpMVPlan):
         matrix: SparseFormat,
         device: DeviceSpec,
         counters: KernelCounters,
-        inner_plan: BROELLPlan,
+        inner_plan: JaggedELLPlan,
     ) -> None:
         super().__init__(matrix, device, counters)
         self._inner_plan = inner_plan
@@ -736,54 +779,10 @@ def _plan_bro_ell_mt(matrix: SparseFormat, device: DeviceSpec) -> MultiRowBROELL
 
 
 # ----------------------------------------------------------------------
-# BRO-COO: cached decoded rows + vectorized segmented reduction
+# Entry lists (COO, BRO-COO, CMRS, CSR): rows grouped by length
 # ----------------------------------------------------------------------
-class BROCOOPlan(SpMVPlan):
-    """Replay: multiply against the cached decoded (padded) row indices."""
-
-    format_name = "bro_coo"
-
-    def __init__(
-        self,
-        matrix: SparseFormat,
-        device: DeviceSpec,
-        counters: KernelCounters,
-        rows: np.ndarray,
-    ) -> None:
-        super().__init__(matrix, device, counters)
-        self._rows = rows
-
-    def _replay_numpy(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.matrix.shape[0], dtype=VALUE_DTYPE)
-        products = self.matrix.vals * x[self.matrix.col_idx]
-        with _span("reduce.segmented", "kernel"):
-            np.add.at(y, self._rows, products)
-        return y
-
-    def _replay_many_numpy(self, X: np.ndarray) -> np.ndarray:
-        y = np.zeros((self.matrix.shape[0], X.shape[1]), dtype=VALUE_DTYPE)
-        products = self.matrix.vals[:, None] * X[self.matrix.col_idx]
-        with _span("reduce.segmented", "kernel"):
-            np.add.at(y, self._rows, products)
-        return y
-
-    def _replay_jit(self, x: np.ndarray) -> np.ndarray:
-        mat = self.matrix
-        y = np.zeros(mat.shape[0], dtype=VALUE_DTYPE)
-        with _span("reduce.segmented", "kernel"):
-            _backends.coo_scatter_spmv(self._rows, mat.col_idx, mat.vals, x, y)
-        return y
-
-    def _replay_many_jit(self, X: np.ndarray) -> np.ndarray:
-        mat = self.matrix
-        y = np.zeros((mat.shape[0], X.shape[1]), dtype=VALUE_DTYPE)
-        with _span("reduce.segmented", "kernel"):
-            _backends.coo_scatter_spmm(self._rows, mat.col_idx, mat.vals, X, y)
-        return y
-
-
 @register_planner("bro_coo")
-def _plan_bro_coo(matrix: SparseFormat, device: DeviceSpec) -> BROCOOPlan:
+def _plan_bro_coo(matrix: SparseFormat, device: DeviceSpec) -> JaggedELLPlan:
     _check_plan_type(matrix, BROCOOMatrix)
     assert isinstance(matrix, BROCOOMatrix)
     ws_fmt = matrix.warp_size
@@ -818,190 +817,12 @@ def _plan_bro_coo(matrix: SparseFormat, device: DeviceSpec) -> BROCOOPlan:
     counters.useful_flops = 2 * matrix.nnz
     if matrix.padded_nnz == 0:
         counters.threads = device.warp_size
-    return BROCOOPlan(matrix, device, counters, rows)
-
-
-# ----------------------------------------------------------------------
-# BRO-HYB: composed ELL + COO sub-plans (two launches, like the kernel)
-# ----------------------------------------------------------------------
-class BROHYBPlan(SpMVPlan):
-    """Composition of the part plans, mirroring the two-launch kernel."""
-
-    format_name = "bro_hyb"
-
-    def __init__(
-        self,
-        matrix: SparseFormat,
-        device: DeviceSpec,
-        counters: KernelCounters,
-        ell_plan: Optional[BROELLPlan],
-        coo_plan: Optional[BROCOOPlan],
-    ) -> None:
-        super().__init__(matrix, device, counters)
-        self._ell_plan = ell_plan
-        self._coo_plan = coo_plan
-
-    def _children(self) -> Tuple[SpMVPlan, ...]:
-        return tuple(
-            p for p in (self._ell_plan, self._coo_plan) if p is not None
-        )
-
-    def _replay_numpy(self, x: np.ndarray) -> np.ndarray:
-        m = self.matrix.shape[0]
-        if self._ell_plan is not None:
-            y = self._ell_plan.execute(x).y
-        else:
-            y = np.zeros(m)
-        if self._coo_plan is not None:
-            y = y + self._coo_plan.execute(x).y
-        return y
-
-    def _replay_many_numpy(self, X: np.ndarray) -> np.ndarray:
-        m = self.matrix.shape[0]
-        if self._ell_plan is not None:
-            y = self._ell_plan.execute_many(X).y
-        else:
-            y = np.zeros((m, X.shape[1]))
-        if self._coo_plan is not None:
-            y = y + self._coo_plan.execute_many(X).y
-        return y
-
-
-@register_planner("bro_hyb")
-def _plan_bro_hyb(matrix: SparseFormat, device: DeviceSpec) -> BROHYBPlan:
-    _check_plan_type(matrix, BROHYBMatrix)
-    assert isinstance(matrix, BROHYBMatrix)
-    ell_plan = _plan_bro_ell(matrix.ell, device) if matrix.ell.nnz else None
-    coo_plan = (
-        _plan_bro_coo(matrix.coo, device) if matrix.coo.padded_nnz else None
-    )
-    if ell_plan is not None:
-        counters = ell_plan.counters()
-    else:
-        counters = KernelCounters(launches=0, threads=device.warp_size)
-    if coo_plan is not None:
-        counters = counters + coo_plan.counters()
-    return BROHYBPlan(matrix, device, counters, ell_plan, coo_plan)
-
-
-# ----------------------------------------------------------------------
-# Uncompressed baselines: the functional replay is already one gather
-# away, but the traffic accounting (texture-cache walks over every block
-# or row) dominates the reference call — caching it is the whole win.
-# ----------------------------------------------------------------------
-class ELLPACKPlan(SpMVPlan):
-    format_name = "ellpack"
-
-    def __init__(
-        self,
-        matrix: SparseFormat,
-        device: DeviceSpec,
-        counters: KernelCounters,
-        col_idx_t: np.ndarray,
-        vals_t: np.ndarray,
-    ) -> None:
-        super().__init__(matrix, device, counters)
-        #: (k, m) C-contiguous transposes: the replay walks columns, like
-        #: the CUSP kernel's iteration-c grid reads.
-        self._col_idx_t = col_idx_t
-        self._vals_t = vals_t
-
-    def _replay_numpy(self, x: np.ndarray) -> np.ndarray:
-        # Column-sequential accumulation — the kernel's loop order (and
-        # the compiled backend's); einsum's SIMD-blocked dot would
-        # reassociate the sum and break backend bit-identity.
-        y = np.zeros(self.matrix.shape[0], dtype=VALUE_DTYPE)
-        for c in range(self._vals_t.shape[0]):
-            y += self._vals_t[c] * x[self._col_idx_t[c]]
-        return y
-
-    def _replay_jit(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.matrix.shape[0], dtype=VALUE_DTYPE)
-        _backends.ellpack_spmv(self._col_idx_t, self._vals_t, x, y)
-        return y
-
-    def _replay_many_jit(self, X: np.ndarray) -> np.ndarray:
-        Y = np.zeros((self.matrix.shape[0], X.shape[1]), dtype=VALUE_DTYPE)
-        _backends.ellpack_spmm(self._col_idx_t, self._vals_t, X, Y)
-        return Y
-
-
-@register_planner("ellpack")
-def _plan_ellpack(matrix: SparseFormat, device: DeviceSpec) -> ELLPACKPlan:
-    _check_plan_type(matrix, ELLPACKMatrix)
-    assert isinstance(matrix, ELLPACKMatrix)
-    m, _ = matrix.shape
-    k = matrix.k
-    threads_per_block = 256  # ELLPACKKernel's default launch shape
-    launch = LaunchConfig.for_rows(m, threads_per_block)
-    tb = device.transaction_bytes
-    ws = device.warp_size
-
-    idx_tx = k * contiguous_transactions(m, 4, ws, tb)
-    val_tx = k * contiguous_transactions(m, 8, ws, tb)
-    y_tx = contiguous_transactions(m, 8, ws, tb)
-
-    tex = TextureCacheModel(device)
-    x_bytes = 0
-    for r0 in range(0, m, threads_per_block):
-        block_cols = matrix.col_idx[r0 : r0 + threads_per_block]
-        x_bytes += tex.block_x_bytes(
-            block_cols, np.ones(block_cols.shape, dtype=bool)
-        )
-
-    counters = KernelCounters(
-        index_bytes=idx_tx * tb,
-        value_bytes=val_tx * tb,
-        x_bytes=x_bytes,
-        y_bytes=y_tx * tb,
-        useful_flops=2 * matrix.nnz,
-        issued_flops=2 * m * k,
-        launches=1,
-        threads=launch.total_threads,
-    )
-    return ELLPACKPlan(
-        matrix,
-        device,
-        counters,
-        np.ascontiguousarray(matrix.col_idx.T),
-        np.ascontiguousarray(matrix.vals.T),
-    )
-
-
-class COOPlan(SpMVPlan):
-    format_name = "coo"
-
-    def _replay_numpy(self, x: np.ndarray) -> np.ndarray:
-        mat = self.matrix
-        y = np.zeros(mat.shape[0], dtype=VALUE_DTYPE)
-        with _span("reduce.segmented", "kernel"):
-            np.add.at(y, mat.row_idx, mat.vals * x[mat.col_idx])
-        return y
-
-    def _replay_many_numpy(self, X: np.ndarray) -> np.ndarray:
-        mat = self.matrix
-        y = np.zeros((mat.shape[0], X.shape[1]), dtype=VALUE_DTYPE)
-        with _span("reduce.segmented", "kernel"):
-            np.add.at(y, mat.row_idx, mat.vals[:, None] * X[mat.col_idx])
-        return y
-
-    def _replay_jit(self, x: np.ndarray) -> np.ndarray:
-        mat = self.matrix
-        y = np.zeros(mat.shape[0], dtype=VALUE_DTYPE)
-        with _span("reduce.segmented", "kernel"):
-            _backends.coo_scatter_spmv(mat.row_idx, mat.col_idx, mat.vals, x, y)
-        return y
-
-    def _replay_many_jit(self, X: np.ndarray) -> np.ndarray:
-        mat = self.matrix
-        y = np.zeros((mat.shape[0], X.shape[1]), dtype=VALUE_DTYPE)
-        with _span("reduce.segmented", "kernel"):
-            _backends.coo_scatter_spmm(mat.row_idx, mat.col_idx, mat.vals, X, y)
-        return y
+    blocks = _row_blocks(rows, matrix.col_idx, matrix.vals, matrix.shape[0])
+    return JaggedELLPlan(matrix, device, counters, blocks)
 
 
 @register_planner("coo")
-def _plan_coo(matrix: SparseFormat, device: DeviceSpec) -> COOPlan:
+def _plan_coo(matrix: SparseFormat, device: DeviceSpec) -> JaggedELLPlan:
     _check_plan_type(matrix, COOMatrix)
     assert isinstance(matrix, COOMatrix)
     ws = device.warp_size
@@ -1020,47 +841,24 @@ def _plan_coo(matrix: SparseFormat, device: DeviceSpec) -> COOPlan:
     counters.useful_flops = 2 * matrix.nnz
     if n == 0:
         counters.threads = ws
-    return COOPlan(matrix, device, counters)
+    blocks = _row_blocks(
+        matrix.row_idx, matrix.col_idx, matrix.vals, matrix.shape[0]
+    )
+    return JaggedELLPlan(matrix, device, counters, blocks)
 
 
-class CSRPlan(SpMVPlan):
-    format_name = "csr"
-
-    def __init__(
-        self,
-        matrix: SparseFormat,
-        device: DeviceSpec,
-        counters: KernelCounters,
-        schedule,
-    ) -> None:
-        super().__init__(matrix, device, counters)
-        #: per-position gather schedule for the column-stepped replay.
-        self._schedule = schedule
-
-    def _replay_numpy(self, x: np.ndarray) -> np.ndarray:
-        # Row-sequential sums via the column-stepped schedule (matches
-        # the reference kernel and the compiled loop bit-for-bit;
-        # CSRMatrix.spmv's reduceat would reassociate long rows).
-        mat = self.matrix
-        return _backends.csr_spmv_columns(
-            mat.indices, mat.vals, x, self._schedule, mat.shape[0]
-        )
-
-    def _replay_jit(self, x: np.ndarray) -> np.ndarray:
-        mat = self.matrix
-        y = np.empty(mat.shape[0], dtype=VALUE_DTYPE)
-        _backends.csr_spmv(mat.indptr, mat.indices, mat.vals, x, y)
-        return y
-
-    def _replay_many_jit(self, X: np.ndarray) -> np.ndarray:
-        mat = self.matrix
-        Y = np.empty((mat.shape[0], X.shape[1]), dtype=VALUE_DTYPE)
-        _backends.csr_spmm(mat.indptr, mat.indices, mat.vals, X, Y)
-        return Y
+@register_planner("cmrs")
+def _plan_cmrs(matrix: SparseFormat, device: DeviceSpec) -> JaggedELLPlan:
+    _check_plan_type(matrix, CMRSMatrix)
+    assert isinstance(matrix, CMRSMatrix)
+    blocks = _row_blocks(
+        matrix.entry_rows(), matrix.col_idx, matrix.vals, matrix.shape[0]
+    )
+    return JaggedELLPlan(matrix, device, cmrs_counters(matrix, device), blocks)
 
 
 @register_planner("csr")
-def _plan_csr(matrix: SparseFormat, device: DeviceSpec) -> CSRPlan:
+def _plan_csr(matrix: SparseFormat, device: DeviceSpec) -> JaggedELLPlan:
     _check_plan_type(matrix, CSRMatrix)
     assert isinstance(matrix, CSRMatrix)
     m, _ = matrix.shape
@@ -1106,270 +904,201 @@ def _plan_csr(matrix: SparseFormat, device: DeviceSpec) -> CSRPlan:
         launches=1,
         threads=launch.total_threads,
     )
-    return CSRPlan(
-        matrix, device, counters, _backends.csr_column_schedule(matrix.indptr)
+    rows = np.repeat(np.arange(m), np.diff(matrix.indptr))
+    blocks = _row_blocks(rows, matrix.indices, matrix.vals, m)
+    return JaggedELLPlan(matrix, device, counters, blocks)
+
+
+# ----------------------------------------------------------------------
+# HYB / BRO-HYB: the Sum combinator over the ELL and COO part plans
+# ----------------------------------------------------------------------
+class SumPlan(SpMVPlan):
+    """The ``Sum`` combinator: ``y = parts[0] + parts[1] + ...``.
+
+    Each part runs through its own ``execute``/``execute_many`` — one
+    ``kernel.<part>`` span and metric record per part, in part order, as
+    the two-launch HYB kernels do — and the part results are added left to
+    right, so ``y = ell + coo`` in the reference kernel's order.
+    """
+
+    def __init__(
+        self,
+        matrix: SparseFormat,
+        device: DeviceSpec,
+        counters: KernelCounters,
+        parts: Tuple[SpMVPlan, ...],
+    ) -> None:
+        super().__init__(matrix, device, counters)
+        self.format_name = matrix.format_name
+        self._parts = parts
+
+    def _children(self) -> Tuple[SpMVPlan, ...]:
+        return self._parts
+
+    def _total(self, ys: List[np.ndarray], x: np.ndarray) -> np.ndarray:
+        if not ys:
+            return np.zeros(
+                (self.matrix.shape[0],) + x.shape[1:], dtype=VALUE_DTYPE
+            )
+        y = ys[0]
+        for part in ys[1:]:
+            y = y + part
+        return y
+
+    def _replay_numpy(self, x: np.ndarray) -> np.ndarray:
+        return self._total([p.execute(x).y for p in self._parts], x)
+
+    def _replay_many_numpy(self, X: np.ndarray) -> np.ndarray:
+        return self._total([p.execute_many(X).y for p in self._parts], X)
+
+
+def _sum_plan(
+    matrix: SparseFormat,
+    device: DeviceSpec,
+    ell: Optional[SpMVPlan],
+    coo: Optional[SpMVPlan],
+) -> SumPlan:
+    """``ell + coo`` over the parts present; counters add per launch."""
+    if ell is not None:
+        counters = ell.counters()
+    else:
+        counters = KernelCounters(launches=0, threads=device.warp_size)
+    if coo is not None:
+        counters = counters + coo.counters()
+    parts = tuple(p for p in (ell, coo) if p is not None)
+    return SumPlan(matrix, device, counters, parts)
+
+
+@register_planner("bro_hyb")
+def _plan_bro_hyb(matrix: SparseFormat, device: DeviceSpec) -> SumPlan:
+    _check_plan_type(matrix, BROHYBMatrix)
+    assert isinstance(matrix, BROHYBMatrix)
+    return _sum_plan(
+        matrix,
+        device,
+        _plan_bro_ell(matrix.ell, device) if matrix.ell.nnz else None,
+        _plan_bro_coo(matrix.coo, device) if matrix.coo.padded_nnz else None,
+    )
+
+
+@register_planner("hyb")
+def _plan_hyb(matrix: SparseFormat, device: DeviceSpec) -> SumPlan:
+    _check_plan_type(matrix, HYBMatrix)
+    assert isinstance(matrix, HYBMatrix)
+    return _sum_plan(
+        matrix,
+        device,
+        _plan_ellpack(matrix.ell, device) if matrix.ell.k else None,
+        _plan_coo(matrix.coo, device) if matrix.coo.nnz else None,
     )
 
 
 # ----------------------------------------------------------------------
-# Sliced ELLPACK / ELLPACK-R: ELL-style replays over cached transposes.
-# The counters helpers live next to the reference kernels
+# ELL-style formats: one block (ELLPACK, ELLPACK-R, BELLPACK) or one per
+# slice/chunk. The counters helpers live next to the reference kernels
 # (sliced_ell_counters, ellpack_r_counters, ...) so plan and kernel
 # accounting can never drift apart.
 # ----------------------------------------------------------------------
-class SlicedELLPlan(JaggedELLPlan):
-    """Unmasked slice accumulation: padded lanes replay as stored."""
+@register_planner("ellpack")
+def _plan_ellpack(matrix: SparseFormat, device: DeviceSpec) -> JaggedELLPlan:
+    _check_plan_type(matrix, ELLPACKMatrix)
+    assert isinstance(matrix, ELLPACKMatrix)
+    m, _ = matrix.shape
+    k = matrix.k
+    threads_per_block = 256  # ELLPACKKernel's default launch shape
+    launch = LaunchConfig.for_rows(m, threads_per_block)
+    tb = device.transaction_bytes
+    ws = device.warp_size
 
-    format_name = "sliced_ellpack"
+    idx_tx = k * contiguous_transactions(m, 4, ws, tb)
+    val_tx = k * contiguous_transactions(m, 8, ws, tb)
+    y_tx = contiguous_transactions(m, 8, ws, tb)
+
+    tex = TextureCacheModel(device)
+    x_bytes = 0
+    for r0 in range(0, m, threads_per_block):
+        block_cols = matrix.col_idx[r0 : r0 + threads_per_block]
+        x_bytes += tex.block_x_bytes(
+            block_cols, np.ones(block_cols.shape, dtype=bool)
+        )
+
+    counters = KernelCounters(
+        index_bytes=idx_tx * tb,
+        value_bytes=val_tx * tb,
+        x_bytes=x_bytes,
+        y_bytes=y_tx * tb,
+        useful_flops=2 * matrix.nnz,
+        issued_flops=2 * m * k,
+        launches=1,
+        threads=launch.total_threads,
+    )
+    blocks = [(np.arange(m), matrix.col_idx, matrix.vals, None)]
+    return JaggedELLPlan(matrix, device, counters, blocks)
+
+
+@register_planner("ellpack_r")
+def _plan_ellpack_r(matrix: SparseFormat, device: DeviceSpec) -> JaggedELLPlan:
+    _check_plan_type(matrix, ELLPACKRMatrix)
+    assert isinstance(matrix, ELLPACKRMatrix)
+    blocks = [(np.arange(matrix.shape[0]), matrix.col_idx, matrix.vals,
+               matrix.valid_mask())]
+    return JaggedELLPlan(
+        matrix, device, ellpack_r_counters(matrix, device), blocks
+    )
+
+
+@register_planner("bellpack")
+def _plan_bellpack(matrix: SparseFormat, device: DeviceSpec) -> JaggedELLPlan:
+    """One ``(mb*r, K*c)`` block: matrix row ``b*r + rr`` walks its block
+    columns left to right, ``c`` entry columns each (the kernel's register
+    accumulation order); rows past ``m`` are dropped, and lanes reading
+    the zero padding of ``x`` (columns ``[n, n_pad)``) read the zero slot.
+    """
+    _check_plan_type(matrix, BELLPACKMatrix)
+    assert isinstance(matrix, BELLPACKMatrix)
+    m, n = matrix.shape
+    r, c = matrix.block_shape
+    mb, K = matrix.block_col_idx.shape
+    first = matrix.block_col_idx.astype(np.int64)[:, None, :, None] * c
+    gather = np.broadcast_to(first + np.arange(c), (mb, r, K, c))
+    vals = matrix.block_vals.transpose(0, 2, 1, 3)
+    blocks = [(np.arange(m), gather.reshape(mb * r, K * c)[:m],
+               vals.reshape(mb * r, K * c)[:m], None)]
+    return JaggedELLPlan(
+        matrix, device, bellpack_counters(matrix, device), blocks,
+        padded_n=ceil_div(n, c) * c,
+    )
 
 
 @register_planner("sliced_ellpack")
-def _plan_sliced_ell(matrix: SparseFormat, device: DeviceSpec) -> SlicedELLPlan:
+def _plan_sliced_ell(matrix: SparseFormat, device: DeviceSpec) -> JaggedELLPlan:
     _check_plan_type(matrix, SlicedELLPACKMatrix)
     assert isinstance(matrix, SlicedELLPACKMatrix)
     blocks = [
         (np.arange(r0, r1), col_block, val_block, None)
         for r0, r1, col_block, val_block in matrix.iter_slices()
-        if col_block.shape[1]
     ]
-    return SlicedELLPlan(
+    return JaggedELLPlan(
         matrix, device, sliced_ell_counters(matrix, device), blocks
     )
 
 
-class ELLPACKRPlan(SpMVPlan):
-    """Masked column accumulation over cached (k, m) transposes."""
-
-    format_name = "ellpack_r"
-
-    def __init__(
-        self,
-        matrix: SparseFormat,
-        device: DeviceSpec,
-        counters: KernelCounters,
-        col_idx_t: np.ndarray,
-        vals_t: np.ndarray,
-        mask_t: np.ndarray,
-    ) -> None:
-        super().__init__(matrix, device, counters)
-        self._col_idx_t = col_idx_t
-        self._vals_t = vals_t
-        self._mask_t = mask_t
-
-    def _replay_numpy(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.matrix.shape[0], dtype=VALUE_DTYPE)
-        for c in range(self._vals_t.shape[0]):
-            y += np.where(
-                self._mask_t[c], self._vals_t[c] * x[self._col_idx_t[c]], 0.0
-            )
-        return y
-
-    def _replay_jit(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.matrix.shape[0], dtype=VALUE_DTYPE)
-        if self._vals_t.shape[0]:
-            _backends.ell_slice_spmv(
-                self._vals_t, self._col_idx_t, self._mask_t, x, y
-            )
-        return y
-
-    def _replay_many_jit(self, X: np.ndarray) -> np.ndarray:
-        Y = np.zeros((self.matrix.shape[0], X.shape[1]), dtype=VALUE_DTYPE)
-        if self._vals_t.shape[0]:
-            _backends.ell_slice_spmm(
-                self._vals_t, self._col_idx_t, self._mask_t, X, Y
-            )
-        return Y
-
-
-@register_planner("ellpack_r")
-def _plan_ellpack_r(matrix: SparseFormat, device: DeviceSpec) -> ELLPACKRPlan:
-    _check_plan_type(matrix, ELLPACKRMatrix)
-    assert isinstance(matrix, ELLPACKRMatrix)
-    return ELLPACKRPlan(
-        matrix,
-        device,
-        ellpack_r_counters(matrix, device),
-        np.ascontiguousarray(matrix.col_idx.T),
-        np.ascontiguousarray(matrix.vals.T),
-        np.ascontiguousarray(matrix.valid_mask().T),
-    )
-
-
 # ----------------------------------------------------------------------
-# HYB: composed ELLPACK + COO sub-plans (two launches, like the kernel)
+# SELL-C-σ family: chunks scattered through the row permutation
 # ----------------------------------------------------------------------
-class HYBPlan(SpMVPlan):
-    """Composition of the part plans, mirroring the two-launch kernel."""
-
-    format_name = "hyb"
-
-    def __init__(
-        self,
-        matrix: SparseFormat,
-        device: DeviceSpec,
-        counters: KernelCounters,
-        ell_plan: Optional[ELLPACKPlan],
-        coo_plan: Optional[COOPlan],
-    ) -> None:
-        super().__init__(matrix, device, counters)
-        self._ell_plan = ell_plan
-        self._coo_plan = coo_plan
-
-    def _children(self) -> Tuple[SpMVPlan, ...]:
-        return tuple(
-            p for p in (self._ell_plan, self._coo_plan) if p is not None
-        )
-
-    def _replay_numpy(self, x: np.ndarray) -> np.ndarray:
-        m = self.matrix.shape[0]
-        if self._ell_plan is not None:
-            y = self._ell_plan.execute(x).y
-        else:
-            y = np.zeros(m)
-        if self._coo_plan is not None:
-            y = y + self._coo_plan.execute(x).y
-        return y
-
-    def _replay_many_numpy(self, X: np.ndarray) -> np.ndarray:
-        m = self.matrix.shape[0]
-        if self._ell_plan is not None:
-            y = self._ell_plan.execute_many(X).y
-        else:
-            y = np.zeros((m, X.shape[1]))
-        if self._coo_plan is not None:
-            y = y + self._coo_plan.execute_many(X).y
-        return y
-
-
-@register_planner("hyb")
-def _plan_hyb(matrix: SparseFormat, device: DeviceSpec) -> HYBPlan:
-    _check_plan_type(matrix, HYBMatrix)
-    assert isinstance(matrix, HYBMatrix)
-    ell_plan = _plan_ellpack(matrix.ell, device) if matrix.ell.k else None
-    coo_plan = _plan_coo(matrix.coo, device) if matrix.coo.nnz else None
-    if ell_plan is not None:
-        counters = ell_plan.counters()
-    else:
-        counters = KernelCounters(launches=0, threads=device.warp_size)
-    if coo_plan is not None:
-        counters = counters + coo_plan.counters()
-    return HYBPlan(matrix, device, counters, ell_plan, coo_plan)
-
-
-# ----------------------------------------------------------------------
-# BELLPACK: cached block tables + padded-x register accumulation
-# ----------------------------------------------------------------------
-class BELLPACKPlan(SpMVPlan):
-    format_name = "bellpack"
-
-    def __init__(
-        self,
-        matrix: SparseFormat,
-        device: DeviceSpec,
-        counters: KernelCounters,
-        bcol: np.ndarray,
-        bvals: np.ndarray,
-        n_pad: int,
-    ) -> None:
-        super().__init__(matrix, device, counters)
-        #: (mb, K) int64 block columns and (mb, K, r, c) values.
-        self._bcol = bcol
-        self._bvals = bvals
-        self._n_pad = n_pad
-
-    def _pad_x(self, x: np.ndarray) -> np.ndarray:
-        x_pad = np.zeros(self._n_pad, dtype=VALUE_DTYPE)
-        x_pad[: x.shape[0]] = x
-        return x_pad
-
-    def _replay_numpy(self, x: np.ndarray) -> np.ndarray:
-        m = self.matrix.shape[0]
-        mb, K, r, c = self._bvals.shape
-        x_pad = self._pad_x(x)
-        acc = np.zeros((mb, r), dtype=VALUE_DTYPE)
-        for k in range(K):
-            base = self._bcol[:, k] * c
-            for cc in range(c):
-                acc += self._bvals[:, k, :, cc] * x_pad[base + cc][:, None]
-        return acc.reshape(-1)[:m]
-
-    def _replay_many_numpy(self, X: np.ndarray) -> np.ndarray:
-        m = self.matrix.shape[0]
-        mb, K, r, c = self._bvals.shape
-        X_pad = np.zeros((self._n_pad, X.shape[1]), dtype=VALUE_DTYPE)
-        X_pad[: X.shape[0]] = X
-        acc = np.zeros((mb, r, X.shape[1]), dtype=VALUE_DTYPE)
-        for k in range(K):
-            base = self._bcol[:, k] * c
-            for cc in range(c):
-                acc += (
-                    self._bvals[:, k, :, cc][:, :, None]
-                    * X_pad[base + cc][:, None, :]
-                )
-        return acc.reshape(mb * r, -1)[:m]
-
-    def _replay_jit(self, x: np.ndarray) -> np.ndarray:
-        m = self.matrix.shape[0]
-        mb, _K, r, _c = self._bvals.shape
-        y_blocks = np.empty((mb, r), dtype=VALUE_DTYPE)
-        _backends.bellpack_spmv(self._bcol, self._bvals, self._pad_x(x), y_blocks)
-        return y_blocks.reshape(-1)[:m]
-
-    def _replay_many_jit(self, X: np.ndarray) -> np.ndarray:
-        m = self.matrix.shape[0]
-        mb, _K, r, _c = self._bvals.shape
-        X_pad = np.zeros((self._n_pad, X.shape[1]), dtype=VALUE_DTYPE)
-        X_pad[: X.shape[0]] = X
-        Y_blocks = np.empty((mb, r, X.shape[1]), dtype=VALUE_DTYPE)
-        _backends.bellpack_spmm(self._bcol, self._bvals, X_pad, Y_blocks)
-        return Y_blocks.reshape(mb * r, -1)[:m]
-
-
-@register_planner("bellpack")
-def _plan_bellpack(matrix: SparseFormat, device: DeviceSpec) -> BELLPACKPlan:
-    _check_plan_type(matrix, BELLPACKMatrix)
-    assert isinstance(matrix, BELLPACKMatrix)
-    _r, c = matrix.block_shape
-    n_pad = ceil_div(matrix.shape[1], c) * c
-    return BELLPACKPlan(
-        matrix,
-        device,
-        bellpack_counters(matrix, device),
-        np.ascontiguousarray(matrix.block_col_idx.astype(np.int64)),
-        np.ascontiguousarray(matrix.block_vals),
-        n_pad,
-    )
-
-
-# ----------------------------------------------------------------------
-# SELL-C-σ family: chunked ELL replays + permutation scatter
-# ----------------------------------------------------------------------
-class SELLCSigmaPlan(JaggedELLPlan):
-    """Unmasked chunk accumulation scattered through ``row_ids``."""
-
-    format_name = "sell_c_sigma"
-
-
 @register_planner("sell_c_sigma")
-def _plan_sell_c_sigma(matrix: SparseFormat, device: DeviceSpec) -> SELLCSigmaPlan:
+def _plan_sell_c_sigma(matrix: SparseFormat, device: DeviceSpec) -> JaggedELLPlan:
     _check_plan_type(matrix, SELLCSigmaMatrix)
     assert isinstance(matrix, SELLCSigmaMatrix)
     blocks = [
         (matrix.row_ids[r0:r1], col_block, val_block, None)
         for r0, r1, col_block, val_block in matrix.iter_chunks()
-        if col_block.shape[1]
     ]
-    return SELLCSigmaPlan(matrix, device, sell_counters(matrix, device), blocks)
-
-
-class BROSELLPlan(JaggedELLPlan):
-    """BRO-ELL's masked replay over sorted chunks + permutation scatter."""
-
-    format_name = "bro_sell"
+    return JaggedELLPlan(matrix, device, sell_counters(matrix, device), blocks)
 
 
 @register_planner("bro_sell")
-def _plan_bro_sell(matrix: SparseFormat, device: DeviceSpec) -> BROSELLPlan:
+def _plan_bro_sell(matrix: SparseFormat, device: DeviceSpec) -> JaggedELLPlan:
     _check_plan_type(matrix, BROSELLMatrix)
     assert isinstance(matrix, BROSELLMatrix)
     m, _ = matrix.shape
@@ -1411,60 +1140,4 @@ def _plan_bro_sell(matrix: SparseFormat, device: DeviceSpec) -> BROSELLPlan:
         launches=1,
         threads=launch.total_threads,
     )
-    return BROSELLPlan(matrix, device, counters, blocks)
-
-
-# ----------------------------------------------------------------------
-# CMRS: cached reconstructed rows + segmented scatter
-# ----------------------------------------------------------------------
-class CMRSPlan(SpMVPlan):
-    """Entry-ordered scatter against the cached reconstructed rows."""
-
-    format_name = "cmrs"
-
-    def __init__(
-        self,
-        matrix: SparseFormat,
-        device: DeviceSpec,
-        counters: KernelCounters,
-        rows: np.ndarray,
-    ) -> None:
-        super().__init__(matrix, device, counters)
-        self._rows = rows
-
-    def _replay_numpy(self, x: np.ndarray) -> np.ndarray:
-        mat = self.matrix
-        y = np.zeros(mat.shape[0], dtype=VALUE_DTYPE)
-        with _span("reduce.segmented", "kernel"):
-            np.add.at(y, self._rows, mat.vals * x[mat.col_idx])
-        return y
-
-    def _replay_many_numpy(self, X: np.ndarray) -> np.ndarray:
-        mat = self.matrix
-        y = np.zeros((mat.shape[0], X.shape[1]), dtype=VALUE_DTYPE)
-        with _span("reduce.segmented", "kernel"):
-            np.add.at(y, self._rows, mat.vals[:, None] * X[mat.col_idx])
-        return y
-
-    def _replay_jit(self, x: np.ndarray) -> np.ndarray:
-        mat = self.matrix
-        y = np.zeros(mat.shape[0], dtype=VALUE_DTYPE)
-        with _span("reduce.segmented", "kernel"):
-            _backends.coo_scatter_spmv(self._rows, mat.col_idx, mat.vals, x, y)
-        return y
-
-    def _replay_many_jit(self, X: np.ndarray) -> np.ndarray:
-        mat = self.matrix
-        y = np.zeros((mat.shape[0], X.shape[1]), dtype=VALUE_DTYPE)
-        with _span("reduce.segmented", "kernel"):
-            _backends.coo_scatter_spmm(self._rows, mat.col_idx, mat.vals, X, y)
-        return y
-
-
-@register_planner("cmrs")
-def _plan_cmrs(matrix: SparseFormat, device: DeviceSpec) -> CMRSPlan:
-    _check_plan_type(matrix, CMRSMatrix)
-    assert isinstance(matrix, CMRSMatrix)
-    return CMRSPlan(
-        matrix, device, cmrs_counters(matrix, device), matrix.entry_rows()
-    )
+    return JaggedELLPlan(matrix, device, counters, blocks)

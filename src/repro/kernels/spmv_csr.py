@@ -9,6 +9,8 @@ family avoids.
 
 from __future__ import annotations
 
+from typing import List, Tuple
+
 import numpy as np
 
 from ..formats.base import SparseFormat
@@ -20,10 +22,43 @@ from ..gpu.memory import contiguous_transactions
 from ..gpu.texcache import TextureCacheModel
 from ..gpu.warp import warp_reduce_flops
 from ..utils.bits import ceil_div
-from . import backends as _backends
 from .base import SpMVKernel, SpMVResult, register_kernel
 
-__all__ = ["CSRVectorKernel"]
+__all__ = ["CSRVectorKernel", "csr_column_schedule", "csr_spmv_columns"]
+
+#: schedule = [(rows_with_len>j, their j-th entry positions), ...]
+CsrSchedule = List[Tuple[np.ndarray, np.ndarray]]
+
+
+def csr_column_schedule(indptr: np.ndarray) -> CsrSchedule:
+    """Precompute the per-position gather schedule for a CSR container."""
+    lengths = np.diff(indptr)
+    schedule: CsrSchedule = []
+    max_len = int(lengths.max()) if lengths.size else 0
+    for j in range(max_len):
+        rows_j = np.flatnonzero(lengths > j)
+        schedule.append((rows_j, indptr[rows_j] + j))
+    return schedule
+
+
+def csr_spmv_columns(
+    indices: np.ndarray,
+    vals: np.ndarray,
+    x: np.ndarray,
+    schedule: CsrSchedule,
+    m: int,
+) -> np.ndarray:
+    """Row-sequential CSR SpMV, vectorized across rows per position.
+
+    Iterating over row *positions* (all rows' entry 0, then entry 1, ...)
+    keeps every row's sum sequential and zero-initialised — the order the
+    prepared plan's jagged replay adds in; ``np.add.reduceat`` (used by
+    ``CSRMatrix.spmv``) does not, its pairwise blocking reassociates.
+    """
+    y = np.zeros(m, dtype=vals.dtype)
+    for rows_j, pos_j in schedule:
+        y[rows_j] += vals[pos_j] * x[indices[pos_j]]
+    return y
 
 
 @register_kernel
@@ -45,11 +80,10 @@ class CSRVectorKernel(SpMVKernel):
 
         # ---- functional execution ------------------------------------
         # Row-sequential accumulation (matches the prepared-plan replay
-        # and the compiled executor bit-for-bit; matrix.spmv's reduceat
-        # would reassociate long rows).
-        schedule = _backends.csr_column_schedule(matrix.indptr)
-        y = _backends.csr_spmv_columns(
-            matrix.indices, matrix.vals, x, schedule, m
+        # bit-for-bit; matrix.spmv's reduceat would reassociate long rows).
+        y = csr_spmv_columns(
+            matrix.indices, matrix.vals, x,
+            csr_column_schedule(matrix.indptr), m,
         )
 
         # ---- traffic accounting --------------------------------------

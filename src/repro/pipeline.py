@@ -40,7 +40,6 @@ exactly like direct dispatch.
 from __future__ import annotations
 
 import os
-import warnings
 from typing import Any, Callable, Dict, Optional, Union
 
 import numpy as np
@@ -371,7 +370,7 @@ class Session:
         self, policy: Optional[ExecutionPolicy],
         verify: Union[bool, str, None], engine: Optional[str],
     ) -> ExecutionPolicy:
-        """The effective policy of one execute call.
+        """The effective policy of one run call.
 
         ``policy=`` replaces the session default outright (except that a
         missing plan cache inherits the session's); the legacy
@@ -380,7 +379,7 @@ class Session:
         if policy is not None:
             if verify is not None or engine is not None:
                 raise ValidationError(
-                    "execute: pass either policy= or the legacy "
+                    "run: pass either policy= or the legacy "
                     "verify=/engine= overrides, not both"
                 )
             if policy.plan_cache is None and policy.engine != "reference":
@@ -409,9 +408,6 @@ class Session:
         typed :class:`~repro.kernels.base.SpMVResult` and hit the same
         dispatch/integrity boundary, so ``policy=`` (or the legacy
         ``verify=``/``engine=`` field overrides) behaves identically.
-
-        This supersedes the ``execute``/``execute_many`` pair, which
-        remain as deprecated shims.
         """
         x = np.asarray(x)
         if x.ndim == 1:
@@ -429,38 +425,6 @@ class Session:
                 policy=self._call_policy(policy, verify, engine),
             )
         )
-
-    def execute(
-        self,
-        x: np.ndarray,
-        *,
-        policy: Optional[ExecutionPolicy] = None,
-        verify: Union[bool, str, None] = None,
-        engine: Optional[str] = None,
-    ) -> SpMVResult:
-        """Deprecated spelling of :meth:`run` for a single vector."""
-        warnings.warn(
-            "Session.execute is deprecated; use Session.run",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run(x, policy=policy, verify=verify, engine=engine)
-
-    def execute_many(
-        self,
-        X: np.ndarray,
-        *,
-        policy: Optional[ExecutionPolicy] = None,
-        verify: Union[bool, str, None] = None,
-        engine: Optional[str] = None,
-    ) -> SpMVResult:
-        """Deprecated spelling of :meth:`run` for a multi-RHS block."""
-        warnings.warn(
-            "Session.execute_many is deprecated; use Session.run",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run(X, policy=policy, verify=verify, engine=engine)
 
     # -- introspection --------------------------------------------------
     def describe(self) -> Dict[str, Any]:

@@ -112,7 +112,7 @@ class TestKernelInputValidation:
     def test_format_kernel_mismatch(self, paper_matrix):
         from repro.gpu.device import TESLA_K20
         from repro.errors import KernelError
-        from repro.kernels import get_kernel
+        from repro.registry import kernel_for
 
         with pytest.raises(KernelError):
-            get_kernel("bro_ell").run(paper_matrix, np.ones(5), TESLA_K20)
+            kernel_for("bro_ell").run(paper_matrix, np.ones(5), TESLA_K20)

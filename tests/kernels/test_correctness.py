@@ -6,7 +6,8 @@ import pytest
 from repro.errors import KernelError
 from repro.formats import convert
 from repro.gpu.device import DEVICES
-from repro.kernels import available_kernels, get_kernel, run_spmv
+from repro.kernels import run_spmv
+from repro.registry import kernel_for, kernel_formats
 from tests.conftest import PAPER_A, random_coo
 
 ALL_KERNELS = [
@@ -24,15 +25,15 @@ ALL_KERNELS = [
 
 class TestRegistry:
     def test_every_format_has_a_kernel(self):
-        assert set(ALL_KERNELS) <= set(available_kernels())
+        assert set(ALL_KERNELS) <= set(kernel_formats())
 
     def test_unknown_kernel(self):
         with pytest.raises(KernelError):
-            get_kernel("nope")
+            kernel_for("nope")
 
     def test_wrong_format_rejected(self, paper_matrix):
         with pytest.raises(KernelError, match="needs a"):
-            get_kernel("ellpack").run(paper_matrix, np.ones(5), DEVICES["k20"])
+            kernel_for("ellpack").run(paper_matrix, np.ones(5), DEVICES["k20"])
 
 
 class TestPaperExample:

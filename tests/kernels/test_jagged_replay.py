@@ -1,18 +1,24 @@
-"""Adversarial equivalence of the jagged sliced-ELL replay.
+"""Adversarial equivalence of the jagged replay.
 
-The bro_ell, bro_ell_vc, bro_sell, sliced_ellpack and sell_c_sigma plans
-(and bro_hyb through its ELL part) replay width-sorted, column-major lane
-arrays: one gather-multiply-prefix-add per ELL column, masked lanes
-gathering a zero slot appended to ``x``. The generator below aims at
-what that layout can get wrong:
+Every plannable format's plan replays width-sorted, column-major lane
+arrays: one gather-multiply-prefix-add per ELL column, masked lanes (and
+BELLPACK's zero-padded ``x`` tail) gathering a zero slot appended to
+``x``. Entry-list formats (coo, bro_coo, cmrs, csr) are lowered as rows
+grouped by length, each row keeping its stored entry order; hyb and
+bro_hyb sum part plans, bro_ell_mt folds one. The generator below aims
+at what that layout and those lowerings can get wrong:
 
-* slice widths that differ widely — empty slices, an all-empty matrix,
-  one dense row among empty ones — so the per-column prefix counts and
-  the stable width sort matter;
-* ``n = 1``, non-square shapes and slice heights ``h >= m``;
+* slice widths and row lengths that differ widely — empty slices, an
+  all-empty matrix, one dense row among empty ones — so the per-column
+  prefix counts and the stable width sort matter;
+* ``n = 1``, non-square shapes, slice heights ``h >= m`` and BELLPACK
+  blocks that do not divide ``n``;
 * ``x`` holding ``inf``, ``nan``, ``-0.0`` and ``+0.0``, and explicit
   ``±0.0`` matrix values, where a dropped or reordered ``+0.0`` add
-  or a masked ``0 * inf`` would show in the bits.
+  or a masked ``0 * inf`` would show in the bits (BRO-COO's phantom
+  padding must still turn ``x[0] = inf`` into NaN);
+* stored COO entries that are unsorted and hold a duplicated ``(r, c)``,
+  where the reference scatter adds in stored order.
 
 For each format the plan's ``y`` bits must equal the stepwise reference
 kernel's, every SpMM column (k = 1, 3, 8) must equal the single-vector
@@ -43,7 +49,8 @@ from repro.kernels import prepare, run_spmm, run_spmv
 _REF = ExecutionPolicy(engine="reference")
 
 FORMATS = ("bro_ell", "bro_ell_vc", "bro_sell", "sliced_ellpack",
-           "sell_c_sigma", "bro_hyb")
+           "sell_c_sigma", "bro_hyb", "coo", "bro_coo", "cmrs", "csr",
+           "ellpack", "ellpack_r", "bellpack", "hyb", "bro_ell_mt")
 
 SPECIALS = (np.inf, -np.inf, np.nan, -0.0, 0.0)
 
@@ -102,6 +109,13 @@ def jagged_cases(draw, max_dim=36):
 def _convert(coo, fmt, h, sigma):
     if fmt in ("sell_c_sigma", "bro_sell"):
         return convert(coo, fmt, c=min(h, coo.shape[0]), sigma=sigma)
+    if fmt == "bellpack":
+        # c = 3 leaves n % c != 0 for most drawn n.
+        return convert(coo, fmt, r=min(h, 4), c=min(sigma, 3))
+    if fmt == "cmrs":
+        return convert(coo, fmt, height=h)
+    if fmt in ("coo", "bro_coo", "csr", "ellpack", "ellpack_r", "hyb"):
+        return convert(coo, fmt)
     return convert(coo, fmt, h=h)
 
 
@@ -112,7 +126,11 @@ def _block(x, k):
 
 
 def _check_format(coo, fmt, h, sigma, x):
-    mat = _convert(coo, fmt, h, sigma)
+    _check_matrix(_convert(coo, fmt, h, sigma), x)
+
+
+def _check_matrix(mat, x):
+    fmt = mat.format_name
     ref = run_spmv(mat, x, "k20", policy=_REF)
     plan = prepare(mat, "k20")
     fast = plan.execute(x)
@@ -155,9 +173,34 @@ def _check_format(coo, fmt, h, sigma, x):
 # row sits in the arrays NumPy adds (see module docstring).
 @example(case=_case({0: [(0, 1.0), (1, -1.0), (2, 1.0)]}, (1, 3), h=1,
                     x=[np.inf, np.inf, np.nan]))
+# A row whose only products are -0.0 (stored -0.0, and x = -0.0): its
+# sum is +0.0, never -0.0.
+@example(case=_case({0: [(0, 1.0), (1, -0.0)], 1: [(1, 2.0)]}, (2, 2),
+                    h=2, x=[-0.0, 3.0]))
+# BRO-COO pads its intervals with phantom (row, col 0, 0.0) entries;
+# x[0] = inf turns their rows NaN in the reference scatter too.
+@example(case=_case({0: [(1, 1.0)], 2: [(2, 1.0)]}, (3, 3), h=1,
+                    x=[np.inf, 1.0, 2.0]))
+# BELLPACK with n % c != 0: the last block column reads x's zero padding.
+@example(case=_case({0: [(6, 2.0)], 4: [(5, -1.0), (6, 1.0)]}, (5, 7),
+                    h=2, sigma=4, x=[1.0, 2.0, 3.0, 4.0, 5.0, np.inf, -0.0]))
 def test_jagged_replay_matches_reference(fmt, case):
     coo, h, sigma, x = case
     _check_format(coo, fmt, h, sigma, x)
+
+
+def test_unsorted_coo_with_duplicate_entries():
+    """Stored COO entries out of row order, with a repeated ``(r, c)``:
+    the stable row sort must keep each row's stored order, which is the
+    order the reference ``np.add.at`` scatter adds in."""
+    coo = _case({r: [(0, 1.0), (1, 1.0)] for r in range(3)}, (3, 4), h=1)[0]
+    coo.row_idx[:] = [2, 0, 2, 1, 0, 2]
+    coo.col_idx[:] = [3, 1, 3, 0, 1, 2]
+    coo.vals[:] = [1e16, 1.0, -1e16, 2.0, -0.0, 1.0]
+    x = np.array([0.5, -0.0, 7.0, 1.0])
+    _check_matrix(coo, x)
+    # Stored order gives 1e16 - 1e16 + 7; column order would lose the 7.
+    assert prepare(coo, "k20").execute(x).y[2] == 7.0
 
 
 def test_corrupt_column_index_is_rejected_at_build():
@@ -170,3 +213,24 @@ def test_corrupt_column_index_is_rejected_at_build():
     with pytest.raises(IndexError, match="out of range"):
         prepare(mat, "k20")
 
+
+
+def _stored_columns(mat):
+    """The stored column-index array each lowering gathers through."""
+    attr = {"csr": "indices", "bellpack": "block_col_idx"}
+    return getattr(mat, attr.get(mat.format_name, "col_idx"))
+
+
+@pytest.mark.parametrize("fmt,bad", [
+    ("coo", -1), ("bro_coo", 3), ("cmrs", 9), ("csr", -1),
+    ("ellpack", 3), ("ellpack_r", -1), ("bellpack", 2),
+])
+def test_corrupt_stored_column_is_rejected_at_build(fmt, bad):
+    """A negative or out-of-range stored column (a BELLPACK block column
+    past the zero-padded ``x``) fails the build with IndexError."""
+    coo, _, _, _ = _case({0: [(0, 1.0)], 1: [(2, 2.0)]}, (2, 3), h=2)
+    mat = convert(coo, fmt, **({"r": 1, "c": 2} if fmt == "bellpack" else {}))
+    cols = _stored_columns(mat)  # a view of the stored index array
+    cols.reshape(-1)[0] = bad
+    with pytest.raises(IndexError, match="out of range"):
+        prepare(mat, "k20")

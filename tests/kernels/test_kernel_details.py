@@ -5,7 +5,8 @@ import numpy as np
 from repro.formats import convert
 from repro.formats.coo import COOMatrix
 from repro.gpu.device import TESLA_K20
-from repro.kernels import get_kernel, run_spmv
+from repro.kernels import run_spmv
+from repro.registry import kernel_for
 
 
 def uniform_band(m=2048, k=8):
@@ -81,7 +82,7 @@ class TestHYBCounters:
         assert hyb.coo.nnz > 0
         res = run_spmv(hyb, np.ones(512), "k20")
         assert res.counters.launches == 3  # ELL + COO main + COO carry
-        ell_res = get_kernel("ellpack").run(hyb.ell, np.ones(512), TESLA_K20)
+        ell_res = kernel_for("ellpack").run(hyb.ell, np.ones(512), TESLA_K20)
         assert res.counters.index_bytes > ell_res.counters.index_bytes
 
     def test_pure_ell_single_launch(self):

@@ -1,8 +1,8 @@
-"""Session.run — the single entry point replacing execute/execute_many.
+"""Session.run — the single entry point for SpMV and SpMM.
 
 1-D dispatches to run_spmv, 2-D to run_spmm (column-bit-identical), any
-other rank is a typed error, and the legacy spellings survive as
-DeprecationWarning shims delegating to run.
+other rank is a typed error, and the removed execute/execute_many
+spellings stay removed.
 """
 
 import warnings
@@ -65,23 +65,9 @@ class TestRunDispatch:
 
 
 class TestDeprecatedShims:
-    def test_execute_warns_and_matches_run(self, sess, n):
-        x = np.linspace(-2, 2, n)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            y_old = sess.execute(x).y
-        assert any(issubclass(w.category, DeprecationWarning)
-                   and "Session.run" in str(w.message) for w in caught)
-        assert np.array_equal(y_old, sess.run(x).y)
-
-    def test_execute_many_warns_and_matches_run(self, sess, n):
-        X = np.stack([np.linspace(0, 1, n), np.linspace(1, 0, n)], axis=1)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            y_old = sess.execute_many(X).y
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        assert np.array_equal(y_old, sess.run(X).y)
+    def test_legacy_spellings_are_gone(self, sess):
+        assert not hasattr(sess, "execute")
+        assert not hasattr(sess, "execute_many")
 
     def test_run_itself_does_not_warn(self, sess, n):
         with warnings.catch_warnings(record=True) as caught:

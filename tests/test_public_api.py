@@ -168,23 +168,18 @@ class TestKeyExports:
         assert issubclass(repro.AdmissionError, repro.ServeError)
         assert issubclass(repro.ServeError, repro.ReproError)
 
-    def test_session_run_is_the_entrypoint_with_shims(self):
-        import warnings
+    def test_session_run_is_the_only_entrypoint(self):
+        import numpy as np
 
-        assert callable(repro.Session.run)
-        # execute/execute_many survive as deprecated shims
         sess = repro.Session("k20")
         sess.use(repro.convert(
             repro.matrices.generate("cant", scale=0.01), "bro_ell"
         ))
-        import numpy as np
-
         x = np.ones(sess.matrix.shape[1])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            y_old = sess.execute(x).y
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        assert np.array_equal(y_old, sess.run(x).y)
+        assert sess.run(x).y.shape == (sess.matrix.shape[0],)
+        # the deprecated execute/execute_many shims are gone
+        assert not hasattr(repro.Session, "execute")
+        assert not hasattr(repro.Session, "execute_many")
 
     def test_version_is_string(self):
         assert isinstance(repro.__version__, str)
