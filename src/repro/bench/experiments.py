@@ -368,9 +368,10 @@ def _spd_system(name: str, scale: float):
 
 def _executor_backends() -> List[str]:
     """The executor backends this host can actually run compiled."""
-    from ..kernels.backends import jit_available
+    from ..kernels.backends import jit_available, scipy_refusal
 
-    return ["numpy", "jit"] if jit_available() else ["numpy"]
+    return (["numpy"] + (["scipy"] if scipy_refusal() is None else [])
+            + (["jit"] if jit_available() else []))
 
 
 def wallclock_engines(
@@ -395,8 +396,9 @@ def wallclock_engines(
     ``min(scale, 0.02)`` so the dense symmetrization stays small).
 
     Every row carries a ``backend`` column. The spmv/spmm modes run once
-    per available executor backend (``numpy`` always; ``jit`` when Numba
-    is importable, with the warm-compile inside ``build_time_ms``), and
+    per available executor backend (``numpy`` always; ``scipy`` when
+    SciPy's row loops pass their probe; ``jit`` when Numba is importable,
+    with the warm-compile inside ``build_time_ms``), and
     the :func:`microbench_exec` inner-loop row is appended at the end
     so one report records the whole compiled-path trajectory.
     """

@@ -789,13 +789,14 @@ def _cmd_formats(args: argparse.Namespace) -> int:
             out[key] = "yes" if row[key] else "-"
         out["codec"] = row["codec"] or "-"
         printable.append(out)
-    from .kernels.backends import jit_available, numba_version
+    from .kernels.backends import numba_version, resolve_backend, scipy_refusal
 
-    jit_note = (
-        f"Numba {numba_version()} importable — 'compiled' formats JIT"
-        if jit_available()
-        else "Numba not importable — 'compiled' formats fall back to numpy"
-    )
+    jit_note = {
+        "jit": f"host executor: jit (Numba {numba_version()})",
+        "scipy": "host executor: scipy (SciPy's CSR row loops; no Numba)",
+        "numpy": "host executor: numpy (no Numba; SciPy's loops refused: "
+                 f"{scipy_refusal()})",
+    }[resolve_backend("auto")]
     print(format_table(
         printable,
         ["format", "container", "kernel", "planner", "tracer", "tuner",

@@ -9,37 +9,55 @@ lowers onto the jagged layout (``jagged_spmv``/``jagged_spmm``), which
 stores every row's lanes in one width-sorted, column-major array, so a
 single pass over the ELL columns computes ``y``.
 
-* ``"numpy"`` — the existing interpreted replay. Always available; the
-  reference point every other backend must match bit-for-bit.
-* ``"jit"`` — the same loop compiled with Numba when it is importable.
-  Numba is **never** a hard dependency: without it the functions below
-  stay plain Python (still bit-identical, used by the test suite to pin
-  the loop order) and :func:`resolve_backend` falls back to ``"numpy"``.
+Executors
+---------
+* ``"numpy"`` — the interpreted jagged replay. Always available; the
+  reference point every other executor must match bit-for-bit.
+* ``"jit"`` — the same jagged loop compiled with Numba when it is
+  importable. Numba is **never** a hard dependency: without it the
+  functions below stay plain Python (still bit-identical, used by the
+  test suite to pin the loop order).
+* ``"scipy"`` — SciPy's compiled CSR row loops (``csr_matvec`` /
+  ``csr_matvecs``) over the same lanes stored row by row. Only the
+  ``scipy/sparse/_sparsetools`` extension is loaded, never the
+  ``scipy.sparse`` package (which costs ~22 MiB of RSS); the extension
+  is private, so every call goes through :func:`csr_row_sums`, and a
+  fixed probe (:func:`scipy_refusal`) vets it once before first use.
 
 Bit-identity contract
 ---------------------
-The jagged loop performs the *same floating-point operations in the same
-order* as the NumPy jagged replay: each row adds its lanes, in column
-order, to a ``+0.0`` accumulator. Since every format's lowering fixes
-that lane order at build time (ELL column order, or stored entry order
-for the formats the reference kernels scatter), one loop serves every
-format. No ``fastmath`` is ever enabled — reassociation would break the
-contract. ``tests/kernels/test_backends.py`` enforces equality of ``y``
-bits and :class:`KernelCounters` across backends.
+Every executor performs the *same floating-point operations in the same
+order*: each row adds its lanes, in lane order, to a ``+0.0``
+accumulator. Since every format's lowering fixes that lane order at
+build time (ELL column order, or stored entry order for the formats the
+reference kernels scatter), one loop serves every format. The jagged
+layout holds a row's lanes column-major; a CSR copy holds them in the
+same per-row order, so a row loop that neither reassociates nor
+contracts multiply-add into FMA computes the same bits. No ``fastmath``
+is ever enabled for the Numba loop, and the SciPy probe refuses a build
+whose loop contracts (``scipy-fma``), computes a wrong sum on ``inf`` /
+``-0.0`` input (``scipy-mismatch``) or rejects the expected arguments
+(``scipy-error``). ``tests/kernels/test_backends.py`` enforces equality
+of ``y`` bits and :class:`KernelCounters` across executors.
 
 Selection
 ---------
 Callers request a backend through
 :attr:`repro.exec.policy.ExecutionPolicy.compute_backend`
 (``"auto"``/``"numpy"``/``"jit"``); :func:`resolve_backend` maps the
-request to a concrete backend per format. An explicit ``"jit"`` request
-that cannot be honoured (Numba missing, or the format has no compiled
-loops) degrades to ``"numpy"`` and emits an ``exec.backend_fallback``
-counter instead of raising.
+request to a concrete executor per format: ``"jit"`` when Numba is
+importable, else ``"scipy"`` when the probe passes, else ``"numpy"``.
+An explicit ``"jit"`` request that cannot be honoured (Numba missing, or
+the format has no compiled loops) resolves the same way as ``"auto"``
+and emits an ``exec.backend_fallback`` counter instead of raising.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -52,9 +70,11 @@ __all__ = [
     "COMPUTE_BACKENDS",
     "EXECUTOR_BACKENDS",
     "JIT_FORMATS",
+    "csr_row_sums",
     "jit_available",
     "numba_version",
     "resolve_backend",
+    "scipy_refusal",
     "supports_jit",
     "compiled_formats",
 ]
@@ -63,7 +83,7 @@ __all__ = [
 COMPUTE_BACKENDS = ("auto", "numpy", "jit")
 
 #: Concrete backends a plan can execute with (what "auto" resolves to).
-EXECUTOR_BACKENDS = ("numpy", "jit")
+EXECUTOR_BACKENDS = ("numpy", "scipy", "jit")
 
 #: Formats whose prepared-plan replay has compiled inner loops: every
 #: plannable format. The leaf plans all replay through the one jagged
@@ -106,6 +126,155 @@ def numba_version() -> Optional[str]:
     return getattr(numba, "__version__", None) if numba is not None else None
 
 
+# ----------------------------------------------------------------------
+# SciPy's compiled CSR row loops (the extension only, probed once)
+# ----------------------------------------------------------------------
+#: Where the loops live. Only this extension file is loaded — importing
+#: the ``scipy.sparse`` package would cost ~22 MiB of RSS.
+_SPARSETOOLS_NAME = "scipy.sparse._sparsetools"
+
+#: ``(module, None)`` once the probe passed, ``(None, reason)`` once it
+#: refused; ``None`` until first use.
+_SCIPY_STATE: Optional[Tuple[Optional[object], Optional[str]]] = None
+
+
+def _load_sparsetools():
+    """The ``_sparsetools`` extension module, or ``None`` if absent."""
+    mod = sys.modules.get(_SPARSETOOLS_NAME)
+    if mod is not None:
+        return mod
+    top, *rest = _SPARSETOOLS_NAME.split(".")
+    spec = importlib.util.find_spec(top)  # locates, never imports, scipy
+    for base in (spec.submodule_search_locations or ()) if spec else ():
+        stem = os.path.join(base, *rest)
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            if os.path.isfile(stem + suffix):
+                loader = importlib.machinery.ExtensionFileLoader(
+                    _SPARSETOOLS_NAME, stem + suffix
+                )
+                mod = importlib.util.module_from_spec(
+                    importlib.util.spec_from_loader(_SPARSETOOLS_NAME, loader)
+                )
+                loader.exec_module(mod)
+                return mod
+    return None
+
+
+def csr_row_sums(
+    indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+    x: np.ndarray, y: np.ndarray, lib=None,
+) -> None:
+    """``y[i] += sum(data[jj] * x[indices[jj]])`` over each CSR row ``i``.
+
+    The one entry point into the private extension (``lib``, by default
+    the probed module): ``csr_matvec`` for a vector ``x``,
+    ``csr_matvecs`` for a C-contiguous ``(n, k)`` block, with ``y`` then
+    ``(rows, k)``. Each row's terms are added in storage order, to
+    ``y``'s value, one at a time. The extension checks no bounds: every
+    index must lie in ``[0, len(x))`` (plans range-check at build), and
+    ``indptr`` and ``indices`` must share one integer dtype, or the
+    extension copies them on every call.
+    """
+    if lib is None:
+        lib, reason = _scipy_state()
+        if lib is None:
+            raise ValidationError(f"scipy executor unavailable ({reason})")
+    rows = indptr.shape[0] - 1
+    if x.ndim == 1:
+        lib.csr_matvec(rows, x.shape[0], indptr, indices, data, x, y)
+    else:
+        lib.csr_matvecs(
+            rows, x.shape[0], x.shape[1], indptr, indices, data,
+            x.reshape(-1), y.reshape(-1),
+        )
+
+
+def _python_row_sums(indptr, indices, data, x) -> list:
+    """The probe's expected sums: CPython floats, one add per term."""
+    out = []
+    for i in range(len(indptr) - 1):
+        acc = 0.0
+        for jj in range(indptr[i], indptr[i + 1]):
+            acc += data[jj] * x[indices[jj]]
+        out.append(acc)
+    return out
+
+
+def _same_bits(got: np.ndarray, want: list) -> bool:
+    want_arr = np.array(want, dtype=np.float64)
+    nan = np.isnan(want_arr)
+    return bool(
+        np.array_equal(np.isnan(got), nan)
+        and np.array_equal(got[~nan].view(np.uint64),
+                           want_arr[~nan].view(np.uint64))
+    )
+
+
+def _probe(lib) -> Optional[str]:
+    """Why the loops cannot stand in for the jagged replay, or ``None``.
+
+    1. ``[-1, 1+2**-30] . [1, 1-2**-30]`` must sum to exactly ``+0.0``: a
+       loop that contracts multiply-add into FMA gives ``-2**-60``.
+    2. A fixed matrix against ``x`` holding ``inf`` and ``-0.0``: an
+       all-``-0.0`` row sums to ``+0.0``, ``0 * inf`` is NaN, and the
+       ``1e16, -1e16, 1`` row sums to 1 only when added in order.
+    3. Both loops take the argument lists :func:`csr_row_sums` passes.
+    Both checks run through ``csr_matvec`` and ``csr_matvecs``.
+    """
+    eps = 2.0**-30
+    cases = [
+        ([0, 2], [0, 1], [-1.0, 1.0 + eps], [1.0, 1.0 - eps], "scipy-fma"),
+        ([0, 1, 3, 4, 4, 7], [0, 1, 2, 1, 2, 3, 3],
+         [1.0, 2.0, 1.0, 0.0, 1e16, -1e16, 1.0],
+         [-0.0, np.inf, 1.0, 1.0], "scipy-mismatch"),
+    ]
+    try:
+        for indptr, indices, data, x, reason in cases:
+            ip = np.array(indptr, dtype=np.int32)
+            ix = np.array(indices, dtype=np.int32)
+            vals = np.array(data, dtype=np.float64)
+            xv = np.array(x, dtype=np.float64)
+            want = _python_row_sums(indptr, indices, data, x)
+            y = np.zeros(len(indptr) - 1)
+            csr_row_sums(ip, ix, vals, xv, y, lib)
+            X = np.stack([xv, -xv], axis=1)
+            Y = np.zeros((len(indptr) - 1, 2))
+            csr_row_sums(ip, ix, vals, X, Y, lib)
+            want_neg = _python_row_sums(indptr, indices, data,
+                                        [-v for v in x])
+            if not (_same_bits(y, want) and _same_bits(Y[:, 0], want)
+                    and _same_bits(Y[:, 1], want_neg)):
+                return reason
+    except Exception:  # any failure of the private extension refuses it
+        return "scipy-error"
+    return None
+
+
+def _scipy_state() -> Tuple[Optional[object], Optional[str]]:
+    global _SCIPY_STATE
+    if _SCIPY_STATE is None:
+        try:
+            mod = _load_sparsetools()
+        except (ImportError, OSError):  # present but not loadable here
+            mod = None
+        if mod is None:
+            _SCIPY_STATE = (None, "scipy-missing")
+        else:
+            reason = _probe(mod)
+            _SCIPY_STATE = (None, reason) if reason else (mod, None)
+    return _SCIPY_STATE
+
+
+def scipy_refusal() -> Optional[str]:
+    """Why the ``"scipy"`` executor is refused on this host, or ``None``.
+
+    ``"scipy-missing"`` (no loadable extension), ``"scipy-fma"`` (the
+    loop contracts multiply-add), ``"scipy-mismatch"`` (a wrong sum on
+    the fixed probe) or ``"scipy-error"`` (a call raised).
+    """
+    return _scipy_state()[1]
+
+
 def supports_jit(format_name: str) -> bool:
     """Whether the format's plan replay has compiled inner loops."""
     return format_name in JIT_FORMATS
@@ -119,13 +288,15 @@ def compiled_formats() -> Tuple[str, ...]:
 def resolve_backend(
     requested: str, format_name: Optional[str] = None
 ) -> str:
-    """Map a policy's ``compute_backend`` request to a concrete backend.
+    """Map a policy's ``compute_backend`` request to a concrete executor.
 
-    ``"auto"`` resolves to ``"jit"`` when Numba is importable and the
-    format has compiled loops, else ``"numpy"``. An explicit ``"jit"``
-    that cannot be honoured falls back to ``"numpy"`` and records an
-    ``exec.backend_fallback`` counter — never an exception, so a policy
-    written for a Numba-equipped host runs unchanged everywhere.
+    ``"auto"`` resolves to ``"jit"`` when Numba is importable, else to
+    ``"scipy"`` when SciPy's loops pass the probe, else to ``"numpy"``;
+    a format without compiled loops always gets ``"numpy"``. An explicit
+    ``"jit"`` that cannot be honoured records an
+    ``exec.backend_fallback`` counter and resolves as ``"auto"`` would —
+    never an exception, so a policy written for a Numba-equipped host
+    runs unchanged everywhere.
     """
     if requested not in COMPUTE_BACKENDS:
         raise ValidationError(
@@ -140,6 +311,8 @@ def resolve_backend(
     if requested == "jit":
         reason = "numba-missing" if not jit_available() else "format-unsupported"
         _metrics.record_backend_fallback(format_name or "*", reason)
+    if format_ok and scipy_refusal() is None:
+        return "scipy"
     return "numpy"
 
 

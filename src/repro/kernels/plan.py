@@ -154,7 +154,7 @@ class SpMVPlan(ABC):
         self._counters_memo: dict = {}
         #: wall-clock seconds the one-time build took (set by prepare()).
         self.build_seconds = 0.0
-        #: executor backend replays dispatch to ("numpy" or "jit").
+        #: executor backend replays dispatch to (one of EXECUTOR_BACKENDS).
         self.backend = "numpy"
         #: seconds the JIT warm-compile pass took (0.0 on the numpy path).
         self.jit_compile_seconds = 0.0
@@ -201,16 +201,27 @@ class SpMVPlan(ABC):
         """Select the executor backend for this plan (and its parts).
 
         Accepts a *concrete* backend name; resolve policy requests with
-        :func:`repro.kernels.backends.resolve_backend` first.
+        :func:`repro.kernels.backends.resolve_backend` first. ``"scipy"``
+        raises when the host's SciPy loops failed their probe. Switching
+        may reorder the plan's arrays, so never switch a plan another
+        thread is replaying (:func:`prepare` switches before publishing).
         """
         if backend not in _backends.EXECUTOR_BACKENDS:
             raise ValidationError(
                 f"executor backend must be one of "
                 f"{_backends.EXECUTOR_BACKENDS}, got {backend!r}"
             )
+        if backend == "scipy" and _backends.scipy_refusal() is not None:
+            raise ValidationError(
+                f"scipy executor unavailable ({_backends.scipy_refusal()})"
+            )
         for child in self._children():
             child.set_backend(backend)
+        self._lay_out(backend)
         self.backend = backend
+
+    def _lay_out(self, backend: str) -> None:
+        """Reorder stored replay data for ``backend`` (before it is live)."""
 
     def warm_compile(self) -> float:
         """Trigger JIT compilation of the replay loops on a zeros input.
@@ -284,20 +295,20 @@ class SpMVPlan(ABC):
         return result
 
     # -- replay (the jagged leaf and the combinators override these) -----
-    # The public replay entry points dispatch on the executor backend;
-    # both implementations of each are bit-identical by construction
-    # (same floating-point operations, same order — see
-    # repro.kernels.backends), enforced by tests/kernels/test_backends.py.
+    # The replay entry points dispatch to ``_replay_<backend>`` /
+    # ``_replay_many_<backend>``; a plan without its own compiled replay
+    # (the combinators: their parts dispatch instead) runs the numpy one.
+    # Every implementation is bit-identical by construction (same
+    # floating-point operations, same order — see repro.kernels.backends),
+    # enforced by tests/kernels/test_backends.py.
     def _replay(self, x: np.ndarray) -> np.ndarray:
         """Compute ``y`` for one validated ``x`` on the active backend."""
-        if self.backend == "jit":
-            return self._replay_jit(x)
-        return self._replay_numpy(x)
+        return getattr(self, f"_replay_{self.backend}", self._replay_numpy)(x)
 
     def _replay_many(self, X: np.ndarray) -> np.ndarray:
-        if self.backend == "jit":
-            return self._replay_many_jit(X)
-        return self._replay_many_numpy(X)
+        return getattr(
+            self, f"_replay_many_{self.backend}", self._replay_many_numpy
+        )(X)
 
     def _replay_numpy(self, x: np.ndarray) -> np.ndarray:
         """The interpreted (NumPy) replay — every plan has one.
@@ -311,23 +322,13 @@ class SpMVPlan(ABC):
             f"_replay override"
         )
 
-    def _replay_jit(self, x: np.ndarray) -> np.ndarray:
-        # Plans without compiled loops of their own run the numpy replay
-        # (composite plans compile through their _children instead).
-        return self._replay_numpy(x)
-
     def _replay_many_numpy(self, X: np.ndarray) -> np.ndarray:
-        # Generic fallback: one replay per column. Formats whose replay
-        # vectorizes across columns without changing the per-column
-        # floating-point order override this.
+        # Generic fallback: one replay per column, each dispatched on the
+        # backend. Formats whose replay vectorizes across columns without
+        # changing the per-column floating-point order override this.
         return np.stack(
             [self._replay(X[:, j]) for j in range(X.shape[1])], axis=1
         )
-
-    def _replay_many_jit(self, X: np.ndarray) -> np.ndarray:
-        # The generic stack dispatches per column, so compiled singles
-        # compose into a bit-identical multi-RHS replay.
-        return self._replay_many_numpy(X)
 
 
 # ----------------------------------------------------------------------
@@ -362,7 +363,9 @@ def prepare(
 
     ``backend`` selects the executor the plan replays with: ``"numpy"``
     (default), ``"jit"`` or ``"auto"``, resolved per format by
-    :func:`repro.kernels.backends.resolve_backend`. A JIT plan
+    :func:`repro.kernels.backends.resolve_backend`, or a concrete
+    ``"scipy"``. Resolution (whose first call runs the SciPy probe) and
+    the executor's lane layout count in ``build_seconds``. A JIT plan
     warm-compiles its loops here so compilation cost is part of the
     build, recorded on the plan as ``jit_compile_seconds``.
 
@@ -378,16 +381,19 @@ def prepare(
             f"no prepared-plan builder for format {matrix.format_name!r}; "
             f"plannable formats: {plannable_formats()}"
         )
-    resolved = _backends.resolve_backend(backend, matrix.format_name)
     t0 = time.perf_counter()
+    resolved = (
+        backend if backend == "scipy"
+        else _backends.resolve_backend(backend, matrix.format_name)
+    )
     with _span(
         "spmv.plan", "pipeline", format=matrix.format_name, device=device.name
     ):
         plan = builder(matrix, device)
+        plan.set_backend(resolved)
     plan.build_seconds = time.perf_counter() - t0
     _metrics.record_plan_build(matrix.format_name, device.name, plan.build_seconds)
-    if resolved != "numpy":
-        plan.set_backend(resolved)
+    if resolved == "jit":
         seconds = plan.warm_compile()
         _metrics.record_jit_compile(matrix.format_name, device.name, seconds)
     return plan
@@ -461,6 +467,11 @@ def _ell_slice_traffic(
 _EllBlock = Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]
 
 
+def _index_dtype(limit: int) -> type:
+    """int32 when every index up to ``limit`` fits, else int64."""
+    return np.int32 if limit < 2**31 - 1 else np.int64
+
+
 def _jagged_layout(
     blocks: List[_EllBlock], n: int, padded_n: Optional[int] = None
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -491,8 +502,7 @@ def _jagged_layout(
     col_start = np.zeros(max_width + 1, dtype=np.int64)
     np.cumsum(counts, out=col_start[1:])
 
-    index_dtype = np.int32 if n < 2**31 - 1 else np.int64
-    gather = np.empty(int(col_start[-1]), dtype=index_dtype)
+    gather = np.empty(int(col_start[-1]), dtype=_index_dtype(n))
     vals = np.empty(int(col_start[-1]), dtype=VALUE_DTYPE)
     rows = np.empty(int(row_start[-1]), dtype=np.int64)
     for s, i in enumerate(order):
@@ -557,6 +567,12 @@ class JaggedELLPlan(SpMVPlan):
     bit-identical. A masked lane adds ``+0.0 * 0.0`` where the kernel
     adds a literal ``+0.0``; the accumulator can never hold ``-0.0`` (an
     exact zero sum rounds to ``+0.0``), so such an add never changes a bit.
+
+    The plan holds one copy of the lanes, in the order its executor reads
+    them: column-major (jagged) for numpy and jit, row-major for scipy —
+    a CSR over the output rows whose per-row lane order is the same, so
+    ``_indptr`` is set and lane ``(c, s)`` sits at ``indptr[rows[s]] + c``.
+    :meth:`set_backend` moves the lanes between the two orders in place.
     """
 
     def __init__(
@@ -573,8 +589,52 @@ class JaggedELLPlan(SpMVPlan):
         self._counts, self._gather, self._vals, self._rows = _jagged_layout(
             blocks, n, padded_n
         )
+        m = matrix.shape[0]
+        if self._rows.size and (
+            self._rows.min() < 0 or self._rows.max() >= m
+            or np.bincount(self._rows, minlength=m).max() > 1
+        ):
+            raise IndexError(f"output rows out of range or repeated for {m} rows")
         #: whether some lane gathers the zero slot ``x[n]``.
         self._zero_slot = bool(np.any(self._gather == n))
+        #: row pointers while the lanes are row-major (scipy), else None.
+        self._indptr: Optional[np.ndarray] = None
+
+    def _lay_out(self, backend: str) -> None:
+        """Move the lanes between jagged and row-major order: one scatter
+        (or gather) per array, no sort."""
+        row_major = backend == "scipy"
+        if row_major == (self._indptr is not None):
+            return
+        m, n = self.matrix.shape
+        lanes = self._vals.shape[0]
+        dtype = _index_dtype(max(n, lanes))
+        # Sorted row s is as wide as the number of columns covering it.
+        widths = np.searchsorted(
+            -self._counts, -np.arange(self._rows.shape[0]), side="left"
+        )
+        row_len = np.zeros(m, dtype=dtype)
+        row_len[self._rows] = widths
+        indptr = np.zeros(m + 1, dtype=dtype)
+        np.cumsum(row_len, out=indptr[1:])
+        start = indptr[self._rows]
+        dest = np.empty(lanes, dtype=dtype)
+        lo = 0
+        for c, cnt in enumerate(self._counts.tolist()):
+            np.add(start[:cnt], c, out=dest[lo : lo + cnt])
+            lo += cnt
+        if row_major:
+            gather = np.empty(lanes, dtype=dtype)
+            gather[dest] = self._gather
+            self._gather = gather
+            vals = np.empty_like(self._vals)
+            vals[dest] = self._vals
+            self._vals = vals
+            self._indptr = indptr
+        else:
+            self._gather = self._gather[dest].astype(_index_dtype(n), copy=False)
+            self._vals = self._vals[dest]
+            self._indptr = None
 
     def _extend(self, x: np.ndarray) -> np.ndarray:
         """``x`` (or ``X``) with the zero slot appended when a lane uses it."""
@@ -627,6 +687,18 @@ class JaggedELLPlan(SpMVPlan):
             self._extend(X), Y,
         )
         return Y
+
+    def _replay_scipy(self, x: np.ndarray) -> np.ndarray:
+        # SpMV and SpMM alike: csr_matvec(s) adds each row's lanes, in
+        # order, to y's +0.0 (a (rows, k) block for SpMM).
+        y = np.zeros((self.matrix.shape[0],) + x.shape[1:], dtype=VALUE_DTYPE)
+        _backends.csr_row_sums(
+            self._indptr, self._gather, self._vals,
+            np.ascontiguousarray(self._extend(x)), y,
+        )
+        return y
+
+    _replay_many_scipy = _replay_scipy
 
 
 # ----------------------------------------------------------------------

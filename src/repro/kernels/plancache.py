@@ -45,9 +45,9 @@ from .plan import SpMVPlan, prepare
 __all__ = ["PlanCache", "PLAN_CACHE", "fingerprint_token"]
 
 #: (id(matrix), format_name, device_name, executor backend). The backend
-#: is part of the key so a numpy-built plan is never served to a jit
-#: call (and vice versa) — the two replay with different machinery even
-#: though their results are bit-identical.
+#: is part of the key so a plan built for one executor is never served to
+#: another — they replay with different machinery (and a scipy plan
+#: stores its lanes row-major) even though their results are bit-identical.
 _Key = Tuple[int, str, str, str]
 _Token = Optional[Tuple[str, int, Tuple[Tuple[str, int], ...]]]
 #: entry = (plan, fingerprint token, anchor matrix keeping id(key) alive)
@@ -148,8 +148,8 @@ class PlanCache:
         ``validate`` selects the staleness check (see module docstring).
         ``backend`` is a ``compute_backend`` request (``"auto"``,
         ``"numpy"`` or ``"jit"``), resolved to a concrete executor
-        backend *once* here so ``"auto"`` and an honourable ``"jit"``
-        share cache entries. An identity miss with a sealed container
+        backend *once* here so ``"auto"`` and ``"jit"`` share cache
+        entries whenever they resolve alike. An identity miss with a sealed container
         falls through to the content index before building: equal
         fingerprints mean equal bytes, so a plan built for a twin object
         replays bit-identically.

@@ -533,10 +533,11 @@ def record_plan_cache(event: str, count: int = 1) -> None:
 
 
 def record_backend_fallback(format_name: str, reason: str) -> None:
-    """An explicit ``compute_backend="jit"`` request served by numpy.
+    """An explicit ``compute_backend="jit"`` request served by another
+    executor (whatever ``"auto"`` resolves to: scipy or numpy).
 
     Emitted by :func:`repro.kernels.backends.resolve_backend` when the
-    compiled path is unavailable (Numba missing, or the format has no
+    Numba path is unavailable (Numba missing, or the format has no
     compiled loops) — the degradation is silent in results but visible
     here as ``exec.backend_fallback{format=..., reason=...}``.
     """

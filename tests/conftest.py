@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from repro.formats.coo import COOMatrix
+from repro.kernels import backends as _backends
 
+#: Marks a test (or class) of the ``"scipy"`` executor: skipped, with the
+#: probe's refusal reason, on a host whose SciPy row loops were refused.
+requires_scipy_executor = pytest.mark.skipif(
+    _backends.scipy_refusal() is not None,
+    reason=f"scipy executor refused: {_backends.scipy_refusal()}",
+)
 
 #: The 4x5 example matrix of paper Section 2.1 (0-based indices here).
 PAPER_A = np.array(

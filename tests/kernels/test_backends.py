@@ -1,23 +1,30 @@
-"""The pluggable executor-backend layer (PR 8 tentpole).
+"""The pluggable executor-backend layer.
 
 Three contracts, in order of importance:
 
 * **bit-identity** — for every compiled format, suite matrix and symbol
   length, the ``"jit"`` replay produces the same ``y`` bits and the same
-  :class:`KernelCounters` as the ``"numpy"`` replay. On this Numba-free
-  host the compiled aliases *are* the pure-Python twins, so forcing
+  :class:`KernelCounters` as the ``"numpy"`` replay and as the
+  ``"scipy"`` replay (SciPy's CSR row loops). On a Numba-free host the
+  compiled aliases *are* the pure-Python twins, so forcing
   ``set_backend("jit")`` drives the exact loops Numba would compile.
 * **graceful resolution** — ``resolve_backend`` maps policy requests to
-  concrete backends: ``"auto"`` degrades silently, an explicit ``"jit"``
-  that cannot be honoured degrades with an ``exec.backend_fallback``
-  counter, and nothing ever raises for a missing Numba.
+  concrete backends: ``"auto"`` degrades silently (jit, then scipy, then
+  numpy), an explicit ``"jit"`` that cannot be honoured resolves the same
+  way with an ``exec.backend_fallback`` counter, nothing ever raises for
+  a missing Numba or SciPy, and a SciPy build that fails the probe (an
+  FMA-contracting loop, say) is refused with a reason.
 * **plan wiring** — ``set_backend`` recurses through composite plans'
   ``_children()``, ``warm_compile`` records ``jit_compile_seconds`` at
   prepare() time, and legacy plans that override ``_replay`` directly
   keep working under any requested backend.
 """
 
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +37,9 @@ from repro.kernels.plan import SpMVPlan
 from repro.kernels.plancache import PlanCache
 from repro.matrices.suite import generate
 from repro.telemetry import metrics as M
-from tests.conftest import random_coo
+from tests.conftest import random_coo, requires_scipy_executor
+
+ROOT = Path(__file__).resolve().parents[2]
 
 #: A representative Table 2 slice — dense-ish, tall-sparse, and the QCD
 #: lattice — small enough that the format x sym_len sweep stays quick.
@@ -56,6 +65,11 @@ def _x_for(mat, seed=11):
     return np.random.default_rng(seed).standard_normal(mat.shape[1])
 
 
+def _auto_without_numba():
+    """What ``"auto"`` resolves to for a compiled format without Numba."""
+    return "scipy" if backends.scipy_refusal() is None else "numpy"
+
+
 # ----------------------------------------------------------------------
 # Backend resolution
 # ----------------------------------------------------------------------
@@ -73,7 +87,8 @@ class TestResolveBackend:
             pytest.skip("host has Numba")
         reg = M.start_collecting(M.MetricsRegistry())
         try:
-            assert backends.resolve_backend("auto", "bro_ell") == "numpy"
+            assert (backends.resolve_backend("auto", "bro_ell")
+                    == _auto_without_numba())
         finally:
             M.stop_collecting()
         assert not any(
@@ -86,7 +101,9 @@ class TestResolveBackend:
             pytest.skip("host has Numba")
         reg = M.start_collecting(M.MetricsRegistry())
         try:
-            assert backends.resolve_backend("jit", "bro_ell") == "numpy"
+            # Resolves as "auto" does, but counts the unhonoured request.
+            assert (backends.resolve_backend("jit", "bro_ell")
+                    == _auto_without_numba())
         finally:
             M.stop_collecting()
         key = 'exec.backend_fallback{format="bro_ell",reason="numba-missing"}'
@@ -115,13 +132,119 @@ class TestResolveBackend:
         assert not backends.supports_jit("bro_ell_rowwise")
 
 
+class _FakeSparsetools:
+    """Stands in for SciPy's ``_sparsetools``: row loops computed in
+    Python in storage order (``kind="exact"``), every row summing to
+    ``-2**-60`` as an FMA-contracting loop does on the probe's first row
+    (``"fma"``), or a changed signature (``"arity"``)."""
+
+    def __init__(self, kind):
+        self.kind = kind
+
+    def _rows(self, n_row, n_vecs, Ap, Aj, Ax, Xx, Yx):
+        if self.kind == "fma":
+            Yx[:] = -(2.0**-60)
+            return
+        X = np.asarray(Xx).reshape(-1, n_vecs)
+        Y = Yx.reshape(n_row, n_vecs)
+        for i in range(n_row):
+            for jj in range(Ap[i], Ap[i + 1]):
+                for j in range(n_vecs):
+                    Y[i, j] = Y[i, j] + float(Ax[jj]) * float(X[Aj[jj], j])
+
+    def csr_matvec(self, n_row, n_col, Ap, Aj, Ax, Xx, Yx):
+        self._rows(n_row, 1, Ap, Aj, Ax, Xx, Yx)
+
+    def csr_matvecs(self, n_row, n_col, n_vecs, Ap, Aj, Ax, Xx, Yx, *more):
+        if self.kind == "arity" and not more:
+            raise TypeError("csr_matvecs expects 9 arguments")
+        self._rows(n_row, n_vecs, Ap, Aj, Ax, Xx, Yx)
+
+
+class TestScipyProbe:
+    """The loader and the first-use probe behind the ``"scipy"`` executor."""
+
+    @pytest.fixture
+    def fresh_probe(self, monkeypatch):
+        # Numba would outrank SciPy; re-run the probe under the fake.
+        monkeypatch.setattr(backends, "jit_available", lambda: False)
+        monkeypatch.setattr(backends, "_SCIPY_STATE", None)
+
+    @pytest.mark.parametrize("kind,reason,resolved", [
+        ("fma", "scipy-fma", "numpy"),
+        ("arity", "scipy-error", "numpy"),
+        ("exact", None, "scipy"),
+    ])
+    def test_probe_vets_the_loops(self, fresh_probe, monkeypatch, kind,
+                                  reason, resolved):
+        monkeypatch.setattr(backends, "_load_sparsetools",
+                            lambda: _FakeSparsetools(kind))
+        reg = M.start_collecting(M.MetricsRegistry())
+        try:
+            assert backends.resolve_backend("auto", "bro_ell") == resolved
+        finally:
+            M.stop_collecting()
+        assert backends.scipy_refusal() == reason
+        assert not any(  # "auto" stays silent either way
+            k.startswith("exec.backend_fallback")
+            for k in reg.snapshot()["counters"]
+        )
+
+    def test_fma_loop_is_refused(self, fresh_probe, monkeypatch):
+        monkeypatch.setattr(backends, "_load_sparsetools",
+                            lambda: _FakeSparsetools("fma"))
+        plan = prepare(suite_mat("epb3", "bro_ell", 32), "k20", backend="auto")
+        assert plan.backend == "numpy"
+        assert backends.scipy_refusal() == "scipy-fma"
+        with pytest.raises(ValidationError, match="scipy-fma"):
+            plan.set_backend("scipy")
+        assert plan.backend == "numpy"
+
+    def test_missing_extension_resolves_to_numpy(self, fresh_probe,
+                                                 monkeypatch):
+        monkeypatch.setattr(backends, "_SPARSETOOLS_NAME",
+                            "scipy.sparse._no_such_extension")
+        assert backends.resolve_backend("auto", "bro_ell") == "numpy"
+        assert backends.scipy_refusal() == "scipy-missing"
+
+    @requires_scipy_executor
+    def test_auto_leaves_scipy_sparse_unimported(self):
+        """prepare -> execute -> execute_many under "auto" loads only the
+        extension: ``scipy.sparse`` (~22 MiB of RSS) is never imported."""
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from repro.formats.conversion import convert\n"
+            "from repro.kernels import prepare\n"
+            "from tests.conftest import random_coo\n"
+            "mat = convert(random_coo(60, 50, density=0.1, seed=0), 'csr')\n"
+            "plan = prepare(mat, 'k20', backend='auto')\n"
+            "plan.execute(np.ones(50))\n"
+            "plan.execute_many(np.ones((50, 3)))\n"
+            "print(plan.backend, 'scipy.sparse' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True,
+            text=True, cwd=ROOT,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                [str(ROOT / "src"), str(ROOT)])},
+        ).stdout.split()
+        expect = "jit" if backends.jit_available() else "scipy"
+        assert out == [expect, "False"]
+
+
 # ----------------------------------------------------------------------
 # Bit-identity: jit replay == numpy replay, bits and counters
 # ----------------------------------------------------------------------
 class TestBitIdentity:
     """Force ``set_backend("jit")`` so the jit code paths execute even
     without Numba (the aliases are then the interpreted twins, which pin
-    the exact loop order the compiled functions share)."""
+    the exact loop order the compiled functions share), and compare it
+    with the plan's replay on ``EXECUTOR``."""
+
+    #: the executor the jit replay is compared with; TestBitIdentityScipy
+    #: repeats every test on SciPy's row loops.
+    EXECUTOR = "numpy"
 
     @pytest.mark.parametrize("name", SUITE)
     @pytest.mark.parametrize("sym_len", [32, 64])
@@ -129,38 +252,45 @@ class TestBitIdentity:
         for fmt in BRO_FORMATS:
             mat = suite_mat(name, fmt, sym_len)
             x = _x_for(mat)
-            plan = prepare(mat, "k20")
-            y_numpy = plan.execute(x)
+            plan = prepare(mat, "k20", backend=self.EXECUTOR)
+            y_base = plan.execute(x)
             plan.set_backend("jit")
             y_jit = plan.execute(x)
-            assert np.array_equal(y_numpy.y, y_jit.y), (name, fmt, sym_len)
-            assert y_numpy.counters == y_jit.counters
+            assert np.array_equal(y_base.y, y_jit.y), (name, fmt, sym_len)
+            assert y_base.counters == y_jit.counters
 
     @pytest.mark.parametrize("fmt", PLAIN_FORMATS)
     def test_plain_formats(self, fmt):
         for seed in (0, 1):
             mat = convert(random_coo(150, 130, density=0.07, seed=seed), fmt)
             x = _x_for(mat, seed)
-            plan = prepare(mat, "k20")
-            y_numpy = plan.execute(x)
+            plan = prepare(mat, "k20", backend=self.EXECUTOR)
+            y_base = plan.execute(x)
             plan.set_backend("jit")
             y_jit = plan.execute(x)
-            assert np.array_equal(y_numpy.y, y_jit.y)
-            assert y_numpy.counters == y_jit.counters
+            assert np.array_equal(y_base.y, y_jit.y)
+            assert y_base.counters == y_jit.counters
 
     @pytest.mark.parametrize("fmt", BRO_FORMATS + PLAIN_FORMATS)
     def test_multi_rhs(self, fmt):
         mat = suite_mat("qcd5_4", fmt, 32 if fmt in BRO_FORMATS else None)
         X = np.random.default_rng(3).standard_normal((mat.shape[1], 5))
-        plan = prepare(mat, "k20")
-        Y_numpy = plan.execute_many(X)
+        plan = prepare(mat, "k20", backend=self.EXECUTOR)
+        Y_base = plan.execute_many(X)
+        for j in range(X.shape[1]):
+            assert np.array_equal(Y_base.y[:, j], plan.execute(X[:, j]).y)
         plan.set_backend("jit")
         Y_jit = plan.execute_many(X)
-        assert np.array_equal(Y_numpy.y, Y_jit.y)
-        assert Y_numpy.counters == Y_jit.counters
+        assert np.array_equal(Y_base.y, Y_jit.y)
+        assert Y_base.counters == Y_jit.counters
         # ... and each column matches a single-vector jit replay.
         for j in range(X.shape[1]):
             assert np.array_equal(Y_jit.y[:, j], plan.execute(X[:, j]).y)
+
+
+@requires_scipy_executor
+class TestBitIdentityScipy(TestBitIdentity):
+    EXECUTOR = "scipy"
 
 
 # ----------------------------------------------------------------------
@@ -194,7 +324,7 @@ class TestPlanWiring:
         assert seconds > 0.0
         assert plan.jit_compile_seconds == seconds
 
-    def test_prepare_jit_without_numba_builds_numpy_plan(self):
+    def test_prepare_jit_without_numba_builds_the_auto_plan(self):
         if backends.jit_available():
             pytest.skip("host has Numba")
         reg = M.start_collecting(M.MetricsRegistry())
@@ -203,12 +333,12 @@ class TestPlanWiring:
                            backend="jit")
         finally:
             M.stop_collecting()
-        assert plan.backend == "numpy"
+        assert plan.backend == _auto_without_numba()
         assert plan.jit_compile_seconds == 0.0
-        assert any(
-            k.startswith("exec.backend_fallback")
-            for k in reg.snapshot()["counters"]
-        )
+        counters = reg.snapshot()["counters"]
+        assert any(k.startswith("exec.backend_fallback") for k in counters)
+        # Only a jit warm-compile counts as a JIT build.
+        assert not any(k.startswith("plan.jit_builds") for k in counters)
 
     def test_prepare_jit_with_numba_warm_compiles(self, monkeypatch):
         monkeypatch.setattr(backends, "jit_available", lambda: True)

@@ -23,7 +23,10 @@ at what that layout and those lowerings can get wrong:
 For each format the plan's ``y`` bits must equal the stepwise reference
 kernel's, every SpMM column (k = 1, 3, 8) must equal the single-vector
 replay, the interpreted twin of the compiled loop must agree, and the
-``KernelCounters`` must equal the reference engine's. The ``@example``
+``KernelCounters`` must equal the reference engine's. The whole
+differential runs twice, with the same budget: on the numpy jagged
+replay and on SciPy's CSR row loops (the ``"scipy"`` executor, skipped
+where the host refuses it). The ``@example``
 cases are committed regressions and named edge shapes; Hypothesis
 explores around them with a bounded budget.
 
@@ -45,6 +48,7 @@ from repro.exec.policy import ExecutionPolicy
 from repro.formats.conversion import convert
 from repro.formats.coo import COOMatrix
 from repro.kernels import prepare, run_spmm, run_spmv
+from tests.conftest import requires_scipy_executor
 
 _REF = ExecutionPolicy(engine="reference")
 
@@ -125,14 +129,14 @@ def _block(x, k):
     return np.stack(cols, axis=1)
 
 
-def _check_format(coo, fmt, h, sigma, x):
-    _check_matrix(_convert(coo, fmt, h, sigma), x)
+def _check_format(coo, fmt, h, sigma, x, executor="numpy"):
+    _check_matrix(_convert(coo, fmt, h, sigma), x, executor)
 
 
-def _check_matrix(mat, x):
+def _check_matrix(mat, x, executor="numpy"):
     fmt = mat.format_name
     ref = run_spmv(mat, x, "k20", policy=_REF)
-    plan = prepare(mat, "k20")
+    plan = prepare(mat, "k20", backend=executor)
     fast = plan.execute(x)
     _assert_same(fast.y, ref.y, fmt)
     assert fast.counters == ref.counters, fmt
@@ -153,54 +157,77 @@ def _check_matrix(mat, x):
         _assert_same(many[:, j], plan.execute(X[:, j]).y, (fmt, "jit", j))
 
 
-@pytest.mark.parametrize("fmt", FORMATS)
-@given(case=jagged_cases())
-@settings(max_examples=25, deadline=None)
-# All-empty matrix: no slice has a column, y is all +0.0.
-@example(case=_case({}, (5, 4), h=2, x=[np.nan, np.inf, -0.0, 1.0]))
-# n = 1, one empty slice between two non-empty ones.
-@example(case=_case({0: [(0, 2.0)], 3: [(0, -0.0)]}, (4, 1), h=1,
-                    x=[np.inf]))
-# One dense row among empty rows; h >= m; non-square.
-@example(case=_case({2: [(c, 1.0 + c) for c in range(7)]}, (3, 7), h=64,
-                    x=[-0.0, 0.0, np.inf, 1.0, np.nan, -2.0, 3.0]))
-# Narrow slice before a wide one: the width sort must be stable and
-# the narrow slice's rows must still get their own lanes only.
-@example(case=_case({0: [(1, 1.0)], 2: [(0, 1.0), (1, -1.0), (2, 0.5)]},
-                    (4, 3), h=2, sigma=1, x=[np.inf, -0.0, 2.0]))
-# Shrunk from a failure of a bit-for-bit NaN comparison: inf - inf meets
-# the NaN from x in one row, and which NaN survives depends on where the
-# row sits in the arrays NumPy adds (see module docstring).
-@example(case=_case({0: [(0, 1.0), (1, -1.0), (2, 1.0)]}, (1, 3), h=1,
-                    x=[np.inf, np.inf, np.nan]))
-# A row whose only products are -0.0 (stored -0.0, and x = -0.0): its
-# sum is +0.0, never -0.0.
-@example(case=_case({0: [(0, 1.0), (1, -0.0)], 1: [(1, 2.0)]}, (2, 2),
-                    h=2, x=[-0.0, 3.0]))
-# BRO-COO pads its intervals with phantom (row, col 0, 0.0) entries;
-# x[0] = inf turns their rows NaN in the reference scatter too.
-@example(case=_case({0: [(1, 1.0)], 2: [(2, 1.0)]}, (3, 3), h=1,
-                    x=[np.inf, 1.0, 2.0]))
-# BELLPACK with n % c != 0: the last block column reads x's zero padding.
-@example(case=_case({0: [(6, 2.0)], 4: [(5, -1.0), (6, 1.0)]}, (5, 7),
-                    h=2, sigma=4, x=[1.0, 2.0, 3.0, 4.0, 5.0, np.inf, -0.0]))
-def test_jagged_replay_matches_reference(fmt, case):
-    coo, h, sigma, x = case
-    _check_format(coo, fmt, h, sigma, x)
+def _differential(executor):
+    """The Hypothesis differential, replaying on ``executor``."""
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @given(case=jagged_cases())
+    @settings(max_examples=25, deadline=None)
+    # All-empty matrix: no slice has a column, y is all +0.0.
+    @example(case=_case({}, (5, 4), h=2, x=[np.nan, np.inf, -0.0, 1.0]))
+    # n = 1, one empty slice between two non-empty ones.
+    @example(case=_case({0: [(0, 2.0)], 3: [(0, -0.0)]}, (4, 1), h=1,
+                        x=[np.inf]))
+    # One dense row among empty rows; h >= m; non-square.
+    @example(case=_case({2: [(c, 1.0 + c) for c in range(7)]}, (3, 7), h=64,
+                        x=[-0.0, 0.0, np.inf, 1.0, np.nan, -2.0, 3.0]))
+    # Narrow slice before a wide one: the width sort must be stable and
+    # the narrow slice's rows must still get their own lanes only.
+    @example(case=_case({0: [(1, 1.0)], 2: [(0, 1.0), (1, -1.0), (2, 0.5)]},
+                        (4, 3), h=2, sigma=1, x=[np.inf, -0.0, 2.0]))
+    # Shrunk from a failure of a bit-for-bit NaN comparison: inf - inf meets
+    # the NaN from x in one row, and which NaN survives depends on where the
+    # row sits in the arrays NumPy adds (see module docstring).
+    @example(case=_case({0: [(0, 1.0), (1, -1.0), (2, 1.0)]}, (1, 3), h=1,
+                        x=[np.inf, np.inf, np.nan]))
+    # A row whose only products are -0.0 (stored -0.0, and x = -0.0): its
+    # sum is +0.0, never -0.0.
+    @example(case=_case({0: [(0, 1.0), (1, -0.0)], 1: [(1, 2.0)]}, (2, 2),
+                        h=2, x=[-0.0, 3.0]))
+    # BRO-COO pads its intervals with phantom (row, col 0, 0.0) entries;
+    # x[0] = inf turns their rows NaN in the reference scatter too.
+    @example(case=_case({0: [(1, 1.0)], 2: [(2, 1.0)]}, (3, 3), h=1,
+                        x=[np.inf, 1.0, 2.0]))
+    # BELLPACK with n % c != 0: the last block column reads x's zero padding.
+    @example(case=_case({0: [(6, 2.0)], 4: [(5, -1.0), (6, 1.0)]}, (5, 7),
+                        h=2, sigma=4, x=[1.0, 2.0, 3.0, 4.0, 5.0, np.inf, -0.0]))
+    def test(fmt, case):
+        coo, h, sigma, x = case
+        _check_format(coo, fmt, h, sigma, x, executor)
+
+    return test
+
+
+test_jagged_replay_matches_reference = _differential("numpy")
+test_jagged_replay_matches_reference_on_scipy = requires_scipy_executor(
+    _differential("scipy"))
+
+
+def _unsorted_duplicates():
+    """Stored COO entries out of row order, with a repeated ``(r, c)``."""
+    coo = _case({r: [(0, 1.0), (1, 1.0)] for r in range(3)}, (3, 4), h=1)[0]
+    coo.row_idx[:] = [2, 0, 2, 1, 0, 2]
+    coo.col_idx[:] = [3, 1, 3, 0, 1, 2]
+    coo.vals[:] = [1e16, 1.0, -1e16, 2.0, -0.0, 1.0]
+    return coo, np.array([0.5, -0.0, 7.0, 1.0])
 
 
 def test_unsorted_coo_with_duplicate_entries():
     """Stored COO entries out of row order, with a repeated ``(r, c)``:
     the stable row sort must keep each row's stored order, which is the
     order the reference ``np.add.at`` scatter adds in."""
-    coo = _case({r: [(0, 1.0), (1, 1.0)] for r in range(3)}, (3, 4), h=1)[0]
-    coo.row_idx[:] = [2, 0, 2, 1, 0, 2]
-    coo.col_idx[:] = [3, 1, 3, 0, 1, 2]
-    coo.vals[:] = [1e16, 1.0, -1e16, 2.0, -0.0, 1.0]
-    x = np.array([0.5, -0.0, 7.0, 1.0])
+    coo, x = _unsorted_duplicates()
     _check_matrix(coo, x)
     # Stored order gives 1e16 - 1e16 + 7; column order would lose the 7.
     assert prepare(coo, "k20").execute(x).y[2] == 7.0
+
+
+@requires_scipy_executor
+def test_unsorted_coo_with_duplicate_entries_on_scipy():
+    """The same stored order survives the row-major (CSR) lane layout."""
+    coo, x = _unsorted_duplicates()
+    _check_matrix(coo, x, "scipy")
+    assert prepare(coo, "k20", backend="scipy").execute(x).y[2] == 7.0
 
 
 def test_corrupt_column_index_is_rejected_at_build():
@@ -233,4 +260,17 @@ def test_corrupt_stored_column_is_rejected_at_build(fmt, bad):
     cols = _stored_columns(mat)  # a view of the stored index array
     cols.reshape(-1)[0] = bad
     with pytest.raises(IndexError, match="out of range"):
+        prepare(mat, "k20")
+
+
+@pytest.mark.parametrize("bad", [[0, 0, 2], [0, 1, 3]])
+def test_corrupt_row_permutation_is_rejected_at_build(bad):
+    """A SELL-C-sigma ``row_ids`` table mutated after construction into a
+    repeated or out-of-range row fails the build: the row-major lane
+    layout needs every output row at most once."""
+    coo, _, _, _ = _case({0: [(0, 1.0)], 1: [(1, 2.0)], 2: [(2, 3.0)]},
+                         (3, 3), h=1)
+    mat = convert(coo, "sell_c_sigma", c=1, sigma=1)
+    mat.row_ids[:] = bad  # the stored table, not a copy
+    with pytest.raises(IndexError, match="out of range or repeated"):
         prepare(mat, "k20")

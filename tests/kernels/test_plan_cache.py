@@ -186,16 +186,19 @@ class TestBackendKeying:
         assert cache.get_or_build(mat, "k20", backend="jit") is p_auto
         assert cache.stats()["builds"] == 1
 
-    def test_unfulfillable_jit_shares_the_numpy_entry(self):
+    def test_unfulfillable_jit_shares_the_auto_entry(self):
         from repro.kernels import backends
 
         if backends.jit_available():
             pytest.skip("host has Numba")
         cache = PlanCache()
         mat = small_matrix()
-        p_numpy = cache.get_or_build(mat, "k20", backend="numpy")
-        # Without Numba, "jit" resolves to numpy — same key, zero rebuilds.
-        assert cache.get_or_build(mat, "k20", backend="jit") is p_numpy
+        p_auto = cache.get_or_build(mat, "k20", backend="auto")
+        assert p_auto.backend == (
+            "scipy" if backends.scipy_refusal() is None else "numpy")
+        # Without Numba, "jit" resolves as "auto" does (scipy, or numpy
+        # where SciPy's loops are refused) — same key, zero rebuilds.
+        assert cache.get_or_build(mat, "k20", backend="jit") is p_auto
         assert cache.stats()["builds"] == 1
 
     def test_eviction_is_per_backend_entry(self, monkeypatch):

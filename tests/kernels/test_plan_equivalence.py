@@ -1,7 +1,9 @@
 """The prepared-plan (fast) engine must be indistinguishable from the
 stepwise reference engine: bit-identical ``y`` (no tolerance) and equal
 ``KernelCounters`` for every suite matrix, every BRO format, and both
-symbol lengths — the tentpole acceptance criterion.
+symbol lengths — the tentpole acceptance criterion. The suite sweep
+runs on the numpy jagged replay and again on SciPy's CSR row loops (the
+``"scipy"`` executor, skipped where the host refuses it).
 """
 
 from functools import lru_cache
@@ -22,7 +24,7 @@ from repro.kernels.plancache import PlanCache
 from repro.matrices.suite import TABLE2, generate
 from repro.telemetry import metrics as M
 from repro.exec.policy import ExecutionPolicy
-from tests.conftest import random_coo
+from tests.conftest import random_coo, requires_scipy_executor
 
 _REF = ExecutionPolicy(engine="reference")
 
@@ -85,6 +87,10 @@ class TestRegistry:
 class TestSuiteEquivalence:
     """The headline sweep: every Table 2 matrix x BRO format x sym_len."""
 
+    #: the executor the plans replay on; TestSuiteEquivalenceScipy
+    #: repeats the sweep on SciPy's row loops.
+    EXECUTOR = "numpy"
+
     @pytest.mark.parametrize("name", sorted(TABLE2))
     @pytest.mark.parametrize("sym_len", [32, 64])
     def test_suite_matrix_bit_identical(self, name, sym_len):
@@ -92,7 +98,7 @@ class TestSuiteEquivalence:
             mat = suite_format(name, fmt, sym_len)
             x = _x_for(mat)
             ref = run_spmv(mat, x, "k20", policy=_REF)
-            plan = prepare(mat, "k20")
+            plan = prepare(mat, "k20", backend=self.EXECUTOR)
             fast = plan.execute(x)
             assert np.array_equal(ref.y, fast.y), (name, fmt, sym_len)
             assert ref.counters == fast.counters, (name, fmt, sym_len)
@@ -104,7 +110,7 @@ class TestSuiteEquivalence:
             mat = convert(coo, fmt)
             x = _x_for(mat, seed)
             ref = run_spmv(mat, x, "k20", policy=_REF)
-            fast = prepare(mat, "k20").execute(x)
+            fast = prepare(mat, "k20", backend=self.EXECUTOR).execute(x)
             assert np.array_equal(ref.y, fast.y)
             assert ref.counters == fast.counters
 
@@ -113,7 +119,7 @@ class TestSuiteEquivalence:
         mat = suite_format("sme3Da", "bro_ell", 32)
         x = _x_for(mat)
         ref = run_spmv(mat, x, device, policy=_REF)
-        fast = prepare(mat, device).execute(x)
+        fast = prepare(mat, device, backend=self.EXECUTOR).execute(x)
         assert np.array_equal(ref.y, fast.y)
         assert ref.counters == fast.counters
 
@@ -129,9 +135,14 @@ class TestSuiteEquivalence:
                 mat = convert(coo, fmt, **kwargs)
                 x = np.ones(coo.shape[1])
                 ref = run_spmv(mat, x, "k20", policy=_REF)
-                fast = prepare(mat, "k20").execute(x)
+                fast = prepare(mat, "k20", backend=self.EXECUTOR).execute(x)
                 assert np.array_equal(ref.y, fast.y)
                 assert ref.counters == fast.counters
+
+
+@requires_scipy_executor
+class TestSuiteEquivalenceScipy(TestSuiteEquivalence):
+    EXECUTOR = "scipy"
 
 
 class TestDispatchEngines:

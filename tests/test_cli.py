@@ -160,6 +160,16 @@ class TestFormatsCommand:
         for fmt in ("bro_ell", "bro_coo", "bro_hyb", "csr", "hyb"):
             assert fmt in out
 
+    def test_formats_reports_the_host_executor(self, capsys, monkeypatch):
+        from repro.kernels import backends
+
+        monkeypatch.setattr(backends, "jit_available", lambda: False)
+        monkeypatch.setattr(backends, "_SCIPY_STATE", (None, "scipy-fma"))
+        assert main(["formats"]) == 0
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert last.startswith("host executor: numpy")
+        assert "scipy-fma" in last
+
     def test_formats_json_matches_registry(self, capsys):
         import json
 
