@@ -246,16 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["auto", "broadcast", "halo"],
                    help="x-distribution strategy for --devices > 1")
     p.add_argument("--engine", default="auto",
-                   choices=["auto", "fast", "reference"],
+                   choices=["auto", "reference"],
                    help="execution engine (default auto)")
     p.add_argument("--backend", default="thread",
                    choices=["thread", "process"],
                    help="sharded execution backend for --devices > 1 "
                         "(default thread)")
-    p.add_argument("--plan-cache", default="on", choices=["on", "off"],
-                   dest="plan_cache",
-                   help="use the process-wide prepared-plan cache "
-                        "(default on)")
     p.add_argument("--trace", action="store_true",
                    help="print the format's per-block profile (formats with "
                         "a registered tracer; see `repro formats`)")
@@ -552,8 +548,6 @@ def _cmd_spmv(args: argparse.Namespace) -> int:
         backend=args.backend,
     )
     sess = Session(device=args.device, policy=policy)
-    if args.plan_cache == "off":
-        sess.policy = sess.policy.with_(plan_cache=None)
     sess.load(args.matrix, scale=args.scale)
     # A .brx container may already hold a sharded matrix; leave it alone.
     if sess.format_name not in (args.format, "sharded"):

@@ -38,7 +38,7 @@ __all__ = ["ExecutionPolicy"]
 VERIFY_LEVELS = (False, "structure", "checksum", "full")
 
 #: Accepted ``engine`` selectors.
-ENGINES = ("auto", "fast", "reference")
+ENGINES = ("auto", "reference")
 
 #: Accepted sharded-execution backends.
 BACKENDS = ("thread", "process")
@@ -70,9 +70,10 @@ class ExecutionPolicy:
     Parameters
     ----------
     engine:
-        ``"auto"`` (default) — fast engine when a plan source is present
-        and the format has a plan builder; ``"fast"`` — prepared-plan
-        replay; ``"reference"`` — always the stepwise kernels.
+        ``"auto"`` (default) — replay a prepared plan for every format
+        with a plan builder (the stepwise kernels otherwise);
+        ``"reference"`` — always the stepwise kernels, re-decoding on
+        every call.
     verify:
         Integrity level applied before dispatch: ``False`` (default),
         ``"structure"``, ``True``/``"checksum"`` or ``"full"``.
@@ -83,8 +84,9 @@ class ExecutionPolicy:
         Explicit :class:`~repro.kernels.plan.SpMVPlan` to replay.
     plan_cache:
         :class:`~repro.kernels.plancache.PlanCache` to build/reuse plans
-        from; ``None`` falls back to the process-wide cache when the
-        fast engine is selected.
+        from; ``None`` uses the process-wide
+        :data:`~repro.kernels.plancache.PLAN_CACHE`. The reference
+        engine ignores it.
     devices:
         Number of simulated devices. ``1`` (default) executes exactly as
         before; ``> 1`` routes through the sharded engine
@@ -129,12 +131,14 @@ class ExecutionPolicy:
         corrupted shard results — for failover testing.
     compute_backend:
         Executor backend for prepared-plan replay
-        (:mod:`repro.kernels.backends`): ``"auto"`` (default) uses the
-        Numba-compiled loops when Numba is importable and the format has
-        them, else interpreted NumPy; ``"numpy"`` forces the interpreted
-        path; ``"jit"`` requests compiled loops and falls back to NumPy
-        (counter-visible, never an exception) when they are unavailable.
-        Results are bit-identical across backends.
+        (:mod:`repro.kernels.backends`): ``"auto"`` (default) picks the
+        Numba-compiled loops when Numba is importable, else SciPy's
+        compiled CSR row loops when they pass their first-use probe,
+        else interpreted NumPy; ``"numpy"`` forces the interpreted path;
+        ``"jit"`` requests compiled loops and, when they are unavailable,
+        resolves like ``"auto"`` (counter-visible as
+        ``exec.backend_fallback``, never an exception). Results are
+        bit-identical across backends.
     """
 
     engine: str = "auto"

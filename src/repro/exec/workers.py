@@ -136,7 +136,6 @@ def _worker_main(
     import threading
 
     from ..kernels.dispatch import run_spmm, run_spmv
-    from ..kernels.plancache import PLAN_CACHE
     from ..serialize import load_container
 
     def _beat() -> None:
@@ -146,18 +145,11 @@ def _worker_main(
 
     threading.Thread(target=_beat, daemon=True).start()
 
-    if engine == "reference":
-        policy = ExecutionPolicy(engine="reference")
-    else:
-        # Each worker resolves the backend request against its *own*
-        # environment (Numba may be importable here but not on the
-        # coordinator, or vice versa) — the result is bit-identical
-        # either way, so mixed fleets stay correct.
-        policy = ExecutionPolicy(
-            engine=engine,
-            plan_cache=PLAN_CACHE,
-            compute_backend=compute_backend,
-        )
+    # Each worker resolves the backend request against its *own*
+    # environment (Numba may be importable here but not on the
+    # coordinator, or vice versa) — the result is bit-identical either
+    # way, so mixed fleets stay correct.
+    policy = ExecutionPolicy(engine=engine, compute_backend=compute_backend)
     verify_policy = policy.with_(verify="checksum")
     shards: Dict[int, SparseFormat] = {}
 

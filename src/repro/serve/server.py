@@ -86,7 +86,9 @@ class ServerCore:
         self.device = get_device(self.config.device)
         self.metrics = MetricsRegistry()
         base = self.config.resolved_policy()
-        if base.plan_cache is None and base.engine != "reference":
+        if base.plan_cache is None:
+            # The pool's cache, not the process-wide one, so that pool
+            # invalidation reaches every plan the server replays.
             base = base.with_(plan_cache=pool.plan_cache)
         self._base_policy = base
         self._batcher = MicroBatcher(

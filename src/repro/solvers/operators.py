@@ -18,7 +18,6 @@ from ..exec.policy import ExecutionPolicy
 from ..formats.base import SparseFormat
 from ..gpu.device import DeviceSpec
 from ..pipeline import Session
-from ..registry import has_planner
 from ..kernels.plancache import PlanCache
 
 __all__ = ["FormatOperator", "SimulatedOperator"]
@@ -45,10 +44,11 @@ class SimulatedOperator(FormatOperator):
     :func:`~repro.kernels.dispatch.run_spmv` — the integrity boundary — so
     operator-driven solves honor the same ``verify``/``fallback``
     protections as direct dispatch, and the dispatch span shows up in
-    traces. Plannable formats use the prepared execution engine by
-    default: the first call builds (or fetches) the plan from
-    ``plan_cache`` and subsequent iterations replay it, which is what
-    makes a many-iteration CG/BiCGSTAB solve fast in host wall-clock.
+    traces. Plannable formats replay a prepared plan by default: the
+    first call builds (or fetches) it from the policy's ``plan_cache``
+    (the process-wide one when unset) and subsequent iterations replay
+    it, which is what makes a many-iteration CG/BiCGSTAB solve fast in
+    host wall-clock.
     Pass ``policy=ExecutionPolicy(engine="reference")`` to force the
     stepwise kernels, or ``devices=N`` in the policy to shard the solve
     across simulated devices (``backend="process"`` for the
@@ -63,12 +63,7 @@ class SimulatedOperator(FormatOperator):
         policy: Optional[ExecutionPolicy] = None,
     ) -> None:
         super().__init__(matrix)
-        pol = policy if policy is not None else ExecutionPolicy()
-        if pol.engine == "auto":
-            pol = pol.with_(
-                engine="fast" if has_planner(matrix.format_name) else "reference"
-            )
-        self.session = Session(device, policy=pol).use(matrix)
+        self.session = Session(device, policy=policy).use(matrix)
 
     @property
     def device(self) -> DeviceSpec:

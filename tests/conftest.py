@@ -5,6 +5,7 @@ import pytest
 
 from repro.formats.coo import COOMatrix
 from repro.kernels import backends as _backends
+from repro.kernels.plancache import PLAN_CACHE
 
 #: Marks a test (or class) of the ``"scipy"`` executor: skipped, with the
 #: probe's refusal reason, on a host whose SciPy row loops were refused.
@@ -22,6 +23,18 @@ PAPER_A = np.array(
         [0.0, 0.0, 0.0, 8.0, 3.0],
     ]
 )
+
+
+@pytest.fixture(autouse=True)
+def _fresh_plan_cache():
+    """Start every test with an empty process-wide plan cache.
+
+    Default-policy dispatch builds and reuses plans there, and its
+    content index serves a sealed twin's plan to any container carrying
+    the same header. Without this, a test's result could depend on which
+    plans earlier tests left behind.
+    """
+    PLAN_CACHE.clear()
 
 
 @pytest.fixture

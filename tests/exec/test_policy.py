@@ -89,7 +89,7 @@ class TestPolicyValidation:
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            ExecutionPolicy().engine = "fast"
+            ExecutionPolicy().engine = "reference"
 
     def test_describe_is_jsonable(self):
         import json

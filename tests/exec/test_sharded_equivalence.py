@@ -77,7 +77,7 @@ class TestDispatchBitIdentity:
     def test_fast_and_reference_engines_agree_sharded(self, coo, x):
         mat = convert(coo, "bro_ell")
         fast = run_spmv(mat, x, "k20",
-                        policy=ExecutionPolicy(engine="fast", devices=4))
+                        policy=ExecutionPolicy(devices=4))
         ref = run_spmv(mat, x, "k20",
                        policy=ExecutionPolicy(engine="reference", devices=4))
         assert np.array_equal(fast.y, ref.y)

@@ -403,6 +403,28 @@ class TestPolicyFallback:
             for k in reg.snapshot()["counters"]
         )
 
+    @pytest.mark.skipif(backends.jit_available(),
+                        reason="Numba is importable: jit is honoured")
+    def test_bare_jit_policy_records_fallback_without_numba(self):
+        # The CI "Fallback pin" script, as a test: no plan source in the
+        # policy, so only the default engine's plan lookup resolves the
+        # backend request and can record the fallback.
+        mat = convert(generate("dense2", scale=0.05, seed=0), "bro_ell")
+        x = np.random.default_rng(0).standard_normal(mat.shape[1])
+        y_np = run_spmv(mat, x, "k20",
+                        policy=ExecutionPolicy(compute_backend="numpy")).y
+        reg = M.start_collecting(M.MetricsRegistry())
+        try:
+            y_jit = run_spmv(mat, x, "k20",
+                             policy=ExecutionPolicy(compute_backend="jit")).y
+        finally:
+            M.stop_collecting()
+        assert np.array_equal(y_np, y_jit)
+        assert any(
+            k.startswith("exec.backend_fallback")
+            for k in reg.snapshot()["counters"]
+        )
+
     def test_auto_policy_is_default_and_silent(self):
         assert ExecutionPolicy().compute_backend == "auto"
         mat = suite_mat("dense2", "bro_ell", 32)

@@ -20,7 +20,7 @@ from repro.kernels import (
     prepare,
     run_spmv,
 )
-from repro.kernels.plancache import PlanCache
+from repro.kernels.plancache import PLAN_CACHE, PlanCache
 from repro.matrices.suite import TABLE2, generate
 from repro.telemetry import metrics as M
 from repro.exec.policy import ExecutionPolicy
@@ -69,9 +69,12 @@ class TestRegistry:
         assert not has_planner("ellpack_r")
         with pytest.raises(KernelError, match="no prepared-plan builder"):
             prepare(mat, "k20")
-        with pytest.raises(KernelError, match="engine='fast'"):
-            run_spmv(mat, _x_for(mat), "k20",
-                     policy=ExecutionPolicy(engine="fast"))
+
+    def test_engine_fast_is_rejected(self):
+        # "auto" replays the plan for every plannable format, so "fast"
+        # would be a second spelling of it; the policy refuses it typed.
+        with pytest.raises(ValidationError, match="engine must be one of"):
+            ExecutionPolicy(engine="fast")
 
     def test_auto_engine_falls_back_to_reference(self, random_matrix, monkeypatch):
         # auto + unplannable format must still work (reference engine).
@@ -151,15 +154,32 @@ class TestDispatchEngines:
         x = _x_for(mat)
         cache = PlanCache()
         ref = run_spmv(mat, x, "k20", policy=_REF)
-        fast = run_spmv(mat, x, "k20",
-                        policy=ExecutionPolicy(engine="fast", plan_cache=cache))
-        again = run_spmv(mat, x, "k20",
-                        policy=ExecutionPolicy(engine="fast", plan_cache=cache))
+        fast = run_spmv(mat, x, "k20", policy=ExecutionPolicy(plan_cache=cache))
+        again = run_spmv(mat, x, "k20", policy=ExecutionPolicy(plan_cache=cache))
         assert np.array_equal(ref.y, fast.y)
         assert np.array_equal(ref.y, again.y)
         assert ref.counters == fast.counters == again.counters
         assert cache.stats()["builds"] == 1
         assert cache.stats()["hits"] == 1
+
+    @pytest.mark.parametrize("fmt", sorted(BRO_FORMATS + BASELINE_FORMATS))
+    def test_default_policy_builds_once_then_hits(self, fmt):
+        # No plan source in the policy: the process-wide cache serves it.
+        mat = convert(random_coo(140, 120, density=0.06, seed=5), fmt)
+        x = _x_for(mat)
+        before = PLAN_CACHE.stats()
+        first = run_spmv(mat, x, "k20")
+        mid = PLAN_CACHE.stats()
+        second = run_spmv(mat, x, "k20")
+        after = PLAN_CACHE.stats()
+        assert mid["builds"] - before["builds"] == 1
+        assert mid["hits"] == before["hits"]
+        assert after["builds"] == mid["builds"]
+        assert after["hits"] - mid["hits"] == 1
+        ref = run_spmv(mat, x, "k20", policy=_REF)
+        assert np.array_equal(first.y, ref.y)
+        assert np.array_equal(second.y, ref.y)
+        assert first.counters == second.counters == ref.counters
 
     def test_explicit_plan_argument(self):
         mat = suite_format("rim", "bro_coo", 32)
@@ -206,7 +226,7 @@ class TestDispatchEngines:
         res = run_spmv(
             mat, x, "k20",
             policy=ExecutionPolicy(verify="structure", fallback=fb,
-                                   engine="fast", plan_cache=PlanCache()),
+                                   plan_cache=PlanCache()),
         )
         assert res.fallback_used
         np.testing.assert_allclose(res.y, coo.spmv(x))

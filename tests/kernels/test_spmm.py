@@ -51,7 +51,7 @@ class TestColumnEquivalence:
         _, mat = make("bro_ell")
         X = np.random.default_rng(7).standard_normal((80, 5))
         fast = run_spmm(mat, X, "k20",
-                        policy=ExecutionPolicy(engine="fast", plan_cache=PlanCache()))
+                        policy=ExecutionPolicy(plan_cache=PlanCache()))
         ref = run_spmm(mat, X, "k20", policy=_REF)
         assert np.array_equal(fast.y, ref.y)
         assert fast.counters == ref.counters

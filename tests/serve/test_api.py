@@ -24,7 +24,7 @@ class TestRequest:
         rng = np.random.default_rng(0)
         x = rng.standard_normal(37)
         req = SpMVRequest(request_id="r1", matrix="qcd5_4", x=x,
-                          tenant="acme", policy={"engine": "fast"})
+                          tenant="acme", policy={"engine": "reference"})
         # Through real JSON text, not just dict round-tripping: Python
         # float repr is shortest-round-trip, so bytes survive exactly.
         frame = json.loads(json.dumps(req.to_wire()))
@@ -32,7 +32,7 @@ class TestRequest:
         assert back.request_id == "r1"
         assert back.matrix == "qcd5_4"
         assert back.tenant == "acme"
-        assert back.policy == {"engine": "fast"}
+        assert back.policy == {"engine": "reference"}
         assert np.array_equal(back.x, x)
 
     def test_batch_request_round_trips(self):
@@ -115,8 +115,8 @@ class TestResponse:
 
 class TestPolicyKey:
     def test_spelling_invariant(self):
-        a = policy_key({"engine": "fast", "devices": 2})
-        b = policy_key({"devices": 2, "engine": "fast"})
+        a = policy_key({"engine": "reference", "devices": 2})
+        b = policy_key({"devices": 2, "engine": "reference"})
         assert a == b
 
     def test_empty_and_none_share_a_key(self):

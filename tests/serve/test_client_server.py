@@ -147,6 +147,17 @@ class TestSpmvOverSocket:
         assert resp.status == "error"
         assert resp.error_type == "ServeError"
 
+    def test_engine_fast_override_is_rejected_typed(self, server, xs):
+        # "fast" is not an engine: the default "auto" already replays
+        # the prepared plan. The request fails typed; the server serves on.
+        with ServeClient("127.0.0.1", server.port) as c:
+            bad = c.spmv(MATRIX, xs[0], policy={"engine": "fast"})
+            good = c.spmv(MATRIX, xs[0])
+        assert bad.status == "error"
+        assert bad.error_type == "ValidationError"
+        assert "engine must be one of" in bad.error
+        assert good.ok
+
     def test_pipeline_rejects_duplicate_ids(self, server, xs):
         reqs = [SpMVRequest(request_id="dup", matrix=MATRIX, x=xs[0])] * 2
         with ServeClient("127.0.0.1", server.port) as c:

@@ -38,12 +38,13 @@ class TestSimulatedOperator:
         x = np.random.default_rng(1).standard_normal(72)
         fast = SimulatedOperator(mat, "k20", policy=ExecutionPolicy(plan_cache=PlanCache()))
         ref = SimulatedOperator(mat, "k20", policy=ExecutionPolicy(engine="reference"))
-        assert fast.engine == "fast"
+        assert fast.engine == "auto"
         assert ref.engine == "reference"
         assert np.array_equal(fast(x), ref(x))
         # Equal counters => equal predicted device time and traffic.
         assert fast.device_time == ref.device_time
         assert fast.dram_bytes == ref.dram_bytes
+        assert fast.plan_cache.stats()["builds"] == 1
 
     def test_unplannable_format_falls_back_to_reference_engine(self, monkeypatch):
         # Every shipped format with a kernel now has a planner; unbind one
@@ -52,11 +53,12 @@ class TestSimulatedOperator:
 
         monkeypatch.setattr(_registry.get_spec("ellpack_r"), "planner", None)
         _, mat = workload(fmt="ellpack_r")
-        op = SimulatedOperator(mat, "k20")
-        assert op.engine == "reference"
+        cache = PlanCache()
+        op = SimulatedOperator(mat, "k20", policy=ExecutionPolicy(plan_cache=cache))
         x = np.ones(72)
         op(x)
         assert op.spmv_calls == 1
+        assert cache.stats()["builds"] == 0  # the stepwise kernels ran
 
     def test_repeated_calls_hit_the_plan_cache(self):
         _, mat = workload()
