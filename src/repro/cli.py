@@ -373,8 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
         "profile", parents=[matrix_p, device_p, conv_parent(), json_p],
         help="trace one full pipeline run and attribute time",
     )
-    p.add_argument("--storage", dest="format", metavar="FORMAT",
-                   help="alias for --format")
     p.add_argument("--export", default="table",
                    choices=["table", "json", "chrome", "prom"],
                    help="trace export format (default table; --json is "

@@ -49,9 +49,9 @@ class KernelCounters:
     interconnect_bytes: int = 0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValidationError(f"counter {f.name} must be non-negative")
+        for name in _FIELD_NAMES:
+            if getattr(self, name) < 0:
+                raise ValidationError(f"counter {name} must be non-negative")
 
     @property
     def dram_bytes(self) -> int:
@@ -119,6 +119,11 @@ class KernelCounters:
 
     def to_dict(self) -> Dict[str, int]:
         """Plain-int view of every counter field plus the derived totals."""
-        out = {f.name: int(getattr(self, f.name)) for f in fields(self)}
+        out = {name: int(getattr(self, name)) for name in _FIELD_NAMES}
         out["dram_bytes"] = self.dram_bytes
         return out
+
+
+#: Counter field names, resolved once: records are built per slice and
+#: per interval, and ``dataclasses.fields`` is slow on that path.
+_FIELD_NAMES = tuple(f.name for f in fields(KernelCounters))

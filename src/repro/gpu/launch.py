@@ -17,7 +17,12 @@ from ..errors import KernelError
 from ..utils.bits import ceil_div
 from .device import DeviceSpec
 
-__all__ = ["LaunchConfig", "occupancy_factor"]
+__all__ = ["ROW_BLOCK_THREADS", "LaunchConfig", "occupancy_factor"]
+
+#: Block size of the one-thread-per-row kernels (ELLPACK, ELLPACK-R,
+#: BELLPACK): the CUSP launch shape, and the block the texture-cache model
+#: groups their ``x`` reads by.
+ROW_BLOCK_THREADS = 256
 
 
 @dataclass(frozen=True)
@@ -39,7 +44,9 @@ class LaunchConfig:
         return self.threads_per_block * self.num_blocks
 
     @classmethod
-    def for_rows(cls, m: int, threads_per_block: int = 256) -> "LaunchConfig":
+    def for_rows(
+        cls, m: int, threads_per_block: int = ROW_BLOCK_THREADS
+    ) -> "LaunchConfig":
         """One thread per matrix row (ELL-family kernels)."""
         if m <= 0:
             raise KernelError("matrix must have at least one row")

@@ -17,14 +17,11 @@ from typing import List
 import numpy as np
 
 from .. import registry as _registry
-from ..bitstream.reader import SliceDecoder
 from ..core.bro_coo import BROCOOMatrix
 from ..core.bro_ell import BROELLMatrix
 from ..errors import ValidationError
-from ..gpu.device import DECODE_OPS_PER_ITER, DECODE_OPS_PER_LOAD, DeviceSpec
-from ..gpu.memory import contiguous_transactions
-from ..gpu.texcache import TextureCacheModel
-from ..utils.bits import ceil_div
+from .counters import KernelCounters
+from .device import DeviceSpec
 
 __all__ = [
     "SliceTrace",
@@ -70,59 +67,42 @@ class SliceTrace:
 
 
 def trace_bro_ell(matrix: BROELLMatrix, device: DeviceSpec) -> List[SliceTrace]:
-    """Profile every slice of a BRO-ELL matrix on a device.
+    """Profile every slice of a BRO-ELL (or BRO-ELL-VC) matrix on a device.
 
-    Decodes each slice (exactly as the kernel does) and reports where the
-    traffic and decode work would land.
+    Each row carries the slice's terms of the kernel's traffic model
+    (:func:`~repro.kernels.spmv_bro_ell.bro_slice_counters`), so the rows
+    sum to the kernel's index, value, ``x`` and decode counters.
     """
+    # Imported here: repro.kernels imports this package at module scope.
+    from ..kernels.spmv_bro_ell import (
+        bro_ell_blocks,
+        bro_slice_counters,
+        unpack_block,
+    )
+
     if not isinstance(matrix, BROELLMatrix):
         raise ValidationError("trace_bro_ell needs a BROELLMatrix")
-    tex = TextureCacheModel(device)
-    tb = device.transaction_bytes
-    ws = device.warp_size
-    sym_bytes = matrix.sym_len // 8
-    traces: List[SliceTrace] = []
-    for i in range(matrix.num_slices):
-        r0 = int(matrix.slice_edges[i])
-        r1 = int(matrix.slice_edges[i + 1])
-        h_i = r1 - r0
-        L = int(matrix.num_col[i])
-        bit_alloc = matrix.bit_allocs[i]
-        if L == 0:
-            traces.append(
-                SliceTrace(i, h_i, 0, 0, 0.0, 0, 0, 0, 0, 0.0)
-            )
-            continue
-        dec = SliceDecoder(matrix.stream.slice_view(i), h=h_i,
-                           sym_len=matrix.sym_len)
-        cols, valid = matrix.decode_slice_cols(i)
-        # Drain the decoder to count the loads a kernel would issue.
-        for c in range(L):
-            dec.decode(int(bit_alloc[c]))
+    edges = matrix.slice_edges
+    traces = [
+        SliceTrace(i, int(edges[i + 1] - edges[i]), 0, 0, 0.0, 0, 0, 0, 0, 0.0)
+        for i in range(matrix.num_slices)
+    ]
+    for i, rows, bit_alloc, view, _, channel in bro_ell_blocks(matrix):
+        h_i, L = rows.shape[0], bit_alloc.shape[0]
+        cols, valid, loads = unpack_block(view, bit_alloc, h_i, matrix.sym_len)
+        c = bro_slice_counters(cols, valid, loads, matrix.sym_len, device, channel)
         nnz = int(valid.sum())
-        val_per_iter = ceil_div(ws * 8, tb)
-        warps = ceil_div(h_i, ws)
-        pad_rows = warps * ws - h_i
-        warp_valid = np.any(
-            np.vstack([valid, np.zeros((pad_rows, L), dtype=bool)])
-            .reshape(warps, ws, L),
-            axis=1,
-        )
-        traces.append(
-            SliceTrace(
-                slice_id=i,
-                rows=h_i,
-                num_col=L,
-                nnz=nnz,
-                mean_bits=float(bit_alloc.mean()),
-                stream_bytes=dec.symbol_loads
-                * contiguous_transactions(h_i, sym_bytes, ws, tb) * tb,
-                value_bytes=int(warp_valid.sum()) * val_per_iter * tb,
-                x_bytes=tex.block_x_bytes(np.where(valid, cols, 0), valid),
-                decode_ops=DECODE_OPS_PER_ITER * h_i * L
-                + DECODE_OPS_PER_LOAD * dec.symbol_loads * h_i,
-                padding_fraction=1.0 - nnz / (h_i * L),
-            )
+        traces[i] = SliceTrace(
+            slice_id=i,
+            rows=h_i,
+            num_col=L,
+            nnz=nnz,
+            mean_bits=float(bit_alloc.mean()),
+            stream_bytes=c.index_bytes,
+            value_bytes=c.value_bytes,
+            x_bytes=c.x_bytes,
+            decode_ops=c.decode_ops,
+            padding_fraction=1.0 - nnz / (h_i * L),
         )
     return traces
 
@@ -169,46 +149,36 @@ class IntervalTrace:
 def trace_bro_coo(matrix: BROCOOMatrix, device: DeviceSpec) -> List[IntervalTrace]:
     """Profile every interval of a BRO-COO matrix on a device.
 
-    Decodes each interval's row stream (exactly as the kernel does) and
-    reports where the traffic, decode work and atomic pressure would land.
+    Each row carries the interval's terms of the kernel's traffic model
+    (:func:`~repro.kernels.spmv_bro_coo.bro_coo_interval_counters`), so the
+    rows sum to the kernel's counters, plus the interval's atomic pressure.
     """
+    from ..kernels.spmv_bro_coo import bro_coo_interval_counters, unpack_interval
+
     if not isinstance(matrix, BROCOOMatrix):
         raise ValidationError("trace_bro_coo needs a BROCOOMatrix")
-    tex = TextureCacheModel(device)
-    tb = device.transaction_bytes
     w = matrix.warp_size
-    sym_bytes = matrix.stream.sym_len // 8
-    val_per_iter = ceil_div(w * 8, tb)
     traces: List[IntervalTrace] = []
-    for i, lo, hi, stream_view in matrix.iter_intervals():
-        L = matrix.interval_lanes(i)
-        b = int(matrix.bit_alloc[i])
-        dec = SliceDecoder(stream_view, h=w, sym_len=matrix.stream.sym_len)
-        for _ in range(L):
-            dec.decode(b)
-        rows_2d = matrix.decode_interval_rows(i)  # (w, L)
+    for i, lo, hi, _ in matrix.iter_intervals():
+        rows_2d, loads = unpack_interval(matrix, i)  # (w, L)
+        L = rows_2d.shape[1]
+        c = bro_coo_interval_counters(matrix, i, rows_2d, loads, device)
         flat_rows = rows_2d.T.reshape(-1)[: hi - lo]
         # One atomic per row change down each lane, plus the final flush.
         atomics = int((rows_2d[:, 1:] != rows_2d[:, :-1]).sum()) + w if L else 0
-        cols_2d = np.zeros((w, L), dtype=np.int64)
-        cols_2d.T.reshape(-1)[: hi - lo] = matrix.col_idx[lo:hi]
-        valid = np.ones((w, L), dtype=bool)  # phantom lanes still read x
         traces.append(
             IntervalTrace(
                 interval_id=i,
                 entries=hi - lo,
                 nnz=max(0, min(hi, matrix.nnz) - lo),
                 lanes=L,
-                bits=b,
+                bits=int(matrix.bit_alloc[i]),
                 segments=int(np.unique(flat_rows).shape[0]) if L else 0,
                 atomics=atomics,
-                stream_bytes=dec.symbol_loads
-                * contiguous_transactions(w, sym_bytes, device.warp_size, tb) * tb,
-                value_bytes=L * val_per_iter * tb,
-                x_bytes=tex.warp_sequence_fetches(cols_2d, valid)
-                * device.tex_line_bytes,
-                decode_ops=DECODE_OPS_PER_ITER * w * L
-                + DECODE_OPS_PER_LOAD * dec.symbol_loads * w,
+                stream_bytes=c.index_bytes,
+                value_bytes=c.value_bytes,
+                x_bytes=c.x_bytes,
+                decode_ops=c.decode_ops,
             )
         )
     return traces
@@ -255,13 +225,16 @@ class PartTrace:
 def trace_hyb(matrix, device: DeviceSpec) -> List[PartTrace]:
     """Profile the ELL and COO parts of a HYB or BRO-HYB matrix.
 
-    Runs each part's kernel (counters only; the product is discarded) and
-    attributes traffic and predicted time per part — the split-quality view
-    behind Table 4.
+    Runs each part the hybrid kernel launches (:func:`hybrid_parts`;
+    counters only, the product is discarded) and attributes traffic and
+    predicted time per part — the split-quality view behind Table 4. A
+    part the kernel does not launch keeps its row, with zero traffic, so
+    the rows always sum to the kernel's counters.
     """
     # Imported here: repro.kernels imports this package at module scope.
     from ..core.bro_hyb import BROHYBMatrix
     from ..formats.hyb import HYBMatrix
+    from ..kernels.spmv_hyb import hybrid_parts
     from ..registry import kernel_for
     from .timing import predict
 
@@ -269,11 +242,14 @@ def trace_hyb(matrix, device: DeviceSpec) -> List[PartTrace]:
         raise ValidationError("trace_hyb needs a HYBMatrix or BROHYBMatrix")
     total = max(1, matrix.nnz)
     x = np.ones(matrix.shape[1], dtype=np.float64)
+    launched = hybrid_parts(matrix)
     traces: List[PartTrace] = []
     for part_name, part in (("ell", matrix.ell), ("coo", matrix.coo)):
-        result = kernel_for(part.format_name).run(part, x, device)
-        c = result.counters
-        timing = predict(c, device)
+        if any(part is p for p in launched):
+            c = kernel_for(part.format_name).run(part, x, device).counters
+            t_us = predict(c, device).time * 1e6
+        else:
+            c, t_us = KernelCounters(launches=0), 0.0
         traces.append(
             PartTrace(
                 part=part_name,
@@ -285,7 +261,7 @@ def trace_hyb(matrix, device: DeviceSpec) -> List[PartTrace]:
                 x_bytes=c.x_bytes,
                 dram_bytes=c.dram_bytes,
                 decode_ops=c.decode_ops,
-                t_us=timing.time * 1e6,
+                t_us=t_us,
             )
         )
     return traces
@@ -293,7 +269,8 @@ def trace_hyb(matrix, device: DeviceSpec) -> List[PartTrace]:
 
 # ---------------------------------------------------------------------------
 # Capability-registry bindings: one BlockTracer record per traceable format
-# (the value-compressed BRO-ELL variant shares the slice tracer).
+# (the value-compressed BRO-ELL variant shares the slice tracer, which
+# charges its value channel as the kernel does).
 # ---------------------------------------------------------------------------
 _registry.bind_tracer(
     "bro_ell",

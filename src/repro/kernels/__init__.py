@@ -25,15 +25,12 @@ from .spmv_coo import COOKernel
 from .spmv_csr import CSRVectorKernel
 from .spmv_ellpack import ELLPACKKernel
 from .spmv_ellpack_r import ELLPACKRKernel
-from .spmv_hyb import HYBKernel
+from .spmv_hyb import BROHYBKernel, HYBKernel
 from .spmv_sell_c_sigma import SELLCSigmaKernel
 from .spmv_sliced_ell import SlicedELLKernel
 from .spmv_bro_coo import BROCOOKernel
-from .spmv_bro_ell import BROELLKernel
+from .spmv_bro_ell import BROELLKernel, BROELLVCKernel, BROSELLKernel
 from .spmv_bro_ell_mt import MultiRowBROELLKernel
-from .spmv_bro_ell_vc import BROELLVCKernel
-from .spmv_bro_hyb import BROHYBKernel
-from .spmv_bro_sell import BROSELLKernel
 
 __all__ = [
     "SpMVKernel",

@@ -36,12 +36,27 @@ to the last ulp and an equal :class:`KernelCounters` record — because the
 replay performs the same floating-point operations in the same order
 (each row's products added one at a time from ``+0.0``, in the order the
 reference adds them: ELL column order, or stored entry order where the
-reference scatters entry by entry; masked lanes adding ``+0.0``) and
-the counters prototype reproduces the reference accounting term by term
-(``symbol_loads == row_stream_symbols`` for a fully-consumed stream, and
-the texture-cache model depends only on the decoded access pattern).
-``tests/kernels/test_plan_equivalence.py`` enforces this for every suite
-matrix, every BRO format and both symbol lengths.
+reference scatters entry by entry; masked lanes adding ``+0.0``).
+
+The counters prototype is equal by construction: every format has exactly
+one traffic model, a ``<fmt>_counters`` function next to its reference
+kernel (``csr_counters`` in ``spmv_csr``, ``ellpack_counters`` in
+``spmv_ellpack``, ...), and the kernel and the planner both call it. The
+structure-only formats pass ``(matrix, device)``. The BRO formats pass
+their decoded blocks to one per-block terms function
+(``bro_slice_counters``, ``bro_coo_interval_counters``) and sum the
+blocks with ``bro_ell_counters``/``bro_coo_counters``. The reference
+kernel feeds it its stepwise decode and ``symbol_loads``; the planner
+feeds it the vectorized decode and ``row_stream_symbols``, which is equal
+for a fully consumed stream. The per-block tracers (``repro.gpu.trace``)
+emit the same terms, so their rows sum to the counters. The composites
+reuse the parts' counters: ``hybrid_counters`` for HYB/BRO-HYB and
+``bro_ell_mt_counters`` for the BRO-ELL-MT fold.
+``tests/kernels/test_plan_equivalence.py`` enforces the equivalence for
+every suite matrix, every BRO format and both symbol lengths. Because the
+two decodes are independent, it still checks the vectorized decode
+against the stepwise one. ``tests/kernels/test_counters_golden.py`` pins
+every counter field of every plannable format.
 
 Telemetry
 ---------
@@ -63,13 +78,11 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .. import registry as _registry
-from ..bitstream.packing import row_stream_symbols, unpack_slice
-from ..core.bro_coo import BROCOOMatrix, adaptive_interval_size
+from ..core.bro_coo import BROCOOMatrix
 from ..core.bro_ell import BROELLMatrix
 from ..core.bro_hyb import BROHYBMatrix
 from ..core.bro_sell import BROSELLMatrix
 from ..core.multirow import MultiRowBROELL
-from ..core.value_compression import BROELLVCMatrix
 from ..errors import KernelError, ValidationError
 from ..formats.base import SparseFormat
 from ..formats.bellpack import BELLPACKMatrix
@@ -82,16 +95,7 @@ from ..formats.hyb import HYBMatrix
 from ..formats.sell_c_sigma import SELLCSigmaMatrix
 from ..formats.sliced_ellpack import SlicedELLPACKMatrix
 from ..gpu.counters import KernelCounters
-from ..gpu.device import (
-    DECODE_OPS_PER_ITER,
-    DECODE_OPS_PER_LOAD,
-    DeviceSpec,
-    get_device,
-)
-from ..gpu.launch import LaunchConfig
-from ..gpu.memory import contiguous_transactions
-from ..gpu.texcache import TextureCacheModel
-from ..gpu.warp import warp_reduce_flops
+from ..gpu.device import DeviceSpec, get_device
 from ..telemetry import metrics as _metrics
 from ..telemetry import tracer as _tracer
 from ..telemetry.tracer import span as _span
@@ -101,9 +105,24 @@ from ..utils.bits import ceil_div
 from . import backends as _backends
 from .base import SpMVResult
 from .spmv_bellpack import bellpack_counters
+from .spmv_bro_coo import (
+    bro_coo_counters,
+    bro_coo_interval_counters,
+    unpack_interval,
+)
+from .spmv_bro_ell import (
+    bro_ell_blocks,
+    bro_ell_counters,
+    bro_slice_counters,
+    unpack_block,
+)
+from .spmv_bro_ell_mt import bro_ell_mt_counters
 from .spmv_cmrs import cmrs_counters
-from .spmv_coo import coo_segmented_counters
+from .spmv_coo import coo_counters
+from .spmv_csr import csr_counters
+from .spmv_ellpack import ellpack_counters
 from .spmv_ellpack_r import ellpack_r_counters
+from .spmv_hyb import add_parts, hybrid_counters, hybrid_parts
 from .spmv_sell_c_sigma import sell_counters
 from .spmv_sliced_ell import sliced_ell_counters
 
@@ -399,65 +418,12 @@ def prepare(
     return plan
 
 
-def _check_plan_type(matrix: SparseFormat, expected: type) -> None:
+def _check_plan_type(matrix: SparseFormat, *expected: type) -> None:
     if not isinstance(matrix, expected):
+        names = " or ".join(t.__name__ for t in expected)
         raise KernelError(
-            f"planner needs a {expected.__name__}, got {type(matrix).__name__}"
+            f"planner needs a {names}, got {type(matrix).__name__}"
         )
-
-
-# ----------------------------------------------------------------------
-# BRO-ELL (and the value-compressed variant, which shares the replay)
-# ----------------------------------------------------------------------
-def _decode_ell_slice(
-    stream_view: np.ndarray, bit_alloc: np.ndarray, h_i: int, sym_len: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized decode of one slice: ``(cols, valid, gather)`` blocks.
-
-    ``cols`` is the running column index (``col_idx - 1`` of Algorithm 1,
-    cumulative over deltas), ``valid`` the non-zero-delta mask, and
-    ``gather`` the x-gather index with invalid lanes parked on 0 — exactly
-    the values the stepwise kernel computes column by column.
-    """
-    deltas = unpack_slice(stream_view, bit_alloc, h_i, sym_len)
-    valid = deltas != 0
-    cols = np.cumsum(deltas, axis=1) - 1
-    gather = np.where(valid, cols, 0)
-    return cols, valid, gather
-
-
-def _ell_slice_traffic(
-    cols: np.ndarray,
-    valid: np.ndarray,
-    bit_alloc: np.ndarray,
-    h_i: int,
-    sym_len: int,
-    device: DeviceSpec,
-    tex: TextureCacheModel,
-) -> Tuple[int, int, int, int]:
-    """Per-slice traffic terms shared by the BRO-ELL and VC planners.
-
-    Returns ``(idx_tx, warp_valid_cols, x_bytes, decode_ops)``. A fully
-    consumed stream costs exactly ``row_stream_symbols`` coalesced loads —
-    the stepwise decoder's ``symbol_loads`` equals ``ceil(total_bits /
-    sym_len)`` because it loads lazily and the packer emits no spare
-    symbols — so the prototype needs no decoder walk.
-    """
-    ws = device.warp_size
-    tb = device.transaction_bytes
-    l_i = valid.shape[1]
-    n_sym = row_stream_symbols(bit_alloc, sym_len)
-    idx_tx = n_sym * contiguous_transactions(h_i, sym_len // 8, ws, tb)
-    warps = ceil_div(h_i, ws)
-    pad_rows = warps * ws - h_i
-    warp_valid = np.any(
-        np.vstack([valid, np.zeros((pad_rows, l_i), dtype=bool)])
-        .reshape(warps, ws, l_i),
-        axis=1,
-    )
-    x_bytes = tex.block_x_bytes(cols, valid)
-    decode_ops = DECODE_OPS_PER_ITER * h_i * l_i + DECODE_OPS_PER_LOAD * n_sym * h_i
-    return idx_tx, int(warp_valid.sum()), x_bytes, decode_ops
 
 
 #: One lane block handed to :class:`JaggedELLPlan`: ``(rows, gather,
@@ -702,103 +668,27 @@ class JaggedELLPlan(SpMVPlan):
 
 
 # ----------------------------------------------------------------------
-# BRO-ELL (and the value-compressed variant): decoded, masked slices
+# BRO-ELL family (BRO-ELL, BRO-ELL-VC, BRO-SELL): decoded, masked slices
 # ----------------------------------------------------------------------
 @register_planner("bro_ell")
-def _plan_bro_ell(matrix: SparseFormat, device: DeviceSpec) -> JaggedELLPlan:
-    _check_plan_type(matrix, BROELLMatrix)
-    assert isinstance(matrix, BROELLMatrix)
-    m, _ = matrix.shape
-    launch = LaunchConfig(matrix.h, max(1, matrix.num_slices))
-    tb = device.transaction_bytes
-    ws = device.warp_size
-    tex = TextureCacheModel(device)
-    val_per_iter = ceil_div(ws * 8, tb)
-
-    idx_tx = val_tx = x_bytes = decode_ops = 0
-    blocks: List[_EllBlock] = []
-    for r0, r1, bit_alloc, stream_view, val_block in matrix.iter_slices():
-        h_i, l_i = val_block.shape
-        if l_i == 0:
-            continue
-        cols, valid, gather = _decode_ell_slice(
-            stream_view, bit_alloc, h_i, matrix.sym_len
-        )
-        s_idx_tx, warp_cols, s_x_bytes, s_decode = _ell_slice_traffic(
-            cols, valid, bit_alloc, h_i, matrix.sym_len, device, tex
-        )
-        idx_tx += s_idx_tx
-        val_tx += warp_cols * val_per_iter
-        x_bytes += s_x_bytes
-        decode_ops += s_decode
-        blocks.append((np.arange(r0, r1), gather, val_block, valid))
-
-    counters = KernelCounters(
-        index_bytes=idx_tx * tb,
-        value_bytes=val_tx * tb,
-        x_bytes=x_bytes,
-        y_bytes=contiguous_transactions(m, 8, ws, tb) * tb,
-        aux_bytes=int(matrix.num_col.sum()) + 4 * matrix.num_slices,
-        useful_flops=2 * matrix.nnz,
-        issued_flops=2 * matrix.nnz,
-        decode_ops=decode_ops,
-        launches=1,
-        threads=launch.total_threads,
-    )
-    return JaggedELLPlan(matrix, device, counters, blocks)
-
-
 @register_planner("bro_ell_vc")
-def _plan_bro_ell_vc(matrix: SparseFormat, device: DeviceSpec) -> JaggedELLPlan:
-    _check_plan_type(matrix, BROELLVCMatrix)
-    assert isinstance(matrix, BROELLVCMatrix)
-    m, _ = matrix.shape
-    launch = LaunchConfig(matrix.h, max(1, matrix.num_slices))
-    tb = device.transaction_bytes
-    ws = device.warp_size
-    tex = TextureCacheModel(device)
-
-    idx_tx = val_bytes = x_bytes = decode_ops = 0
+@register_planner("bro_sell")
+def _plan_bro_ell(matrix: SparseFormat, device: DeviceSpec) -> JaggedELLPlan:
+    _check_plan_type(matrix, BROELLMatrix, BROSELLMatrix)
+    assert isinstance(matrix, (BROELLMatrix, BROSELLMatrix))
+    slices: List[KernelCounters] = []
     blocks: List[_EllBlock] = []
-    for i in range(matrix.num_slices):
-        r0 = int(matrix.slice_edges[i])
-        r1 = int(matrix.slice_edges[i + 1])
-        h_i = r1 - r0
-        l_i = int(matrix.num_col[i])
-        if l_i == 0:
-            continue
-        bit_alloc = matrix.bit_allocs[i]
-        cols, valid, gather = _decode_ell_slice(
-            matrix.stream.slice_view(i), bit_alloc, h_i, matrix.sym_len
+    for _, rows, bit_alloc, view, vals, channel in bro_ell_blocks(matrix):
+        cols, valid, loads = unpack_block(
+            view, bit_alloc, rows.shape[0], matrix.sym_len
         )
-        val_block = matrix.decoded_val_block(i)
-        s_idx_tx, warp_cols, s_x_bytes, s_decode = _ell_slice_traffic(
-            cols, valid, bit_alloc, h_i, matrix.sym_len, device, tex
-        )
-        idx_tx += s_idx_tx
-        vs = matrix.value_slices[i]
-        if vs.raw is not None:
-            val_bytes += warp_cols * ceil_div(ws * 8, tb) * tb
-        else:
-            val_bytes += int(vs.codes.nbytes) + int(vs.dictionary.nbytes)
-            decode_ops += DECODE_OPS_PER_ITER * h_i * l_i
-        x_bytes += s_x_bytes
-        decode_ops += s_decode
-        blocks.append((np.arange(r0, r1), gather, val_block, valid))
-
-    counters = KernelCounters(
-        index_bytes=idx_tx * tb,
-        value_bytes=int(val_bytes),
-        x_bytes=x_bytes,
-        y_bytes=contiguous_transactions(m, 8, ws, tb) * tb,
-        aux_bytes=int(matrix.num_col.sum()) + 4 * matrix.num_slices,
-        useful_flops=2 * matrix.nnz,
-        issued_flops=2 * matrix.nnz,
-        decode_ops=decode_ops,
-        launches=1,
-        threads=launch.total_threads,
+        slices.append(bro_slice_counters(
+            cols, valid, loads, matrix.sym_len, device, channel
+        ))
+        blocks.append((rows, np.where(valid, cols, 0), vals, valid))
+    return JaggedELLPlan(
+        matrix, device, bro_ell_counters(matrix, slices, device), blocks
     )
-    return JaggedELLPlan(matrix, device, counters, blocks)
 
 
 # ----------------------------------------------------------------------
@@ -839,14 +729,7 @@ def _plan_bro_ell_mt(matrix: SparseFormat, device: DeviceSpec) -> MultiRowBROELL
     _check_plan_type(matrix, MultiRowBROELL)
     assert isinstance(matrix, MultiRowBROELL)
     inner_plan = _plan_bro_ell(matrix.inner, device)
-    counters = inner_plan.counters()
-    m = matrix.shape[0]
-    t = matrix.threads_per_row
-    counters.y_bytes = (
-        contiguous_transactions(m, 8, device.warp_size, device.transaction_bytes)
-        * device.transaction_bytes
-    )
-    counters.issued_flops += m * (t - 1)
+    counters = bro_ell_mt_counters(matrix, inner_plan.counters(), device)
     return MultiRowBROELLPlan(matrix, device, counters, inner_plan)
 
 
@@ -857,66 +740,28 @@ def _plan_bro_ell_mt(matrix: SparseFormat, device: DeviceSpec) -> MultiRowBROELL
 def _plan_bro_coo(matrix: SparseFormat, device: DeviceSpec) -> JaggedELLPlan:
     _check_plan_type(matrix, BROCOOMatrix)
     assert isinstance(matrix, BROCOOMatrix)
-    ws_fmt = matrix.warp_size
-    tb = device.transaction_bytes
-    sym_len = matrix.stream.sym_len
-
     rows = np.zeros(matrix.padded_nnz, dtype=np.int64)
-    decode_ops = 0
-    idx_stream_tx = 0
-    for i, lo, hi, _stream_view in matrix.iter_intervals():
-        L = matrix.interval_lanes(i)
-        block = matrix.decode_interval_rows(i)  # (w, L), cumulative - 1
-        rows[lo:hi] = block.T.reshape(-1)[: hi - lo]
-        bits = L * int(matrix.bit_alloc[i])
-        n_sym = ceil_div(bits, sym_len) if bits else 0
-        idx_stream_tx += n_sym * contiguous_transactions(
-            ws_fmt, sym_len // 8, device.warp_size, tb
+    intervals: List[KernelCounters] = []
+    for i, lo, hi, _ in matrix.iter_intervals():
+        rows_2d, loads = unpack_interval(matrix, i)  # (w, L), cumulative - 1
+        rows[lo:hi] = rows_2d.T.reshape(-1)[: hi - lo]
+        intervals.append(
+            bro_coo_interval_counters(matrix, i, rows_2d, loads, device)
         )
-        decode_ops += DECODE_OPS_PER_ITER * ws_fmt * L
-        decode_ops += DECODE_OPS_PER_LOAD * n_sym * ws_fmt
-
-    counters = coo_segmented_counters(
-        rows,
-        matrix.col_idx.astype(np.int64),
-        matrix.padded_nnz,
-        device,
-        matrix.interval_size,
-    )
-    counters.index_bytes += idx_stream_tx * tb
-    counters.aux_bytes += matrix.num_intervals
-    counters.decode_ops = decode_ops
-    counters.useful_flops = 2 * matrix.nnz
-    if matrix.padded_nnz == 0:
-        counters.threads = device.warp_size
     blocks = _row_blocks(rows, matrix.col_idx, matrix.vals, matrix.shape[0])
-    return JaggedELLPlan(matrix, device, counters, blocks)
+    return JaggedELLPlan(
+        matrix, device, bro_coo_counters(matrix, intervals, device), blocks
+    )
 
 
 @register_planner("coo")
 def _plan_coo(matrix: SparseFormat, device: DeviceSpec) -> JaggedELLPlan:
     _check_plan_type(matrix, COOMatrix)
     assert isinstance(matrix, COOMatrix)
-    ws = device.warp_size
-    tb = device.transaction_bytes
-    n = ceil_div(matrix.nnz, ws) * ws if matrix.nnz else 0
-    row = np.zeros(n, dtype=np.int64)
-    col = np.zeros(n, dtype=np.int64)
-    row[: matrix.nnz] = matrix.row_idx
-    col[: matrix.nnz] = matrix.col_idx
-    if matrix.nnz:
-        row[matrix.nnz :] = int(matrix.row_idx[-1])
-
-    interval = adaptive_interval_size(n, ws)
-    counters = coo_segmented_counters(row, col, n, device, interval)
-    counters.index_bytes += contiguous_transactions(n, 4, ws, tb) * tb
-    counters.useful_flops = 2 * matrix.nnz
-    if n == 0:
-        counters.threads = ws
     blocks = _row_blocks(
         matrix.row_idx, matrix.col_idx, matrix.vals, matrix.shape[0]
     )
-    return JaggedELLPlan(matrix, device, counters, blocks)
+    return JaggedELLPlan(matrix, device, coo_counters(matrix, device), blocks)
 
 
 @register_planner("cmrs")
@@ -933,52 +778,10 @@ def _plan_cmrs(matrix: SparseFormat, device: DeviceSpec) -> JaggedELLPlan:
 def _plan_csr(matrix: SparseFormat, device: DeviceSpec) -> JaggedELLPlan:
     _check_plan_type(matrix, CSRMatrix)
     assert isinstance(matrix, CSRMatrix)
-    m, _ = matrix.shape
-    ws = device.warp_size
-    tb = device.transaction_bytes
-    launch = LaunchConfig.for_warps(m, ws)
-
-    lengths = matrix.row_lengths()
-    starts = matrix.indptr[:-1]
-    misaligned_idx = ((starts * 4) % tb != 0) & (lengths > 0)
-    misaligned_val = ((starts * 8) % tb != 0) & (lengths > 0)
-    idx_tx = int(np.ceil(lengths * 4 / tb).sum() + misaligned_idx.sum())
-    val_tx = int(np.ceil(lengths * 8 / tb).sum() + misaligned_val.sum())
-    y_tx = contiguous_transactions(m, 8, ws, tb)
-    aux_tx = contiguous_transactions(m + 1, 4, ws, tb)
-
-    tex = TextureCacheModel(device)
-    x_bytes = 0
-    for r in range(m):
-        lo, hi = int(matrix.indptr[r]), int(matrix.indptr[r + 1])
-        if lo == hi:
-            continue
-        L = ceil_div(hi - lo, ws)
-        block = np.zeros(L * ws, dtype=np.int64)
-        block[: hi - lo] = matrix.indices[lo:hi]
-        valid = np.zeros(L * ws, dtype=bool)
-        valid[: hi - lo] = True
-        x_bytes += (
-            tex.warp_sequence_fetches(
-                block.reshape(L, ws).T, valid.reshape(L, ws).T
-            )
-            * device.tex_line_bytes
-        )
-
-    counters = KernelCounters(
-        index_bytes=idx_tx * tb,
-        value_bytes=val_tx * tb,
-        x_bytes=x_bytes,
-        y_bytes=y_tx * tb,
-        aux_bytes=aux_tx * tb,
-        useful_flops=2 * matrix.nnz,
-        issued_flops=2 * matrix.nnz + warp_reduce_flops(ws) * m,
-        launches=1,
-        threads=launch.total_threads,
-    )
+    m = matrix.shape[0]
     rows = np.repeat(np.arange(m), np.diff(matrix.indptr))
     blocks = _row_blocks(rows, matrix.indices, matrix.vals, m)
-    return JaggedELLPlan(matrix, device, counters, blocks)
+    return JaggedELLPlan(matrix, device, csr_counters(matrix, device), blocks)
 
 
 # ----------------------------------------------------------------------
@@ -1007,105 +810,43 @@ class SumPlan(SpMVPlan):
     def _children(self) -> Tuple[SpMVPlan, ...]:
         return self._parts
 
-    def _total(self, ys: List[np.ndarray], x: np.ndarray) -> np.ndarray:
-        if not ys:
-            return np.zeros(
-                (self.matrix.shape[0],) + x.shape[1:], dtype=VALUE_DTYPE
-            )
-        y = ys[0]
-        for part in ys[1:]:
-            y = y + part
-        return y
-
     def _replay_numpy(self, x: np.ndarray) -> np.ndarray:
-        return self._total([p.execute(x).y for p in self._parts], x)
+        ys = [p.execute(x).y for p in self._parts]
+        return add_parts(ys, self.matrix.shape[0], x)
 
     def _replay_many_numpy(self, X: np.ndarray) -> np.ndarray:
-        return self._total([p.execute_many(X).y for p in self._parts], X)
-
-
-def _sum_plan(
-    matrix: SparseFormat,
-    device: DeviceSpec,
-    ell: Optional[SpMVPlan],
-    coo: Optional[SpMVPlan],
-) -> SumPlan:
-    """``ell + coo`` over the parts present; counters add per launch."""
-    if ell is not None:
-        counters = ell.counters()
-    else:
-        counters = KernelCounters(launches=0, threads=device.warp_size)
-    if coo is not None:
-        counters = counters + coo.counters()
-    parts = tuple(p for p in (ell, coo) if p is not None)
-    return SumPlan(matrix, device, counters, parts)
-
-
-@register_planner("bro_hyb")
-def _plan_bro_hyb(matrix: SparseFormat, device: DeviceSpec) -> SumPlan:
-    _check_plan_type(matrix, BROHYBMatrix)
-    assert isinstance(matrix, BROHYBMatrix)
-    return _sum_plan(
-        matrix,
-        device,
-        _plan_bro_ell(matrix.ell, device) if matrix.ell.nnz else None,
-        _plan_bro_coo(matrix.coo, device) if matrix.coo.padded_nnz else None,
-    )
+        ys = [p.execute_many(X).y for p in self._parts]
+        return add_parts(ys, self.matrix.shape[0], X)
 
 
 @register_planner("hyb")
-def _plan_hyb(matrix: SparseFormat, device: DeviceSpec) -> SumPlan:
-    _check_plan_type(matrix, HYBMatrix)
-    assert isinstance(matrix, HYBMatrix)
-    return _sum_plan(
-        matrix,
-        device,
-        _plan_ellpack(matrix.ell, device) if matrix.ell.k else None,
-        _plan_coo(matrix.coo, device) if matrix.coo.nnz else None,
-    )
+@register_planner("bro_hyb")
+def _plan_hybrid(matrix: SparseFormat, device: DeviceSpec) -> SumPlan:
+    """``ell + coo`` over the parts that launch (:func:`hybrid_parts`)."""
+    _check_plan_type(matrix, HYBMatrix, BROHYBMatrix)
+    assert isinstance(matrix, (HYBMatrix, BROHYBMatrix))
+    parts: List[SpMVPlan] = []
+    for part in hybrid_parts(matrix):
+        builder = _registry.planner_for(part.format_name)
+        assert builder is not None
+        parts.append(builder(part, device))
+    counters = hybrid_counters([p.counters() for p in parts], device)
+    return SumPlan(matrix, device, counters, tuple(parts))
 
 
 # ----------------------------------------------------------------------
 # ELL-style formats: one block (ELLPACK, ELLPACK-R, BELLPACK) or one per
-# slice/chunk. The counters helpers live next to the reference kernels
-# (sliced_ell_counters, ellpack_r_counters, ...) so plan and kernel
-# accounting can never drift apart.
+# slice/chunk. Like every planner here, they take their counters from the
+# format's one <fmt>_counters function next to its reference kernel.
 # ----------------------------------------------------------------------
 @register_planner("ellpack")
 def _plan_ellpack(matrix: SparseFormat, device: DeviceSpec) -> JaggedELLPlan:
     _check_plan_type(matrix, ELLPACKMatrix)
     assert isinstance(matrix, ELLPACKMatrix)
-    m, _ = matrix.shape
-    k = matrix.k
-    threads_per_block = 256  # ELLPACKKernel's default launch shape
-    launch = LaunchConfig.for_rows(m, threads_per_block)
-    tb = device.transaction_bytes
-    ws = device.warp_size
-
-    idx_tx = k * contiguous_transactions(m, 4, ws, tb)
-    val_tx = k * contiguous_transactions(m, 8, ws, tb)
-    y_tx = contiguous_transactions(m, 8, ws, tb)
-
-    tex = TextureCacheModel(device)
-    x_bytes = 0
-    for r0 in range(0, m, threads_per_block):
-        block_cols = matrix.col_idx[r0 : r0 + threads_per_block]
-        x_bytes += tex.block_x_bytes(
-            block_cols, np.ones(block_cols.shape, dtype=bool)
-        )
-
-    counters = KernelCounters(
-        index_bytes=idx_tx * tb,
-        value_bytes=val_tx * tb,
-        x_bytes=x_bytes,
-        y_bytes=y_tx * tb,
-        useful_flops=2 * matrix.nnz,
-        issued_flops=2 * m * k,
-        launches=1,
-        threads=launch.total_threads,
+    blocks = [(np.arange(matrix.shape[0]), matrix.col_idx, matrix.vals, None)]
+    return JaggedELLPlan(
+        matrix, device, ellpack_counters(matrix, device), blocks
     )
-    blocks = [(np.arange(m), matrix.col_idx, matrix.vals, None)]
-    return JaggedELLPlan(matrix, device, counters, blocks)
 
 
 @register_planner("ellpack_r")
@@ -1167,49 +908,3 @@ def _plan_sell_c_sigma(matrix: SparseFormat, device: DeviceSpec) -> JaggedELLPla
         for r0, r1, col_block, val_block in matrix.iter_chunks()
     ]
     return JaggedELLPlan(matrix, device, sell_counters(matrix, device), blocks)
-
-
-@register_planner("bro_sell")
-def _plan_bro_sell(matrix: SparseFormat, device: DeviceSpec) -> JaggedELLPlan:
-    _check_plan_type(matrix, BROSELLMatrix)
-    assert isinstance(matrix, BROSELLMatrix)
-    m, _ = matrix.shape
-    launch = LaunchConfig(matrix.c, max(1, matrix.num_chunks))
-    tb = device.transaction_bytes
-    ws = device.warp_size
-    tex = TextureCacheModel(device)
-    val_per_iter = ceil_div(ws * 8, tb)
-
-    idx_tx = val_tx = x_bytes = decode_ops = 0
-    blocks: List[_EllBlock] = []
-    for r0, r1, bit_alloc, stream_view, val_block in matrix.iter_chunks():
-        h_i, l_i = val_block.shape
-        if l_i == 0:
-            continue
-        cols, valid, gather = _decode_ell_slice(
-            stream_view, bit_alloc, h_i, matrix.sym_len
-        )
-        s_idx_tx, warp_cols, s_x_bytes, s_decode = _ell_slice_traffic(
-            cols, valid, bit_alloc, h_i, matrix.sym_len, device, tex
-        )
-        idx_tx += s_idx_tx
-        val_tx += warp_cols * val_per_iter
-        x_bytes += s_x_bytes
-        decode_ops += s_decode
-        blocks.append((matrix.row_ids[r0:r1], gather, val_block, valid))
-
-    counters = KernelCounters(
-        index_bytes=idx_tx * tb,
-        value_bytes=val_tx * tb,
-        x_bytes=x_bytes,
-        y_bytes=contiguous_transactions(m, 8, ws, tb) * tb,
-        aux_bytes=int(matrix.num_col.sum())
-        + 4 * matrix.num_chunks
-        + contiguous_transactions(m, 4, ws, tb) * tb,
-        useful_flops=2 * matrix.nnz,
-        issued_flops=2 * matrix.nnz,
-        decode_ops=decode_ops,
-        launches=1,
-        threads=launch.total_threads,
-    )
-    return JaggedELLPlan(matrix, device, counters, blocks)

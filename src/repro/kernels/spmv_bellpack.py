@@ -18,7 +18,7 @@ from ..formats.base import SparseFormat
 from ..formats.bellpack import BELLPACKMatrix
 from ..gpu.counters import KernelCounters
 from ..gpu.device import DeviceSpec
-from ..gpu.launch import LaunchConfig
+from ..gpu.launch import ROW_BLOCK_THREADS, LaunchConfig
 from ..gpu.memory import contiguous_transactions
 from ..gpu.texcache import TextureCacheModel
 from .base import SpMVKernel, SpMVResult, register_kernel
@@ -26,16 +26,14 @@ from .base import SpMVKernel, SpMVResult, register_kernel
 __all__ = ["BELLPACKKernel", "bellpack_counters"]
 
 
-def bellpack_counters(
-    matrix: BELLPACKMatrix, device: DeviceSpec, threads_per_block: int = 256
-) -> KernelCounters:
+def bellpack_counters(matrix: BELLPACKMatrix, device: DeviceSpec) -> KernelCounters:
     """Traffic/flop accounting of the BELLPACK kernel."""
     r, c = matrix.block_shape
     mb, K = matrix.block_col_idx.shape
     # One thread per *matrix* row (Choi et al.): the r threads of a
     # block row share its block-column indices and each computes one
     # of the block's rows.
-    launch = LaunchConfig.for_rows(matrix.shape[0], threads_per_block)
+    launch = LaunchConfig.for_rows(matrix.shape[0])
     tb = device.transaction_bytes
     ws = device.warp_size
 
@@ -52,9 +50,9 @@ def bellpack_counters(
     x_bytes = 0
     mask = np.arange(K)[np.newaxis, :] < matrix.block_row_lengths[:, np.newaxis]
     cols0 = matrix.block_col_idx.astype(np.int64) * c
-    for b0 in range(0, mb, threads_per_block):
-        block = cols0[b0 : b0 + threads_per_block]
-        valid = mask[b0 : b0 + threads_per_block]
+    for b0 in range(0, mb, ROW_BLOCK_THREADS):
+        block = cols0[b0 : b0 + ROW_BLOCK_THREADS]
+        valid = mask[b0 : b0 + ROW_BLOCK_THREADS]
         # Each block touches ceil(c*8/line) lines starting at cols0;
         # approximate by charging the first line through the cache
         # model and the spill lines unconditionally.
@@ -85,9 +83,6 @@ class BELLPACKKernel(SpMVKernel):
 
     format_name = "bellpack"
 
-    def __init__(self, threads_per_block: int = 256) -> None:
-        self.threads_per_block = int(threads_per_block)
-
     def _execute(
         self, matrix: SparseFormat, x: np.ndarray, device: DeviceSpec
     ) -> SpMVResult:
@@ -96,7 +91,5 @@ class BELLPACKKernel(SpMVKernel):
         x = matrix.check_x(x)
         y = matrix.spmv(x)
         return SpMVResult(
-            y=y,
-            counters=bellpack_counters(matrix, device, self.threads_per_block),
-            device=device,
+            y=y, counters=bellpack_counters(matrix, device), device=device
         )

@@ -10,16 +10,36 @@ granularity plus the fold flops.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..core.multirow import MultiRowBROELL
 from ..formats.base import SparseFormat
+from ..gpu.counters import KernelCounters
 from ..gpu.device import DeviceSpec
 from ..gpu.memory import contiguous_transactions
 from .base import SpMVKernel, SpMVResult, register_kernel
 from .spmv_bro_ell import BROELLKernel
 
-__all__ = ["MultiRowBROELLKernel"]
+__all__ = ["MultiRowBROELLKernel", "bro_ell_mt_counters"]
+
+
+def bro_ell_mt_counters(
+    matrix: MultiRowBROELL, inner: KernelCounters, device: DeviceSpec
+) -> KernelCounters:
+    """The fold correction on the inner BRO-ELL launch's counters.
+
+    The inner kernel charged a y-write per *sub*-row; replace it with the
+    logical-row write and charge the shuffle-tree fold flops.
+    """
+    m = matrix.shape[0]
+    ws = device.warp_size
+    tb = device.transaction_bytes
+    counters = replace(inner)
+    counters.y_bytes = contiguous_transactions(m, 8, ws, tb) * tb
+    counters.issued_flops += m * (matrix.threads_per_row - 1)
+    return counters
 
 
 @register_kernel
@@ -28,25 +48,15 @@ class MultiRowBROELLKernel(SpMVKernel):
 
     format_name = "bro_ell_mt"
 
-    def __init__(self) -> None:
-        self._inner_kernel = BROELLKernel()
-
     def _execute(
         self, matrix: SparseFormat, x: np.ndarray, device: DeviceSpec
     ) -> SpMVResult:
         self._check(matrix, MultiRowBROELL)
         assert isinstance(matrix, MultiRowBROELL)
         x = matrix.check_x(x)
-        inner_res = self._inner_kernel.run(matrix.inner, x, device)
-        y = matrix.fold(inner_res.y)
-
-        counters = inner_res.counters
-        m = matrix.shape[0]
-        t = matrix.threads_per_row
-        ws = device.warp_size
-        tb = device.transaction_bytes
-        # The inner kernel charged a y-write per *sub*-row; replace it with
-        # the logical-row write and charge the shuffle-tree fold flops.
-        counters.y_bytes = contiguous_transactions(m, 8, ws, tb) * tb
-        counters.issued_flops += m * (t - 1)
-        return SpMVResult(y=y, counters=counters, device=device)
+        inner = BROELLKernel().run(matrix.inner, x, device)
+        return SpMVResult(
+            y=matrix.fold(inner.y),
+            counters=bro_ell_mt_counters(matrix, inner.counters, device),
+            device=device,
+        )

@@ -5,12 +5,20 @@ streams 32 row indices, 32 column indices and 32 values (all coalesced),
 multiplies, and runs an intra-warp segmented scan; per-row partial sums are
 committed with atomics, and a small second kernel reduces the per-warp
 carries (paper Section 2.1.1 / [5]).
+
+:func:`coo_counters` is shared with the prepared-plan planner, and the
+segmented-reduction terms (:func:`coo_interval_counters`,
+:func:`segmented_counters`) with BRO-COO, so kernel, plan and per-interval
+trace accounting are equal by construction.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
+from ..core.bro_coo import adaptive_interval_size
 from ..formats.base import SparseFormat
 from ..formats.coo import COOMatrix
 from ..gpu.counters import KernelCounters
@@ -23,81 +31,106 @@ from ..types import VALUE_DTYPE
 from ..utils.bits import ceil_div
 from .base import SpMVKernel, SpMVResult, register_kernel
 
-__all__ = ["COOKernel", "coo_segmented_counters"]
+__all__ = [
+    "COOKernel",
+    "coo_counters",
+    "coo_interval_counters",
+    "segmented_counters",
+]
 
 
-def coo_segmented_counters(
-    row_idx: np.ndarray,
-    col_idx: np.ndarray,
-    n_entries_padded: int,
-    device: DeviceSpec,
-    interval_size: int,
+def coo_interval_counters(
+    rows: np.ndarray, cols: np.ndarray, lo: int, device: DeviceSpec
 ) -> KernelCounters:
-    """Shared traffic/flop accounting of the segmented-reduction machinery.
+    """Counters of one warp's interval: padded entries ``[lo, lo + len(rows))``.
 
-    Counts everything except the *row-index* traffic (4 B/entry for plain
-    COO, the packed stream for BRO-COO) so both kernels reuse it.
+    The interval's share of the coalesced value stream (a transaction is
+    charged to the interval that ends in it, so the shares add up to the
+    stream's total), its ``x`` reads — the warp walks its entries ``ws``
+    at a time, lane ``t % ws`` at iteration ``t // ws``, through the
+    texture cache — and its ``y`` commits: one atomic read-modify-write
+    (16 B) per distinct row, plus the 12 B carry launch #2 reduces.
     """
-    tb = device.transaction_bytes
     ws = device.warp_size
-    tex = TextureCacheModel(device)
-
-    n = n_entries_padded
-    col_tx = contiguous_transactions(n, 4, ws, tb)
-    val_tx = contiguous_transactions(n, 8, ws, tb)
-
-    # x reads: each interval (warp) walks its lane arrangement.
-    x_bytes = 0
-    n_int = ceil_div(n, interval_size) if n else 0
-    for i in range(n_int):
-        lo = i * interval_size
-        hi = min(lo + interval_size, n)
-        L = ceil_div(hi - lo, ws)
-        block = np.zeros(L * ws, dtype=np.int64)
-        block[: hi - lo] = col_idx[lo:hi]
-        valid = np.zeros(L * ws, dtype=bool)
-        valid[: hi - lo] = True
-        x_bytes += tex.warp_sequence_fetches(
-            block.reshape(L, ws).T, valid.reshape(L, ws).T
-        ) * device.tex_line_bytes
-
-    # y commits: one atomic read-modify-write (16 B) per distinct row per
-    # warp, plus the carry array (12 B per warp) handled by launch #2.
-    warp_iters = ceil_div(n, ws) if n else 0
-    y_updates = 0
-    for i in range(n_int):
-        lo = i * interval_size
-        hi = min(lo + interval_size, n)
-        y_updates += int(np.unique(row_idx[lo:hi]).shape[0])
-    y_bytes = 16 * y_updates + 12 * n_int
-
-    scan_flops = warp_reduce_flops(ws) * warp_iters
-    nnz_real = int(row_idx.shape[0]) if row_idx.shape[0] < n else n
-    return KernelCounters(
-        index_bytes=col_tx * tb,
-        value_bytes=val_tx * tb,
-        x_bytes=x_bytes,
-        y_bytes=y_bytes,
-        useful_flops=0,  # caller sets; padding-dependent
-        issued_flops=2 * n + scan_flops,
-        launches=2,  # main kernel + carry reduction
-        threads=max(ws, n_int * ws),
+    tb = device.transaction_bytes
+    count = rows.shape[0]
+    L = ceil_div(count, ws)
+    block = np.zeros(L * ws, dtype=np.int64)
+    block[:count] = cols
+    valid = np.zeros(L * ws, dtype=bool)
+    valid[:count] = True
+    fetches = TextureCacheModel(device).warp_sequence_fetches(
+        block.reshape(L, ws).T, valid.reshape(L, ws).T
     )
+    return KernelCounters(
+        value_bytes=(
+            contiguous_transactions(lo + count, 8, ws, tb)
+            - contiguous_transactions(lo, 8, ws, tb)
+        ) * tb,
+        x_bytes=fetches * device.tex_line_bytes,
+        y_bytes=16 * int(np.unique(rows).shape[0]) + 12,
+        launches=0,
+    )
+
+
+def segmented_counters(
+    intervals: Sequence[KernelCounters], n: int, nnz: int, device: DeviceSpec
+) -> KernelCounters:
+    """Whole-launch counters of the segmented reduction over ``n`` padded
+    entries (``nnz`` real), one warp per interval.
+
+    Adds to the per-interval terms (:func:`coo_interval_counters`, plus
+    whatever the caller charged per interval) the coalesced int32 column
+    stream and the intra-warp scan flops. The *row-index* stream is the
+    caller's: 4 B/entry for plain COO, the packed stream for BRO-COO.
+    """
+    ws = device.warp_size
+    tb = device.transaction_bytes
+    total = KernelCounters.sum(intervals)
+    total.index_bytes += contiguous_transactions(n, 4, ws, tb) * tb
+    total.useful_flops = 2 * nnz
+    total.issued_flops = 2 * n + warp_reduce_flops(ws) * ceil_div(n, ws)
+    total.launches = 2  # main kernel + carry reduction
+    total.threads = max(ws, len(intervals) * ws)
+    return total
+
+
+def coo_counters(matrix: COOMatrix, device: DeviceSpec) -> KernelCounters:
+    """Traffic/flop accounting of the COO kernel (shared with plans).
+
+    Entries are padded to whole warps with phantoms that repeat the last
+    row, and split into CUSP's adaptive intervals (work divided over
+    enough warps to fill the device, so a small COO part — e.g. the tail
+    of a HYB split — does not starve the occupancy model).
+    """
+    ws = device.warp_size
+    tb = device.transaction_bytes
+    nnz = matrix.nnz
+    n = ceil_div(nnz, ws) * ws
+    rows = np.zeros(n, dtype=np.int64)
+    cols = np.zeros(n, dtype=np.int64)
+    rows[:nnz] = matrix.row_idx
+    cols[:nnz] = matrix.col_idx
+    if nnz:
+        rows[nnz:] = int(matrix.row_idx[-1])
+    size = adaptive_interval_size(n, ws)
+    counters = segmented_counters(
+        [
+            coo_interval_counters(rows[lo : lo + size], cols[lo : lo + size], lo, device)
+            for lo in range(0, n, size)
+        ],
+        n, nnz, device,
+    )
+    # Row indices: one coalesced int32 stream (what BRO-COO compresses).
+    counters.index_bytes += contiguous_transactions(n, 4, ws, tb) * tb
+    return counters
 
 
 @register_kernel
 class COOKernel(SpMVKernel):
-    """CUSP-style COO kernel with warp-level segmented reduction.
-
-    The interval size defaults to CUSP's adaptive sizing (work divided
-    over enough warps to fill the device) so small matrices — e.g. the
-    COO tail of a HYB split — do not starve the occupancy model.
-    """
+    """CUSP-style COO kernel with warp-level segmented reduction."""
 
     format_name = "coo"
-
-    def __init__(self, interval_size: int | None = None) -> None:
-        self.interval_size = interval_size
 
     def _execute(
         self, matrix: SparseFormat, x: np.ndarray, device: DeviceSpec
@@ -105,32 +138,9 @@ class COOKernel(SpMVKernel):
         self._check(matrix, COOMatrix)
         assert isinstance(matrix, COOMatrix)
         x = matrix.check_x(x)
-        m, _ = matrix.shape
-
-        # ---- functional execution ------------------------------------
-        y = np.zeros(m, dtype=VALUE_DTYPE)
+        y = np.zeros(matrix.shape[0], dtype=VALUE_DTYPE)
         with _span("reduce.segmented", "kernel"):
             np.add.at(y, matrix.row_idx, matrix.vals * x[matrix.col_idx])
-
-        # ---- traffic accounting --------------------------------------
-        ws = device.warp_size
-        n = ceil_div(matrix.nnz, ws) * ws if matrix.nnz else 0
-        row = np.zeros(n, dtype=np.int64)
-        col = np.zeros(n, dtype=np.int64)
-        row[: matrix.nnz] = matrix.row_idx
-        col[: matrix.nnz] = matrix.col_idx
-        if matrix.nnz:
-            row[matrix.nnz :] = int(matrix.row_idx[-1])
-        from ..core.bro_coo import adaptive_interval_size
-
-        interval = self.interval_size or adaptive_interval_size(n, ws)
-        counters = coo_segmented_counters(row, col, n, device, interval)
-        # Row indices: one coalesced int32 stream (what BRO-COO compresses).
-        counters.index_bytes += (
-            contiguous_transactions(n, 4, ws, device.transaction_bytes)
-            * device.transaction_bytes
+        return SpMVResult(
+            y=y, counters=coo_counters(matrix, device), device=device
         )
-        counters.useful_flops = 2 * matrix.nnz
-        if n == 0:
-            counters.threads = ws
-        return SpMVResult(y=y, counters=counters, device=device)

@@ -5,6 +5,9 @@ Included as a baseline substrate: each warp strides its row's entries
 generally unaligned), then reduces lane partials with a warp tree. Short
 rows under-utilize the warp — the classic CSR-vector weakness the ELL
 family avoids.
+
+:func:`csr_counters` is shared with the prepared-plan planner so replay
+counters are equal by construction.
 """
 
 from __future__ import annotations
@@ -24,7 +27,12 @@ from ..gpu.warp import warp_reduce_flops
 from ..utils.bits import ceil_div
 from .base import SpMVKernel, SpMVResult, register_kernel
 
-__all__ = ["CSRVectorKernel", "csr_column_schedule", "csr_spmv_columns"]
+__all__ = [
+    "CSRVectorKernel",
+    "csr_column_schedule",
+    "csr_counters",
+    "csr_spmv_columns",
+]
 
 #: schedule = [(rows_with_len>j, their j-th entry positions), ...]
 CsrSchedule = List[Tuple[np.ndarray, np.ndarray]]
@@ -61,6 +69,54 @@ def csr_spmv_columns(
     return y
 
 
+def csr_counters(matrix: CSRMatrix, device: DeviceSpec) -> KernelCounters:
+    """Traffic/flop accounting of the CSR-vector kernel (shared with plans)."""
+    m, _ = matrix.shape
+    ws = device.warp_size
+    tb = device.transaction_bytes
+    lengths = matrix.row_lengths()
+    # Unaligned row starts: each non-empty row pays ceil(len*b/128) + 1
+    # transactions in the worst case; model the +1 misalignment on rows
+    # that do not start on a transaction boundary.
+    starts = matrix.indptr[:-1]
+    misaligned_idx = ((starts * 4) % tb != 0) & (lengths > 0)
+    misaligned_val = ((starts * 8) % tb != 0) & (lengths > 0)
+    idx_tx = int(np.ceil(lengths * 4 / tb).sum() + misaligned_idx.sum())
+    val_tx = int(np.ceil(lengths * 8 / tb).sum() + misaligned_val.sum())
+
+    # x reads: each warp walks its own row; arrange the row's columns
+    # as a (ws, iters) lane grid for the cache model.
+    tex = TextureCacheModel(device)
+    x_bytes = 0
+    for r in range(m):
+        lo, hi = int(matrix.indptr[r]), int(matrix.indptr[r + 1])
+        if lo == hi:
+            continue
+        L = ceil_div(hi - lo, ws)
+        block = np.zeros(L * ws, dtype=np.int64)
+        block[: hi - lo] = matrix.indices[lo:hi]
+        valid = np.zeros(L * ws, dtype=bool)
+        valid[: hi - lo] = True
+        x_bytes += (
+            tex.warp_sequence_fetches(
+                block.reshape(L, ws).T, valid.reshape(L, ws).T
+            )
+            * device.tex_line_bytes
+        )
+
+    return KernelCounters(
+        index_bytes=idx_tx * tb,
+        value_bytes=val_tx * tb,
+        x_bytes=x_bytes,
+        y_bytes=contiguous_transactions(m, 8, ws, tb) * tb,
+        aux_bytes=contiguous_transactions(m + 1, 4, ws, tb) * tb,
+        useful_flops=2 * matrix.nnz,
+        issued_flops=2 * matrix.nnz + warp_reduce_flops(ws) * m,
+        launches=1,
+        threads=LaunchConfig.for_warps(m, ws).total_threads,
+    )
+
+
 @register_kernel
 class CSRVectorKernel(SpMVKernel):
     """CSR-vector kernel (one warp per row, warp-tree reduction)."""
@@ -74,64 +130,12 @@ class CSRVectorKernel(SpMVKernel):
         assert isinstance(matrix, CSRMatrix)
         x = matrix.check_x(x)
         m, _ = matrix.shape
-        ws = device.warp_size
-        tb = device.transaction_bytes
-        launch = LaunchConfig.for_warps(m, ws)
-
-        # ---- functional execution ------------------------------------
         # Row-sequential accumulation (matches the prepared-plan replay
         # bit-for-bit; matrix.spmv's reduceat would reassociate long rows).
         y = csr_spmv_columns(
             matrix.indices, matrix.vals, x,
             csr_column_schedule(matrix.indptr), m,
         )
-
-        # ---- traffic accounting --------------------------------------
-        lengths = matrix.row_lengths()
-        # Unaligned row starts: each non-empty row pays ceil(len*b/128) + 1
-        # transactions in the worst case; model the +1 misalignment on rows
-        # that do not start on a transaction boundary.
-        starts = matrix.indptr[:-1]
-        misaligned_idx = ((starts * 4) % tb != 0) & (lengths > 0)
-        misaligned_val = ((starts * 8) % tb != 0) & (lengths > 0)
-        idx_tx = int(
-            np.ceil(lengths * 4 / tb).sum() + misaligned_idx.sum()
+        return SpMVResult(
+            y=y, counters=csr_counters(matrix, device), device=device
         )
-        val_tx = int(
-            np.ceil(lengths * 8 / tb).sum() + misaligned_val.sum()
-        )
-        y_tx = contiguous_transactions(m, 8, ws, tb)
-        aux_tx = contiguous_transactions(m + 1, 4, ws, tb)
-
-        # x reads: each warp walks its own row; arrange the row's columns
-        # as a (ws, iters) lane grid for the cache model.
-        tex = TextureCacheModel(device)
-        x_bytes = 0
-        for r in range(m):
-            lo, hi = int(matrix.indptr[r]), int(matrix.indptr[r + 1])
-            if lo == hi:
-                continue
-            L = ceil_div(hi - lo, ws)
-            block = np.zeros(L * ws, dtype=np.int64)
-            block[: hi - lo] = matrix.indices[lo:hi]
-            valid = np.zeros(L * ws, dtype=bool)
-            valid[: hi - lo] = True
-            x_bytes += (
-                tex.warp_sequence_fetches(
-                    block.reshape(L, ws).T, valid.reshape(L, ws).T
-                )
-                * device.tex_line_bytes
-            )
-
-        counters = KernelCounters(
-            index_bytes=idx_tx * tb,
-            value_bytes=val_tx * tb,
-            x_bytes=x_bytes,
-            y_bytes=y_tx * tb,
-            aux_bytes=aux_tx * tb,
-            useful_flops=2 * matrix.nnz,
-            issued_flops=2 * matrix.nnz + warp_reduce_flops(ws) * m,
-            launches=1,
-            threads=launch.total_threads,
-        )
-        return SpMVResult(y=y, counters=counters, device=device)

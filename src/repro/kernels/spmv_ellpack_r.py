@@ -17,7 +17,7 @@ from ..formats.base import SparseFormat
 from ..formats.ellpack_r import ELLPACKRMatrix
 from ..gpu.counters import KernelCounters
 from ..gpu.device import DeviceSpec
-from ..gpu.launch import LaunchConfig
+from ..gpu.launch import ROW_BLOCK_THREADS, LaunchConfig
 from ..gpu.memory import contiguous_transactions
 from ..gpu.texcache import TextureCacheModel
 from ..types import VALUE_DTYPE
@@ -28,7 +28,7 @@ __all__ = ["ELLPACKRKernel", "ellpack_r_counters"]
 
 
 def ellpack_r_counters(
-    matrix: ELLPACKRMatrix, device: DeviceSpec, threads_per_block: int = 256
+    matrix: ELLPACKRMatrix, device: DeviceSpec
 ) -> KernelCounters:
     """Traffic/flop accounting of the ELLPACK-R kernel.
 
@@ -37,7 +37,7 @@ def ellpack_r_counters(
     their own row length are predicated off but the line is fetched).
     """
     m, _ = matrix.shape
-    launch = LaunchConfig.for_rows(m, threads_per_block)
+    launch = LaunchConfig.for_rows(m)
     tb = device.transaction_bytes
     ws = device.warp_size
 
@@ -54,9 +54,9 @@ def ellpack_r_counters(
 
     tex = TextureCacheModel(device)
     x_bytes = 0
-    for r0 in range(0, m, threads_per_block):
-        block_cols = matrix.col_idx[r0 : r0 + threads_per_block]
-        x_bytes += tex.block_x_bytes(block_cols, mask[r0 : r0 + threads_per_block])
+    for r0 in range(0, m, ROW_BLOCK_THREADS):
+        r1 = r0 + ROW_BLOCK_THREADS
+        x_bytes += tex.block_x_bytes(matrix.col_idx[r0:r1], mask[r0:r1])
 
     return KernelCounters(
         index_bytes=idx_tx * tb,
@@ -76,9 +76,6 @@ class ELLPACKRKernel(SpMVKernel):
     """ELLPACK-R kernel with per-warp early exit."""
 
     format_name = "ellpack_r"
-
-    def __init__(self, threads_per_block: int = 256) -> None:
-        self.threads_per_block = int(threads_per_block)
 
     def _execute(
         self, matrix: SparseFormat, x: np.ndarray, device: DeviceSpec
@@ -100,7 +97,5 @@ class ELLPACKRKernel(SpMVKernel):
                 y += np.where(mask[:, c], vals[:, c] * x[cols[:, c]], 0.0)
 
         return SpMVResult(
-            y=y,
-            counters=ellpack_r_counters(matrix, device, self.threads_per_block),
-            device=device,
+            y=y, counters=ellpack_r_counters(matrix, device), device=device
         )

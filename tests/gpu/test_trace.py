@@ -7,7 +7,9 @@ from repro.core.bro_coo import BROCOOMatrix
 from repro.core.bro_ell import BROELLMatrix
 from repro.errors import ValidationError
 from repro.formats.conversion import convert
+from repro.formats.coo import COOMatrix
 from repro.gpu.device import TESLA_K20
+from repro.gpu.memory import contiguous_transactions
 from repro.gpu.trace import (
     IntervalTrace,
     PartTrace,
@@ -17,6 +19,7 @@ from repro.gpu.trace import (
     trace_hyb,
 )
 from repro.kernels import run_spmv
+from repro.registry import tracer_for
 from tests.conftest import random_coo
 
 
@@ -43,11 +46,20 @@ class TestTrace:
 
     def test_totals_match_kernel_counters(self, traced):
         coo, bro, traces = traced
-        res = run_spmv(bro, np.ones(coo.shape[1]), "k20")
-        assert sum(t.stream_bytes for t in traces) == res.counters.index_bytes
-        assert sum(t.value_bytes for t in traces) == res.counters.value_bytes
-        assert sum(t.x_bytes for t in traces) == res.counters.x_bytes
-        assert sum(t.decode_ops for t in traces) == res.counters.decode_ops
+        # BRO-ELL-VC shares the slice tracer. Values on a quarter grid
+        # compress, so its rows must charge the dictionary channel as the
+        # kernel does.
+        quarters = COOMatrix(coo.row_idx, coo.col_idx,
+                             np.round(4 * coo.vals) / 4, coo.shape)
+        vc = convert(quarters, "bro_ell_vc", h=64)
+        assert vc.compressed_slices == vc.num_slices
+        cases = [(bro, traces), (vc, tracer_for("bro_ell_vc").rows(vc, TESLA_K20))]
+        for mat, rows in cases:
+            res = run_spmv(mat, np.ones(coo.shape[1]), "k20")
+            assert sum(t.stream_bytes for t in rows) == res.counters.index_bytes
+            assert sum(t.value_bytes for t in rows) == res.counters.value_bytes
+            assert sum(t.x_bytes for t in rows) == res.counters.x_bytes
+            assert sum(t.decode_ops for t in rows) == res.counters.decode_ops
 
     def test_padding_fraction_bounds(self, traced):
         _, _, traces = traced
@@ -104,6 +116,17 @@ class TestIntervalTrace:
     def test_decode_ops_match_kernel_counters(self, traced_coo):
         coo, bro, traces = traced_coo
         res = run_spmv(bro, np.ones(coo.shape[1]), "k20")
+        assert sum(t.decode_ops for t in traces) == res.counters.decode_ops
+
+    def test_totals_match_kernel_counters(self, traced_coo):
+        coo, bro, traces = traced_coo
+        res = run_spmv(bro, np.ones(coo.shape[1]), "k20")
+        tb = TESLA_K20.transaction_bytes
+        col_bytes = contiguous_transactions(bro.padded_nnz, 4, 32, tb) * tb
+        assert (sum(t.stream_bytes for t in traces) + col_bytes
+                == res.counters.index_bytes)
+        assert sum(t.value_bytes for t in traces) == res.counters.value_bytes
+        assert sum(t.x_bytes for t in traces) == res.counters.x_bytes
         assert sum(t.decode_ops for t in traces) == res.counters.decode_ops
 
     def test_atomic_pressure_bounds(self, traced_coo):
@@ -170,6 +193,18 @@ class TestPartTrace:
         # The classical HYB parts never decode; the BRO parts always do.
         assert all(t.decode_ops == 0 for t in trace_hyb(hyb, TESLA_K20))
         assert all(t.decode_ops > 0 for t in trace_hyb(bro_hyb, TESLA_K20))
+
+    def test_rows_sum_to_kernel_counters(self, hyb_pair):
+        # Includes a split with no ELL part: its row stays, with no traffic.
+        _, hyb, bro_hyb = hyb_pair
+        tail = COOMatrix([3, 3, 9], [0, 5, 7], [1.0, 2.0, 3.0], (64, 64))
+        for mat in (hyb, bro_hyb, convert(tail, "hyb"), convert(tail, "bro_hyb")):
+            traces = trace_hyb(mat, TESLA_K20)
+            assert [t.part for t in traces] == ["ell", "coo"]
+            c = run_spmv(mat, np.ones(mat.shape[1]), "k20").counters
+            assert sum(t.dram_bytes for t in traces) == c.dram_bytes
+            assert sum(t.x_bytes for t in traces) == c.x_bytes
+            assert sum(t.decode_ops for t in traces) == c.decode_ops
 
     def test_row_rendering(self, hyb_pair):
         _, hyb, _ = hyb_pair

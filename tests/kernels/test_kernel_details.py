@@ -1,7 +1,10 @@
 """Per-kernel counter details not covered by the cross-format tests."""
 
 import numpy as np
+import pytest
 
+from repro.errors import DecompressionError, ValidationError
+from repro.exec.policy import ExecutionPolicy
 from repro.formats import convert
 from repro.formats.coo import COOMatrix
 from repro.gpu.device import TESLA_K20
@@ -125,3 +128,41 @@ class TestBROELLDetails:
         coo = COOMatrix(np.arange(256), np.zeros(256), np.ones(256), (256, 256))
         res = run_spmv(convert(coo, "bro_ell", h=64), np.ones(256), "k20")
         assert res.counters.x_bytes <= 64 * TESLA_K20.tex_line_bytes
+
+
+def _with_spare_symbol_row(mat):
+    """A copy of a BRO-ELL-family container whose last slice carries one
+    symbol row (one symbol per thread) that no column ever loads."""
+    import copy
+
+    from repro.bitstream.multiplex import concat_slices
+
+    edges = mat.chunk_edges if mat.format_name == "bro_sell" else mat.slice_edges
+    h_last = int(edges[-1] - edges[-2])
+    views = list(mat.stream)
+    views[-1] = np.concatenate(
+        [views[-1], np.zeros(h_last, dtype=views[-1].dtype)]
+    )
+    tampered = copy.copy(mat)
+    tampered._stream = concat_slices(views, sym_len=mat.stream.sym_len)
+    return tampered
+
+
+class TestSpareSymbols:
+    """Every BRO-ELL-family reference kernel walks the same stepwise
+    decoder, so each rejects a slice stream with unread trailing symbols
+    (the plan rejects it at build, from the stream length)."""
+
+    @pytest.mark.parametrize("fmt", ["bro_ell", "bro_sell", "bro_ell_vc"])
+    def test_reference_kernel_rejects_spare_symbols(self, fmt):
+        coo = COOMatrix.from_dense(
+            np.round(4 * np.random.default_rng(5).standard_normal((128, 128)))
+            * (np.random.default_rng(6).random((128, 128)) < 0.05)
+            / 4
+        )
+        tampered = _with_spare_symbol_row(convert(coo, fmt))
+        x = np.ones(128)
+        with pytest.raises(DecompressionError, match="not fully consumed"):
+            run_spmv(tampered, x, "k20", policy=ExecutionPolicy(engine="reference"))
+        with pytest.raises(ValidationError):
+            run_spmv(tampered, x, "k20")

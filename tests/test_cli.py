@@ -308,18 +308,18 @@ class TestProfileCommand:
 
     def test_profile_bro_coo_storage(self, capsys):
         assert main(
-            ["profile", "epb3", "--scale", "0.02", "--storage", "bro_coo"]
+            ["profile", "epb3", "--scale", "0.02", "--format", "bro_coo"]
         ) == 0
         out = capsys.readouterr().out
         assert "kernel.bro_coo" in out
         assert "intvl" in out  # per-interval block profile
 
     def test_profile_format_flag_selects_storage(self, capsys):
-        # --format is the unified storage spelling; --storage is an alias.
-        assert main(
-            ["profile", "epb3", "--scale", "0.02", "--format", "bro_coo"]
-        ) == 0
-        assert "kernel.bro_coo" in capsys.readouterr().out
+        # --format is the one storage spelling; the --storage alias is gone.
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "epb3", "--scale", "0.02", "--storage", "bro_coo"])
+        assert exc.value.code == 2
+        assert "--storage" in capsys.readouterr().err
 
     def test_profile_json_shorthand(self, capsys):
         import json
