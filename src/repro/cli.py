@@ -301,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default bro_ell,csr)")
     p.add_argument("--kinds", default=None,
                    help="comma-separated fault kinds (default: kill-worker,"
-                        "stall-worker,corrupt-shard-result,stream_bit_flip)")
+                        "stall-worker,corrupt-shard-result,stream_bit_flip,"
+                        "plan_bit_flip)")
     p.add_argument("--repeats", type=_positive_int, default=1,
                    help="trials per (format, kind) cell (default 1)")
     p.add_argument("--seed", type=int, default=0,
@@ -952,6 +953,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 "benign": report.benign,
                 "silent": report.silent,
                 "seed": args.seed,
+                "rows": report.rows(),
             },
             "archive": {"ok": archive_ok, "total": archive_total},
             "failures": failures,

@@ -21,7 +21,10 @@ Any :func:`repro.integrity.faults.fault_kinds` name (``stream_bit_flip``,
 ``value_nan``, ...) is also accepted: the executing side injects that
 fault into a copy of the shard container and runs it under checksum
 verification, so container corruption surfaces as a typed error and the
-shard retries against the pristine container.
+shard retries against the pristine container. ``"plan_bit_flip"`` flips
+one bit of the shard's warm plan instead and replays it under checksum
+verification: the plan fails its replay-array CRC, is dropped, and the
+retry rebuilds it.
 
 :func:`run_chaos_campaign` sweeps formats × fault kinds and asserts the
 zero-silent-corruption contract end-to-end: every trial must return the
@@ -53,7 +56,7 @@ __all__ = [
 PROCESS_FAULT_KINDS = ("kill-worker", "stall-worker", "corrupt-shard-result")
 
 #: Default fault matrix of :func:`run_chaos_campaign`.
-DEFAULT_CAMPAIGN_KINDS = PROCESS_FAULT_KINDS + ("stream_bit_flip",)
+DEFAULT_CAMPAIGN_KINDS = PROCESS_FAULT_KINDS + ("stream_bit_flip", "plan_bit_flip")
 
 
 @dataclass(frozen=True)

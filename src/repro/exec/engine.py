@@ -10,7 +10,8 @@ The engine
 
 1. partitions the matrix (or accepts a pre-built
    :class:`~repro.exec.partition.ShardedMatrix`), caching the partition
-   on the container so solver loops pay for it once;
+   on the container under its seal so solver loops pay for it once, and
+   a re-seal after mutation re-partitions;
 2. prepares and runs every shard's kernel concurrently — on a
    ``ThreadPoolExecutor`` (``policy.backend="thread"``, default) or on a
    fault-tolerant ``multiprocessing`` :class:`~repro.exec.workers.WorkerPool`
@@ -60,8 +61,12 @@ from ..formats.base import SparseFormat
 from ..gpu.counters import KernelCounters
 from ..gpu.device import DeviceSpec, get_device
 from ..gpu.timing import MultiDeviceBreakdown, predict_sharded
+from ..integrity.checksums import get_header
+from ..integrity.faults import PLAN_FAULT_KIND
+from ..integrity.validators import verify_container, verify_rank
 from ..kernels.base import SpMVResult
 from ..kernels.plan import check_multi_x
+from ..kernels.plancache import fingerprint_token
 from ..telemetry import metrics as _metrics
 from ..telemetry.tracer import get_tracer
 from ..telemetry.tracer import span as _span
@@ -69,6 +74,7 @@ from .chaos import PROCESS_FAULT_KINDS, ChaosEvent, chaos_state
 from .comms import CommsReport, model_comms
 from .partition import ShardedMatrix, partition
 from .policy import ExecutionPolicy
+from .workers import shutdown_matrix_pools
 
 __all__ = [
     "ShardedSpMVResult",
@@ -113,16 +119,35 @@ class ShardedSpMVResult(SpMVResult):
         return len(self.shard_results)
 
 
+@dataclass
+class _View:
+    """A cached partition and the seal and verify level it was read under."""
+
+    token: object
+    verified: object
+    sharded: Optional[ShardedMatrix]  #: None for a pre-built ShardedMatrix
+
+
 def sharded_view(
     matrix: SparseFormat,
     devices: int,
     partitioner: str = "greedy-nnz",
+    verify: object = False,
 ) -> ShardedMatrix:
     """The matrix partitioned for ``devices``, cached on the container.
 
-    Re-invoking with the same ``(devices, partitioner)`` returns the
-    cached :class:`ShardedMatrix`, so iterative solvers re-encode shards
-    once per operator, not once per multiplication.
+    Re-invoking with the same ``(devices, partitioner)`` under the same
+    seal returns the cached :class:`ShardedMatrix`, so iterative solvers
+    re-encode shards once per operator, not once per multiplication. A
+    re-seal (mutate, then :func:`~repro.integrity.seal`) re-partitions
+    and shuts down the worker pools of the superseded partition. An
+    unsealed container mutated in place keeps its stale partition.
+
+    ``verify`` (an ``ExecutionPolicy.verify`` level) checks the container
+    before :func:`partition` reads it; the view records the level, so a
+    stronger request checks once more and a re-partition re-checks. A
+    pre-built :class:`ShardedMatrix` is its own view: it is checked once
+    per seal the same way, and a re-seal shuts down its worker pools.
     """
     if isinstance(matrix, ShardedMatrix):
         # devices == 1 means "no explicit request": use the container as-is.
@@ -131,21 +156,35 @@ def sharded_view(
                 f"matrix is already sharded for {matrix.n_shards} devices, "
                 f"policy asks for {devices}; re-partition explicitly"
             )
-        return matrix
+        key: object = None
+    else:
+        key = (devices, partitioner)
     cache = getattr(matrix, "_repro_shard_cache", None)
     if cache is None:
         cache = {}
         matrix._repro_shard_cache = cache  # type: ignore[attr-defined]
-    key = (devices, partitioner)
-    if key not in cache:
-        cache[key] = partition(matrix, devices, partitioner)
-    return cache[key]
+    token = fingerprint_token(get_header(matrix))
+    view = cache.get(key)
+    if view is not None and view.token != token:
+        del cache[key]
+        shutdown_matrix_pools(
+            view.sharded if view.sharded is not None else matrix)
+        view = None
+    if view is None:
+        verify_container(matrix, verify)
+        # A pre-built view does not hold itself (no reference cycle).
+        view = cache[key] = _View(token, verify, None if key is None
+                                  else partition(matrix, devices, partitioner))
+    elif verify_rank(view.verified) < verify_rank(verify):
+        verify_container(matrix, verify)
+        view.verified = verify
+    sharded = matrix if view.sharded is None else view.sharded
+    assert isinstance(sharded, ShardedMatrix)
+    return sharded
 
 
 def shutdown_pools(matrix: SparseFormat) -> int:
     """Close every process-worker pool cached on ``matrix``; returns count."""
-    from .workers import shutdown_matrix_pools
-
     return shutdown_matrix_pools(matrix)
 
 
@@ -193,7 +232,7 @@ def _execute_thread(
     run = run_spmm if x.ndim == 2 else run_spmv
 
     shard_policy = policy.with_(
-        devices=1, verify=False, fallback=None, plan=None,
+        devices=1, fallback=None, plan=None,
         backend="thread", shard_timeout_s=None, chaos=None,
     )
     event = _plan_thread_chaos(sharded, policy)
@@ -212,6 +251,13 @@ def _execute_thread(
         if event is not None and event.shard == d:
             if event.kind == "stall-worker":
                 time.sleep(event.stall_s)
+            elif event.kind == PLAN_FAULT_KIND:
+                from .workers import _apply_plan_fault
+
+                verified = shard_policy.with_(verify="checksum")
+                _apply_plan_fault(
+                    shard, device, verified, event.call * 8191 + d)
+                return run(shard, x, device, policy=verified)
             else:
                 from ..integrity.checksums import is_sealed, seal
                 from .workers import _apply_container_fault
@@ -294,7 +340,7 @@ def _execute_process(
         telem = (uuid.uuid4().hex, None)
 
     pool = worker_pool(sharded, device, policy)
-    blocks, stats = pool.execute(x, telem=telem)
+    blocks, stats = pool.execute(x, telem=telem, verify=policy.verify)
     results = [
         SpMVResult(y=y, counters=counters, device=device)
         for y, counters in blocks
@@ -342,13 +388,14 @@ def execute_sharded(
     ``x`` is a vector of shape ``(n,)`` or a block of shape ``(n, k)``;
     a block runs as one sharded call whose every shard replays all ``k``
     columns (``run_spmm`` per shard), and comes back as one ``(m, k)``
-    result. Integrity (verify/fallback) is the caller's concern —
+    result. Fallback is the caller's concern —
     :func:`repro.kernels.run_spmv` / :func:`~repro.kernels.run_spmm`
     wrap this call in their guarded region, so corruption inside any
-    shard degrades exactly like a single-device failure. Each shard
-    runs with a single-device variant of ``policy`` (same engine
-    selection and plan cache); the backend — thread pool or
-    failover-capable worker processes — is selected by
+    shard degrades exactly like a single-device failure. ``policy.verify``
+    checks the container when :func:`sharded_view` partitions it, and
+    each shard runs with a single-device variant of ``policy`` (same
+    verify level, engine selection and plan cache); the backend —
+    thread pool or failover-capable worker processes — is selected by
     ``policy.backend``.
     """
     if isinstance(device, str):
@@ -356,7 +403,8 @@ def execute_sharded(
     if not policy.sharded and not isinstance(matrix, ShardedMatrix):
         raise ValidationError("execute_sharded needs policy.devices > 1")
 
-    sharded = sharded_view(matrix, policy.devices, policy.partitioner)
+    sharded = sharded_view(
+        matrix, policy.devices, policy.partitioner, policy.verify)
     comms = model_comms(sharded, device, policy.comms)
     x = check_multi_x(sharded, x) if np.ndim(x) == 2 else sharded.check_x(x)
     k = x.shape[1] if x.ndim == 2 else 1

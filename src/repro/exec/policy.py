@@ -75,8 +75,15 @@ class ExecutionPolicy:
         ``"reference"`` — always the stepwise kernels, re-decoding on
         every call.
     verify:
-        Integrity level applied before dispatch: ``False`` (default),
-        ``"structure"``, ``True``/``"checksum"`` or ``"full"``.
+        Integrity level: ``False`` (default), ``"structure"``,
+        ``True``/``"checksum"`` or ``"full"``. Each check runs on the
+        bytes the call reads. The container (structure, plus its CRC at
+        ``"checksum"``) is checked once per seal, when a plan is built
+        from it or it is partitioned, and on every reference-engine
+        call; ``"full"`` deep-checks it on every call. At
+        ``"checksum"`` and ``"full"`` every plan replay first checks
+        the plan's arrays against their build-time CRC. Shards run
+        under the same level. See ``docs/robustness.md``.
     fallback:
         Trusted container served when the primary fails verification or
         decode (typically the pristine CSR); ``None`` propagates errors.

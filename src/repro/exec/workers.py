@@ -22,7 +22,13 @@ failover path:
   race a retry — stale tags are rejected on arrival;
 * **corruption** — the returned ``y`` fails its transport CRC, or the
   worker reported a typed error (e.g. its shard container failed the
-  stored seal).
+  stored seal, or its cached plan failed its replay-array CRC).
+
+Each task carries the call's ``verify`` level, and workers run their
+shard under it: the shard container is checked when a worker's plan
+cache first reads it, and at ``"checksum"`` the plan's arrays on every
+task. A plan that fails is dropped from the worker's cache, so the
+retry rebuilds it from the shard, which was verified when loaded.
 
 Failover re-enqueues the shard on the least-loaded surviving worker with
 an exponential deadline backoff, bounded by ``policy.max_retries``; with
@@ -62,6 +68,7 @@ from ..errors import ReproError, ShardTimeoutError, ValidationError, WorkerFailu
 from ..formats.base import SparseFormat
 from ..gpu.counters import KernelCounters
 from ..gpu.device import DeviceSpec
+from ..integrity.faults import PLAN_FAULT_KIND, flip_plan_bit
 from .chaos import PROCESS_FAULT_KINDS, ChaosEvent, ChaosState
 from .partition import ShardedMatrix
 from .policy import ExecutionPolicy
@@ -108,6 +115,19 @@ def _apply_container_fault(
     return injected.matrix
 
 
+def _apply_plan_fault(
+    matrix: SparseFormat, device: Any, policy: ExecutionPolicy, seed: int
+) -> None:
+    """Flip one bit of one replay array of ``matrix``'s cached plan,
+    building the plan first when it is cold."""
+    from ..kernels.plancache import cache_for
+
+    plan = cache_for(policy).get_or_build(
+        matrix, device, backend=policy.compute_backend, verify=policy.verify
+    )
+    flip_plan_bit(plan, np.random.default_rng(seed))
+
+
 def _worker_main(
     slot: int,
     shard_paths: List[str],
@@ -121,7 +141,8 @@ def _worker_main(
 ) -> None:
     """Worker loop: mmap shards on demand, run tasks, report results.
 
-    Runs in a child process. The final text protocol is tuples on
+    Runs in a child process. A task is ``("spmv", call, shard, attempt,
+    x, chaos, telem, verify)``. The final text protocol is tuples on
     ``result_queue``: ``("done", call, shard, attempt, slot, y, counters,
     crc)`` or ``("error", call, shard, attempt, slot, errname, errmsg)``.
 
@@ -157,8 +178,9 @@ def _worker_main(
         task = task_queue.get()
         if task[0] == "stop":
             return
-        _, call, shard_idx, attempt, x, chaos, telem = task
+        _, call, shard_idx, attempt, x, chaos, telem, verify = task
         run = run_spmm if x.ndim == 2 else run_spmv
+        task_policy = policy.with_(verify=verify)
         try:
             matrix = shards.get(shard_idx)
             if matrix is None:
@@ -174,6 +196,12 @@ def _worker_main(
                 kind = None
 
             def _run(kind: Any = kind, matrix: SparseFormat = matrix) -> Any:
+                if kind == PLAN_FAULT_KIND:
+                    # Plan-array fault: flip a bit of the warm plan and
+                    # replay it under checksum verification.
+                    _apply_plan_fault(
+                        matrix, device_name, verify_policy, int(chaos[2]))
+                    return run(matrix, x, device_name, policy=verify_policy)
                 if kind is not None and kind not in PROCESS_FAULT_KINDS:
                     # Container-level fault: corrupt a copy and execute it
                     # under checksum verification — detection raises typed.
@@ -183,7 +211,7 @@ def _worker_main(
                     return run(
                         victim, x, device_name, policy=verify_policy
                     )
-                return run(matrix, x, device_name, policy=policy)
+                return run(matrix, x, device_name, policy=task_policy)
 
             if telem is None:
                 result = _run()
@@ -305,6 +333,7 @@ class WorkerPool:
         self._call = 0
         self._closed = False
         self._telem_ctx: Optional[Tuple[str, Optional[int]]] = None
+        self._verify: object = False
         self._workers: List[Optional[_Worker]] = [
             self._spawn(slot) for slot in range(self.n_shards)
         ]
@@ -401,7 +430,7 @@ class WorkerPool:
         worker.busy.add(state.shard)
         worker.task_queue.put(
             ("spmv", self._call, state.shard, state.attempt, x, chaos,
-             self._telem_ctx)
+             self._telem_ctx, self._verify)
         )
 
     def _fail(
@@ -452,6 +481,7 @@ class WorkerPool:
         self,
         x: np.ndarray,
         telem: Optional[Tuple[str, Optional[int]]] = None,
+        verify: object = False,
     ) -> Tuple[List[Tuple[np.ndarray, KernelCounters]], CallStats]:
         """Run one SpMV (1-D ``x``) or one SpMM block (``(n, k)`` ``x``)
         across the pool: one task per shard; returns per-shard results +
@@ -461,7 +491,9 @@ class WorkerPool:
         propagate to the workers; when given, each shard's telemetry
         batch (for its *accepted* attempt only) is drained into
         ``stats.telemetry``. ``None`` (telemetry disabled) sends no
-        context and touches the telemetry queue not at all.
+        context and touches the telemetry queue not at all. ``verify``
+        is the ``ExecutionPolicy.verify`` level every worker runs its
+        shard under.
 
         Raises a typed :class:`~repro.errors.ShardTimeoutError` /
         :class:`~repro.errors.WorkerFailureError` when a shard exhausts
@@ -481,6 +513,7 @@ class WorkerPool:
         states = [_ShardCall(shard=d) for d in range(self.n_shards)]
         done: Dict[int, Tuple[np.ndarray, KernelCounters]] = {}
         self._telem_ctx = telem
+        self._verify = verify
         try:
             for state in states:
                 worker = self._workers[state.shard % len(self._workers)]
@@ -709,7 +742,8 @@ def shutdown_matrix_pools(matrix: SparseFormat) -> int:
     views: List[ShardedMatrix] = []
     if isinstance(matrix, ShardedMatrix):
         views.append(matrix)
-    views.extend(getattr(matrix, "_repro_shard_cache", {}).values())
+    views.extend(v.sharded for v in getattr(matrix, "_repro_shard_cache", {}).values()
+                 if v.sharded is not None)
     for view in views:
         pools = getattr(view, "_repro_worker_pools", None)
         if not pools:

@@ -35,13 +35,15 @@ from .checksums import (
 from .counters import COUNTERS, IntegrityCounters, IntegritySnapshot
 from .faults import (
     ARCHIVE_FAULT_KINDS,
+    PLAN_FAULT_KIND,
     FaultSpec,
     InjectedFault,
     corrupt_archive,
     fault_kinds,
+    flip_plan_bit,
     inject_fault,
 )
-from .validators import structural_validators, validate_structure
+from .validators import structural_validators, validate_structure, verify_container
 
 __all__ = [
     # checksums
@@ -55,6 +57,7 @@ __all__ = [
     # validators
     "validate_structure",
     "structural_validators",
+    "verify_container",
     # counters
     "COUNTERS",
     "IntegrityCounters",
@@ -63,9 +66,11 @@ __all__ = [
     "FaultSpec",
     "InjectedFault",
     "fault_kinds",
+    "flip_plan_bit",
     "inject_fault",
     "corrupt_archive",
     "ARCHIVE_FAULT_KINDS",
+    "PLAN_FAULT_KIND",
     # campaign
     "FaultRecord",
     "CampaignReport",

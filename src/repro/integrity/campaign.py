@@ -8,6 +8,11 @@ reference to machine precision. A fault that leaves the output unchanged
 *and* undetected is counted as ``benign`` (e.g. the injector flipped state
 that the kernel provably never reads); a wrong result with no error is
 ``silent`` — the failure class this subsystem exists to eliminate.
+
+Besides the container faults, the campaign flips bits in the arrays of a
+warm prepared plan (``plan_bit_flip``): those are the bytes the default
+engine reads on every call, and ``verify="checksum"`` checks them on
+every call.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from ..formats.coo import COOMatrix
 from ..formats.csr import CSRMatrix
 from ..matrices.generators import banded_random
 from .checksums import seal
-from .faults import inject_fault
+from .faults import PLAN_FAULT_KIND, fault_kinds, flip_plan_bit, inject_fault
 
 __all__ = [
     "FaultRecord",
@@ -137,6 +142,46 @@ def build_campaign_matrix(
     return seal(mat), coo
 
 
+def _dispatch_record(
+    fmt: str,
+    kind: str,
+    target: str,
+    matrix: SparseFormat,
+    x: np.ndarray,
+    y_ref: np.ndarray,
+    device: str,
+    policy: ExecutionPolicy,
+) -> FaultRecord:
+    """Dispatch one faulted matrix and classify it against the reference."""
+    from ..kernels.dispatch import run_spmv  # deferred: avoids an import cycle
+
+    try:
+        result = run_spmv(matrix, x, device, policy=policy)
+    except ReproError as exc:
+        return FaultRecord(
+            fmt, kind, target, detected=True, recovered=False, benign=False,
+            silent=False, stage="dispatch", error=str(exc),
+        )
+    correct = bool(
+        result.y.shape == y_ref.shape
+        and np.allclose(result.y, y_ref, rtol=_RTOL, atol=_ATOL)
+    )
+    detected = result.fault_detected
+    return FaultRecord(
+        fmt,
+        kind,
+        target,
+        detected=detected,
+        recovered=detected and result.fallback_used and correct,
+        benign=not detected and correct,
+        # The caller sees no exception on this path, so ANY wrong
+        # result — detected internally or not — escaped silently.
+        silent=not correct,
+        stage="dispatch" if detected else "none",
+        error=result.integrity_error,
+    )
+
+
 def run_campaign(
     formats: Sequence[str] = DEFAULT_FORMATS,
     n_faults: int = 500,
@@ -146,12 +191,18 @@ def run_campaign(
 ) -> CampaignReport:
     """Inject ``n_faults`` faults round-robin across ``formats``.
 
-    Every fault is injected into a fresh deep copy of a sealed container
-    and then dispatched through :func:`repro.kernels.dispatch.run_spmv`
-    with verification enabled and the pristine CSR matrix as fallback; the
-    outcome is classified against the dense reference product.
+    Each fault is one of the format's container kinds or, as one more
+    kind drawn with equal odds, a plan-array fault
+    (:data:`~repro.integrity.faults.PLAN_FAULT_KIND`). A container fault
+    corrupts a fresh deep copy of a sealed container; a plan fault warms
+    the sealed container's plan in a private cache and flips one bit of
+    one of its replay arrays. Either is then dispatched through
+    :func:`repro.kernels.dispatch.run_spmv` with ``verify`` and the
+    pristine CSR matrix as fallback, and the outcome is classified
+    against the dense reference product.
     """
     from ..kernels.dispatch import run_spmv  # deferred: avoids an import cycle
+    from ..kernels.plancache import PlanCache
 
     report = CampaignReport()
     rng = np.random.default_rng(seed)
@@ -165,6 +216,20 @@ def run_campaign(
 
     for i in range(int(n_faults)):
         fmt, sealed, x, y_ref, fallback = fixtures[i % len(fixtures)]
+        policy = ExecutionPolicy(verify=verify, fallback=fallback)
+        if int(rng.integers(len(fault_kinds(fmt)) + 1)) == 0:
+            # The numpy executor keeps a corrupted replay in bounds (the
+            # gather clips, the row scatter raises), so an unverified
+            # campaign reports the fault instead of crashing in a
+            # compiled loop, which trusts the indices checked at build.
+            cache = PlanCache(maxsize=1)
+            policy = policy.with_(plan_cache=cache, compute_backend="numpy")
+            run_spmv(sealed, x, device, policy=policy)  # warm the plan
+            target = flip_plan_bit(
+                cache.get_or_build(sealed, device, backend="numpy"), rng)
+            report.records.append(_dispatch_record(
+                fmt, PLAN_FAULT_KIND, target, sealed, x, y_ref, device, policy))
+            continue
         injected = inject_fault(sealed, rng)
         if injected.matrix is None:
             report.records.append(
@@ -181,44 +246,7 @@ def run_campaign(
                 )
             )
             continue
-        try:
-            result = run_spmv(
-                injected.matrix, x, device,
-                policy=ExecutionPolicy(verify=verify, fallback=fallback),
-            )
-        except ReproError as exc:
-            report.records.append(
-                FaultRecord(
-                    fmt,
-                    injected.spec.kind,
-                    injected.spec.target,
-                    detected=True,
-                    recovered=False,
-                    benign=False,
-                    silent=False,
-                    stage="dispatch",
-                    error=str(exc),
-                )
-            )
-            continue
-        correct = bool(
-            result.y.shape == y_ref.shape
-            and np.allclose(result.y, y_ref, rtol=_RTOL, atol=_ATOL)
-        )
-        detected = result.fault_detected
-        report.records.append(
-            FaultRecord(
-                fmt,
-                injected.spec.kind,
-                injected.spec.target,
-                detected=detected,
-                recovered=detected and result.fallback_used and correct,
-                benign=not detected and correct,
-                # The caller sees no exception on this path, so ANY wrong
-                # result — detected internally or not — escaped silently.
-                silent=not correct,
-                stage="dispatch" if detected else "none",
-                error=result.integrity_error,
-            )
-        )
+        report.records.append(_dispatch_record(
+            fmt, injected.spec.kind, injected.spec.target, injected.matrix,
+            x, y_ref, device, policy))
     return report

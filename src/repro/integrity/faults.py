@@ -36,7 +36,9 @@ __all__ = [
     "fault_kinds",
     "inject_fault",
     "corrupt_archive",
+    "flip_plan_bit",
     "ARCHIVE_FAULT_KINDS",
+    "PLAN_FAULT_KIND",
 ]
 
 
@@ -310,6 +312,32 @@ def inject_fault(
     except ReproError as exc:
         return InjectedFault(FaultSpec(chosen.name, "rejected at construction"), None, exc)
     return InjectedFault(FaultSpec(chosen.name, target), victim, None)
+
+
+# ---------------------------------------------------------------------------
+# Prepared-plan corruption
+# ---------------------------------------------------------------------------
+
+#: The fault kind that flips one bit of a prepared plan's replay arrays.
+PLAN_FAULT_KIND = "plan_bit_flip"
+
+
+def flip_plan_bit(plan, rng: np.random.Generator) -> str:
+    """Flip one bit of one replay array of ``plan`` in place.
+
+    The array (any of :meth:`~repro.kernels.plan.SpMVPlan.replay_arrays`,
+    parts included) and the bit are chosen uniformly. Unlike the
+    container injectors this corrupts the live plan, not a copy: it
+    models a fault in the memory a warm replay reads. Returns the target.
+    """
+    arrays = [(name, arr) for name, arr in plan.replay_arrays().items()
+              if arr.size]
+    name, arr = arrays[int(rng.integers(len(arrays)))]
+    raw = arr.reshape(-1).view(np.uint8)
+    byte = int(rng.integers(raw.shape[0]))
+    bit = int(rng.integers(8))
+    raw[byte] ^= np.uint8(1 << bit)
+    return f"plan {name} byte {byte} bit {bit}"
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,16 @@ from ..formats.coo import COOMatrix
 from ..formats.csr import CSRMatrix
 from ..formats.sell_c_sigma import SELLCSigmaMatrix
 from ..formats.sliced_ellpack import slice_bounds
+from ..exec.policy import VERIFY_LEVELS
 from ..telemetry.tracer import span as _span
+from .checksums import is_sealed, verify_integrity
 
-__all__ = ["validate_structure", "structural_validators"]
+__all__ = [
+    "validate_structure",
+    "structural_validators",
+    "verify_container",
+    "verify_rank",
+]
 
 def _register(name: str):
     def deco(fn):
@@ -73,6 +80,65 @@ def validate_structure(matrix: SparseFormat, deep: bool = False) -> None:
             validator(matrix, deep)
 
 
+def verify_rank(level) -> int:
+    """Strength of a normalized verify level: ``False`` <
+    ``"structure"`` < ``"checksum"`` < ``"full"``."""
+    return VERIFY_LEVELS.index(level)
+
+
+def verify_container(matrix: SparseFormat, level) -> None:
+    """The container check of one verify level.
+
+    ``"structure"`` runs the fast structural pass, ``"checksum"`` adds
+    the CRC header when the matrix is sealed, and ``"full"`` makes the
+    structural pass deep. ``False`` checks nothing.
+    """
+    if level is False:
+        return
+    validate_structure(matrix, deep=(level == "full"))
+    if level != "structure" and is_sealed(matrix):
+        verify_integrity(matrix)
+
+
+def _first_failure(bad: np.ndarray, check) -> None:
+    """Run the scalar ``check(i)`` on the blocks a vectorized pass flagged,
+    in order, so the error names the first failing block exactly as a
+    block-by-block loop would."""
+    for i in np.flatnonzero(bad).tolist():
+        check(i)
+
+
+def _width_blocks(bit_allocs, num_col: np.ndarray, heights: np.ndarray,
+                  ptr: np.ndarray, sym_len: int, fmt: str, what: str):
+    """Per-block flags of the width checks shared by BRO-ELL and BRO-SELL:
+    ``num_col`` agrees with the width array, every width lies in
+    ``[1, sym_len]`` and the stream holds exactly the symbols the widths
+    need. Returns ``(flags, widths per block)``."""
+    n = heights.shape[0]
+    if len(bit_allocs) != n:
+        _fail(fmt, "bit_alloc", f"has {len(bit_allocs)} arrays for {n} {what}")
+    if num_col.shape != (n,):
+        _fail(fmt, "num_col", f"has {num_col.shape[0]} entries for {n} {what}")
+    sizes = np.fromiter(map(len, bit_allocs), dtype=np.int64, count=n)
+    flat = (np.concatenate(bit_allocs).astype(np.int64, copy=False)
+            if n else np.zeros(0, dtype=np.int64))
+    owner = np.repeat(np.arange(n), sizes)
+    out_of_range = np.bincount(
+        owner[(flat < 1) | (flat > sym_len)], minlength=n).astype(bool)
+    bits = np.bincount(owner, weights=flat, minlength=n).astype(np.int64)
+    expected = -(-bits // sym_len) * heights
+    bad = (num_col.astype(np.int64) != sizes) | out_of_range
+    bad |= np.diff(ptr.astype(np.int64)) != expected
+    return bad, sizes
+
+
+def _block_max(lengths: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Largest entry of ``lengths`` in every non-empty block of ``edges``."""
+    if lengths.size == 0 or edges.shape[0] < 2:
+        return np.zeros(max(edges.shape[0] - 1, 0), dtype=np.int64)
+    return np.maximum.reduceat(lengths, edges[:-1].astype(np.intp))
+
+
 # ---------------------------------------------------------------------------
 # BRO-ELL
 # ---------------------------------------------------------------------------
@@ -100,7 +166,8 @@ def _validate_bro_ell(m: BROELLMatrix, deep: bool) -> None:
         _fail(fmt, "row_lengths", f"shape {lengths.shape} != ({rows},)")
     if lengths.size and int(lengths.min()) < 0:
         _fail(fmt, "row_lengths", "holds a negative entry")
-    for i in range(m.num_slices):
+
+    def check_slice(i: int) -> None:
         ba = m.bit_allocs[i]
         h_i = int(edges[i + 1] - edges[i])
         if int(m.num_col[i]) != ba.shape[0]:
@@ -114,6 +181,11 @@ def _validate_bro_ell(m: BROELLMatrix, deep: bool) -> None:
         slice_lens = lengths[int(edges[i]) : int(edges[i + 1])]
         if slice_lens.size and int(slice_lens.max()) > ba.shape[0]:
             _fail(fmt, f"row_lengths[slice {i}]", f"exceed the slice width {ba.shape[0]}")
+
+    bad, widths = _width_blocks(m.bit_allocs, m.num_col, np.diff(edges), ptr,
+                                m.sym_len, fmt, "slices")
+    bad |= _block_max(lengths, edges) > widths
+    _first_failure(bad, check_slice)
     if deep:
         for i in range(m.num_slices):
             cols_blk, valid = m.decode_slice_cols(i)
@@ -153,13 +225,19 @@ def _validate_bro_coo(m: BROCOOMatrix, deep: bool) -> None:
         _fail(fmt, "slice_ptr", f"has {ptr.shape[0]} entries for {m.num_intervals} intervals")
     if int(ptr[0]) != 0 or int(ptr[-1]) != m.stream.data.shape[0]:
         _fail(fmt, "slice_ptr", "must start at 0 and end at the stream length")
-    for i in range(m.num_intervals):
+
+    def check_interval(i: int) -> None:
         L = m.interval_lanes(i)
         widths = np.full(L, int(ba[i]), dtype=np.int64)
         expected = row_stream_symbols(widths, m.stream.sym_len) * m.warp_size
         have = int(ptr[i + 1] - ptr[i])
         if have != expected:
             _fail(fmt, f"stream[{i}]", f"holds {have} symbols, width requires {expected}")
+
+    lo = np.arange(m.num_intervals, dtype=np.int64) * m.interval_size
+    lanes = -(-(np.minimum(lo + m.interval_size, padded) - lo) // m.warp_size)
+    expected = -(-(lanes * ba.astype(np.int64)) // m.stream.sym_len) * m.warp_size
+    _first_failure(np.diff(ptr.astype(np.int64)) != expected, check_interval)
     if deep:
         prev_last = None
         for i in range(m.num_intervals):
@@ -205,7 +283,8 @@ def _validate_bro_sell(m: BROSELLMatrix, deep: bool) -> None:
     if int(ptr[0]) != 0 or int(ptr[-1]) != m.stream.data.shape[0]:
         _fail(fmt, "slice_ptr", "must start at 0 and end at the stream length")
     perm_lengths = lengths[ids]
-    for i in range(m.num_chunks):
+
+    def check_chunk(i: int) -> None:
         ba = m.bit_allocs[i]
         h_i = int(edges[i + 1] - edges[i])
         if int(m.num_col[i]) != ba.shape[0]:
@@ -219,6 +298,11 @@ def _validate_bro_sell(m: BROSELLMatrix, deep: bool) -> None:
         chunk_lens = perm_lengths[int(edges[i]) : int(edges[i + 1])]
         if chunk_lens.size and int(chunk_lens.max()) > ba.shape[0]:
             _fail(fmt, f"row_lengths[chunk {i}]", f"exceed the chunk width {ba.shape[0]}")
+
+    bad, widths = _width_blocks(m.bit_allocs, m.num_col, np.diff(edges), ptr,
+                                m.sym_len, fmt, "chunks")
+    bad |= _block_max(perm_lengths, edges) > widths
+    _first_failure(bad, check_chunk)
     if deep:
         for i in range(m.num_chunks):
             cols_blk, valid = m.decode_chunk_cols(i)

@@ -1,14 +1,30 @@
 """One-call SpMV entry point: pick the kernel from the matrix's format.
 
 Beyond plain dispatch, :func:`run_spmv` is the integrity boundary of the
-library: with verification enabled it structurally validates the
-container (and checks its CRC32 header when the matrix was sealed with
-:func:`repro.integrity.seal`) before running the kernel, and with a
-fallback matrix supplied it degrades gracefully — any typed
+library. With verification enabled, each check runs on the bytes the
+call reads, when it reads them:
+
+* the **container** — structural validation, plus its CRC32 header at
+  ``"checksum"`` when the matrix was sealed with
+  :func:`repro.integrity.seal` — is checked when it is first read under
+  its current seal: before the plan cache builds a plan from it (or
+  aliases a twin's plan to it), before ``sharded_view`` partitions it,
+  and on every call of the reference engine (which decodes it every
+  time) or with an explicit ``plan=``. ``"full"`` deep-checks it on
+  every call;
+* the **plan** — at ``"checksum"`` and ``"full"`` every replay first
+  compares the plan's arrays against the CRC taken when it was built,
+  and a plan that fails is dropped from its cache.
+
+With a fallback matrix supplied, dispatch degrades gracefully: any typed
 :class:`~repro.errors.ReproError` raised during verification or decode
 reroutes the request to the fallback's reference kernel (typically CSR)
 instead of failing, recording the event in the per-process integrity
 counters and on the returned :class:`~repro.kernels.base.SpMVResult`.
+A container mutated in place after a verified warm call is not read
+again, so the call keeps returning the sealed matrix's ``y``; the
+mutation is caught at the next read (``invalidate``, eviction, a
+re-partition, the reference engine). Re-seal after mutating on purpose.
 
 Execution is configured by one object — an
 :class:`~repro.exec.policy.ExecutionPolicy`::
@@ -47,13 +63,12 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import ReproError, ValidationError
+from ..errors import IntegrityError, ReproError, ValidationError
 from ..exec.policy import ExecutionPolicy
 from ..formats.base import SparseFormat
 from ..gpu.device import DeviceSpec, get_device
-from ..integrity.checksums import is_sealed, verify_integrity
 from ..integrity.counters import COUNTERS
-from ..integrity.validators import validate_structure
+from ..integrity.validators import verify_container
 from ..registry import has_planner, kernel_for
 from ..telemetry.tracer import NULL_SPAN, get_tracer
 from ..telemetry.tracer import span as _span
@@ -68,12 +83,6 @@ __all__ = ["run_spmv", "run_spmm"]
 #: out-of-range decoded indices surface from NumPy as IndexError, and
 #: garbage widths can trip ValueError/OverflowError inside the decoder.
 _CORRUPTION_ERRORS = (ReproError, IndexError, ValueError, OverflowError)
-
-
-def _verify_matrix(matrix: SparseFormat, level: str) -> None:
-    validate_structure(matrix, deep=(level == "full"))
-    if level in ("checksum", "full") and is_sealed(matrix):
-        verify_integrity(matrix)
 
 
 def _is_sharded_run(matrix: SparseFormat, policy: ExecutionPolicy) -> bool:
@@ -129,11 +138,20 @@ def _primary(
     if engine == "fast":
         plan = policy.plan
         if plan is None:
-            plan = cache_for(policy).get_or_build(
-                matrix, device, backend=policy.compute_backend
+            cache = cache_for(policy)
+            plan = cache.get_or_build(
+                matrix, device, backend=policy.compute_backend,
+                verify=policy.verify,
             )
         else:
             _check_plan(plan, matrix, device)
+        if policy.verify in ("checksum", "full"):
+            try:
+                plan.verify_arrays()
+            except IntegrityError:
+                if policy.plan is None:
+                    cache.discard(plan)  # the next call rebuilds it
+                raise
         return plan.execute_many(x) if x.ndim == 2 else plan.execute(x)
     kernel = kernel_for(matrix.format_name)
     if x.ndim == 1:
@@ -193,8 +211,14 @@ def _dispatch(
     ) as sp:
         COUNTERS.record_verification()
         try:
-            if level is not False:
-                _verify_matrix(matrix, level)
+            if level is not False and (
+                level == "full"
+                or (not _is_sharded_run(matrix, pol)
+                    and (eng == "reference" or pol.plan is not None))
+            ):
+                # The container checks that run on every call; the plan
+                # cache and sharded_view check once per seal.
+                verify_container(matrix, level)
             # Plan building (and shard re-encoding on the multi-device
             # path) happens inside the guarded region: a corrupted
             # stream fails the vectorized decode with the same typed

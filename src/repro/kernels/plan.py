@@ -58,6 +58,13 @@ two decodes are independent, it still checks the vectorized decode
 against the stepwise one. ``tests/kernels/test_counters_golden.py`` pins
 every counter field of every plannable format.
 
+Integrity
+---------
+Every plan records the CRC32 of its replay arrays at build and after a
+:meth:`SpMVPlan.set_backend` relayout. :meth:`SpMVPlan.verify_arrays`
+compares against it (composites check their parts); ``run_spmv`` does so
+before every replay under ``verify="checksum"`` or ``"full"``.
+
 Telemetry
 ---------
 Replays emit the same ``kernel.<format>`` span and per-format
@@ -71,9 +78,10 @@ rather than per call — they are properties of the structure, not the run.
 from __future__ import annotations
 
 import time
+import zlib
 from abc import ABC
 from dataclasses import replace
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -83,7 +91,7 @@ from ..core.bro_ell import BROELLMatrix
 from ..core.bro_hyb import BROHYBMatrix
 from ..core.bro_sell import BROSELLMatrix
 from ..core.multirow import MultiRowBROELL
-from ..errors import KernelError, ValidationError
+from ..errors import IntegrityError, KernelError, ValidationError
 from ..formats.base import SparseFormat
 from ..formats.bellpack import BELLPACKMatrix
 from ..formats.cmrs import CMRSMatrix
@@ -177,6 +185,8 @@ class SpMVPlan(ABC):
         self.backend = "numpy"
         #: seconds the JIT warm-compile pass took (0.0 on the numpy path).
         self.jit_compile_seconds = 0.0
+        #: CRC32 of every replay array, taken at build and after a relayout.
+        self._array_crcs: Dict[str, int] = {}
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -241,6 +251,54 @@ class SpMVPlan(ABC):
 
     def _lay_out(self, backend: str) -> None:
         """Reorder stored replay data for ``backend`` (before it is live)."""
+
+    # -- integrity ------------------------------------------------------
+    def _own_arrays(self) -> Dict[str, np.ndarray]:
+        """The arrays this plan's own replay reads (none for a combinator)."""
+        return {}
+
+    def replay_arrays(self) -> Dict[str, np.ndarray]:
+        """Every array a replay reads, its parts' included, keyed by
+        path (``"_gather"``, ``"parts[1]._vals"``)."""
+        arrays = dict(self._own_arrays())
+        for i, child in enumerate(self._children()):
+            for name, arr in child.replay_arrays().items():
+                arrays[f"parts[{i}].{name}"] = arr
+        return arrays
+
+    def _crcs(self) -> Dict[str, int]:
+        return {
+            name: zlib.crc32(np.ascontiguousarray(arr))
+            for name, arr in self._own_arrays().items()
+        }
+
+    def _seal_arrays(self) -> None:
+        """Record the CRC32 of every own replay array as it stands now."""
+        self._array_crcs = self._crcs()
+
+    def _stale_arrays(self, prefix: str = "") -> List[str]:
+        bad = [prefix + name for name, crc in self._crcs().items()
+               if self._array_crcs.get(name) != crc]
+        for i, child in enumerate(self._children()):
+            bad += child._stale_arrays(f"{prefix}parts[{i}].")
+        return bad
+
+    def verify_arrays(self) -> None:
+        """Check every replay array against the CRC taken at build.
+
+        Raises :class:`~repro.errors.IntegrityError` naming (by their
+        :meth:`replay_arrays` paths) the arrays whose bytes changed since
+        the plan was built or laid out. This is the per-call check of
+        ``verify="checksum"``: the plan's arrays, not the container's,
+        are the bytes a replay reads.
+        """
+        bad = tuple(self._stale_arrays())
+        if bad:
+            raise IntegrityError(
+                f"{self.format_name} plan failed its replay-array checksum; "
+                f"corrupted arrays: {', '.join(bad)}",
+                fields=bad,
+            )
 
     def warm_compile(self) -> float:
         """Trigger JIT compilation of the replay loops on a zeros input.
@@ -565,10 +623,18 @@ class JaggedELLPlan(SpMVPlan):
         self._zero_slot = bool(np.any(self._gather == n))
         #: row pointers while the lanes are row-major (scipy), else None.
         self._indptr: Optional[np.ndarray] = None
+        self._seal_arrays()
+
+    def _own_arrays(self) -> Dict[str, np.ndarray]:
+        arrays = {"_counts": self._counts, "_gather": self._gather,
+                  "_vals": self._vals, "_rows": self._rows}
+        if self._indptr is not None:
+            arrays["_indptr"] = self._indptr
+        return arrays
 
     def _lay_out(self, backend: str) -> None:
         """Move the lanes between jagged and row-major order: one scatter
-        (or gather) per array, no sort."""
+        (or gather) per array, no sort; then re-seal the arrays."""
         row_major = backend == "scipy"
         if row_major == (self._indptr is not None):
             return
@@ -601,6 +667,7 @@ class JaggedELLPlan(SpMVPlan):
             self._gather = self._gather[dest].astype(_index_dtype(n), copy=False)
             self._vals = self._vals[dest]
             self._indptr = None
+        self._seal_arrays()
 
     def _extend(self, x: np.ndarray) -> np.ndarray:
         """``x`` (or ``X``) with the zero slot appended when a lane uses it."""

@@ -31,17 +31,27 @@ Validation levels per lookup:
 
 Unsealed containers cache fine (token ``None``) but then only ``"full"``
 can detect mutation — seal containers you intend to mutate.
+
+Container verification (the ``verify`` argument, an
+``ExecutionPolicy.verify`` level) runs when the cache reads a container:
+before :func:`~repro.kernels.plan.prepare` on a miss or an invalidation,
+and before a content hit is aliased to a new object, whose bytes were
+never checked. Each entry records the strongest level its container
+passed; a lookup asking for a stronger one runs the check once and
+upgrades the record. Dropping an entry drops its record, so a rebuild
+always re-verifies.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Tuple, Union
 
 from ..formats.base import SparseFormat
 from ..gpu.device import DeviceSpec, get_device
 from ..integrity.checksums import IntegrityHeader, compute_header, get_header
+from ..integrity.validators import verify_container, verify_rank
 from ..telemetry import metrics as _metrics
 from . import backends as _backends
 from .plan import SpMVPlan, prepare
@@ -57,8 +67,13 @@ __all__ = ["PlanCache", "PLAN_CACHE", "cache_for", "fingerprint_token"]
 #: stores its lanes row-major) even though their results are bit-identical.
 _Key = Tuple[int, str, str, str]
 _Token = Optional[Tuple[str, int, Tuple[Tuple[str, int], ...]]]
-#: entry = (plan, fingerprint token, anchor matrix keeping id(key) alive)
-_Entry = Tuple[SpMVPlan, _Token, SparseFormat]
+
+
+class _Entry(NamedTuple):
+    plan: SpMVPlan
+    token: _Token  #: fingerprint the container carried at build
+    anchor: SparseFormat  #: keeps id(key) alive
+    verified: object  #: strongest verify level the container passed
 
 
 def fingerprint_token(header: Optional[IntegrityHeader]) -> _Token:
@@ -93,6 +108,7 @@ class PlanCache:
             "invalidations": 0,
             "content_hits": 0,
             "single_flight_waits": 0,
+            "container_checks": 0,
         }
 
     # -- internal -------------------------------------------------------
@@ -140,6 +156,14 @@ class PlanCache:
             return None
         return self._entries.get(key)
 
+    def _verify(self, matrix: SparseFormat, verify: object) -> None:
+        """Run the container check of ``verify`` (outside the lock)."""
+        if verify is False:
+            return
+        with self._lock:
+            self._bump("container_checks")
+        verify_container(matrix, verify)
+
     # -- public API -----------------------------------------------------
     def get_or_build(
         self,
@@ -148,6 +172,7 @@ class PlanCache:
         *,
         validate: str = "header",
         backend: str = "auto",
+        verify: object = False,
     ) -> SpMVPlan:
         """Return a cached plan for ``(matrix, device)``, building on miss.
 
@@ -158,7 +183,9 @@ class PlanCache:
         entries whenever they resolve alike. An identity miss with a sealed container
         falls through to the content index before building: equal
         fingerprints mean equal bytes, so a plan built for a twin object
-        replays bit-identically.
+        replays bit-identically. ``verify`` is the level the container
+        must have passed (see module docstring); a failed check raises
+        its typed error and caches nothing.
         """
         if validate not in ("none", "header", "full"):
             raise ValueError(f"unknown validate level {validate!r}")
@@ -166,51 +193,63 @@ class PlanCache:
             device = get_device(device)
         resolved = _backends.resolve_backend(backend, matrix.format_name)
         key = self._key(matrix, device, resolved)
+        rank = verify_rank(verify)
 
         while True:
             token: _Token = None
             latch: Optional[threading.Event] = None
+            found: Optional[_Entry] = None
             with self._lock:
                 entry = self._entries.get(key)
                 if entry is not None:
-                    plan, cached_token, _anchor = entry
-                    if validate == "none":
+                    if validate != "none":
+                        token = self._current_token(matrix, validate)
+                    if validate == "none" or entry.token == token:
                         self._entries.move_to_end(key)
                         self._bump("hits")
-                        return plan
-                    token = self._current_token(matrix, validate)
-                    if cached_token == token:
-                        self._entries.move_to_end(key)
-                        self._bump("hits")
-                        return plan
-                    # Fingerprint changed under us: the container was
-                    # mutated (and re-sealed, for "header"); the plan is
-                    # stale.
-                    self._remove(key)
-                    self._bump("invalidations")
+                        if verify_rank(entry.verified) >= rank:
+                            return entry.plan
+                        found = entry
+                    else:
+                        # Fingerprint changed under us: the container was
+                        # mutated (and re-sealed, for "header"); the plan
+                        # is stale.
+                        self._remove(key)
+                        self._bump("invalidations")
                 else:
                     if validate != "none":
                         token = self._current_token(matrix, validate)
-                    twin = self._content_lookup(token, device.name, resolved)
-                    if twin is not None:
+                    found = self._content_lookup(token, device.name, resolved)
+                if found is None:
+                    # Miss. Single-flight: the first caller claims the
+                    # build latch; everyone else waits on it and
+                    # re-resolves.
+                    latch = self._building.get(key)
+                    if latch is None:
+                        self._building[key] = threading.Event()
+                        self._bump("misses")
+                    else:
+                        self._bump("single_flight_waits")
+            if found is not None:
+                # A hit whose container has not passed this level yet,
+                # or a twin's plan for an object whose bytes were never
+                # checked: verify this object, then record the level.
+                self._verify(matrix, verify)
+                with self._lock:
+                    if entry is None:
                         # Same sealed bytes under a different object
                         # identity (e.g. freshly deserialized): alias the
                         # plan under this object's key so the next lookup
                         # is an identity hit, and anchor the new matrix
                         # so its id stays live.
-                        plan = twin[0]
-                        self._insert(key, (plan, token, matrix), token)
+                        self._insert(
+                            key, _Entry(found.plan, token, matrix, verify), token
+                        )
                         self._bump("hits")
                         self._bump("content_hits")
-                        return plan
-                # Miss. Single-flight: the first caller claims the build
-                # latch; everyone else waits on it and re-resolves.
-                latch = self._building.get(key)
-                if latch is None:
-                    self._building[key] = threading.Event()
-                    self._bump("misses")
-                else:
-                    self._bump("single_flight_waits")
+                    elif self._entries.get(key) is entry:
+                        self._entries[key] = entry._replace(verified=verify)
+                return found.plan
             if latch is not None:
                 # Another thread is building this exact key. Wait for it,
                 # then loop: the re-lookup is an ordinary hit, or — if
@@ -225,6 +264,7 @@ class PlanCache:
         # one build per key: concurrent same-key callers block above
         # until this build lands (or fails, releasing the claim).
         try:
+            self._verify(matrix, verify)
             # Index under the bytes' own token: a mutated copy may still
             # carry its pristine twin's header.
             sealed = get_header(matrix) is not None
@@ -233,13 +273,24 @@ class PlanCache:
             plan = prepare(matrix, device, backend=resolved)
             with self._lock:
                 self._bump("builds")
-                self._insert(key, (plan, token, matrix), content)
+                self._insert(key, _Entry(plan, token, matrix, verify), content)
         finally:
             with self._lock:
                 done = self._building.pop(key, None)
             if done is not None:
                 done.set()
         return plan
+
+    def discard(self, plan: SpMVPlan) -> int:
+        """Drop every entry serving ``plan`` (its own and its aliases);
+        return count. Used when the plan's arrays fail their checksum."""
+        with self._lock:
+            doomed = [k for k, e in self._entries.items() if e.plan is plan]
+            for k in doomed:
+                self._remove(k)
+            if doomed:
+                self._bump("invalidations", len(doomed))
+        return len(doomed)
 
     def invalidate(self, matrix: SparseFormat) -> int:
         """Drop every cached plan for ``matrix`` (all devices); return count."""

@@ -166,9 +166,9 @@ class TestShardedSpMM:
         payloads = []
         execute = WorkerPool.execute
 
-        def counting(self, x, telem=None):
+        def counting(self, x, **kwargs):
             payloads.append(x.shape)
-            return execute(self, x, telem=telem)
+            return execute(self, x, **kwargs)
 
         monkeypatch.setattr(WorkerPool, "execute", counting)
         before = pool._call

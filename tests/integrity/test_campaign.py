@@ -66,6 +66,19 @@ class TestCampaign:
                 "benign", "silent",
             }
 
+    def test_plan_array_faults_ride_the_round_robin(self):
+        report = run_campaign(n_faults=120, seed=0)
+        plan = [r for r in report.records if r.kind == "plan_bit_flip"]
+        assert plan and {r.format_name for r in plan} == set(DEFAULT_FORMATS)
+        assert all(r.detected and r.recovered for r in plan)
+
+    def test_unverified_campaign_reports_silent_plan_faults(self):
+        # Negative control: without the per-call plan check, flipped
+        # plan bits do reach y, and the classifier says so.
+        report = run_campaign(n_faults=200, seed=0, verify=False)
+        assert any(r.silent for r in report.records
+                   if r.kind == "plan_bit_flip")
+
     def test_single_format_campaign(self):
         report = run_campaign(formats=("bro_coo",), n_faults=25, seed=3)
         assert report.injected == 25
