@@ -18,9 +18,11 @@ The engine
    (``policy.backend="process"``) where each worker mmaps its own sealed
    ``.brx`` shard container and shard failures fail over to surviving
    workers;
-3. concatenates the per-shard ``y`` row blocks (bit-identical to the
+3. assembles the per-shard ``y`` row blocks (bit-identical to the
    single-device result, because shards are contiguous row blocks and
-   every kernel accumulates rows in ascending-column order);
+   every kernel accumulates rows in ascending-column order): the thread
+   backend concatenates them, and the worker pool copies each shard's
+   rows out of its output segment straight into the result;
 4. merges the per-shard :class:`~repro.gpu.counters.KernelCounters` and
    adds the modeled interconnect traffic
    (:func:`~repro.exec.comms.model_comms`), so
@@ -47,11 +49,13 @@ the pool gives real overlap in the common case.
 
 from __future__ import annotations
 
+import contextvars
 import time
 import uuid
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -66,7 +70,7 @@ from ..integrity.faults import PLAN_FAULT_KIND
 from ..integrity.validators import verify_container, verify_rank
 from ..kernels.base import SpMVResult
 from ..kernels.plan import check_multi_x
-from ..kernels.plancache import fingerprint_token
+from ..kernels.plancache import PlanCache, cache_for, fingerprint_token
 from ..telemetry import metrics as _metrics
 from ..telemetry.tracer import get_tracer
 from ..telemetry.tracer import span as _span
@@ -126,6 +130,9 @@ class _View:
     token: object
     verified: object
     sharded: Optional[ShardedMatrix]  #: None for a pre-built ShardedMatrix
+    #: The caches the shards' plans went to, dropped with the view.
+    plan_caches: "weakref.WeakSet[PlanCache]" = field(
+        default_factory=weakref.WeakSet)
 
 
 def sharded_view(
@@ -133,6 +140,7 @@ def sharded_view(
     devices: int,
     partitioner: str = "greedy-nnz",
     verify: object = False,
+    plan_cache: Optional[PlanCache] = None,
 ) -> ShardedMatrix:
     """The matrix partitioned for ``devices``, cached on the container.
 
@@ -148,6 +156,10 @@ def sharded_view(
     stronger request checks once more and a re-partition re-checks. A
     pre-built :class:`ShardedMatrix` is its own view: it is checked once
     per seal the same way, and a re-seal shuts down its worker pools.
+
+    ``plan_cache`` names the cache the caller builds the shards' plans
+    in; the view records it, and a re-seal invalidates the superseded
+    shards' plans there.
     """
     if isinstance(matrix, ShardedMatrix):
         # devices == 1 means "no explicit request": use the container as-is.
@@ -167,8 +179,12 @@ def sharded_view(
     view = cache.get(key)
     if view is not None and view.token != token:
         del cache[key]
-        shutdown_matrix_pools(
-            view.sharded if view.sharded is not None else matrix)
+        old = view.sharded if view.sharded is not None else matrix
+        assert isinstance(old, ShardedMatrix)
+        for plans in view.plan_caches:
+            for shard in old.shards:
+                plans.invalidate(shard)
+        shutdown_matrix_pools(old)
         view = None
     if view is None:
         verify_container(matrix, verify)
@@ -178,6 +194,8 @@ def sharded_view(
     elif verify_rank(view.verified) < verify_rank(verify):
         verify_container(matrix, verify)
         view.verified = verify
+    if plan_cache is not None:
+        view.plan_caches.add(plan_cache)
     sharded = matrix if view.sharded is None else view.sharded
     assert isinstance(sharded, ShardedMatrix)
     return sharded
@@ -225,7 +243,7 @@ def _execute_thread(
     x: np.ndarray,
     device: DeviceSpec,
     policy: ExecutionPolicy,
-) -> Tuple[List[SpMVResult], Dict[str, object]]:
+) -> Tuple[np.ndarray, List[SpMVResult], Dict[str, object]]:
     """The in-process thread backend (with per-shard deadlines)."""
     from ..kernels.dispatch import run_spmm, run_spmv  # late: dispatch imports us
 
@@ -295,11 +313,13 @@ def _execute_thread(
                     f"shard {d} exceeded its {timeout}s deadline",
                     shard=d, timeout_s=timeout,
                 )
-        return results, {}
+        return np.concatenate([r.y for r in results]), results, {}
 
     with ThreadPoolExecutor(max_workers=sharded.n_shards) as pool:
+        # Each shard runs in a copy of the caller's context, so its
+        # dispatch sees that it is nested in the call's guarded dispatch.
         futures = [
-            pool.submit(run_one, d, shard)
+            pool.submit(contextvars.copy_context().run, run_one, d, shard)
             for d, shard in enumerate(sharded.shards)
         ]
         results = []
@@ -314,7 +334,7 @@ def _execute_thread(
                     f"thread backend",
                     shard=d, timeout_s=timeout or 0.0,
                 ) from None
-    return results, {}
+    return np.concatenate([r.y for r in results]), results, {}
 
 
 def _execute_process(
@@ -322,7 +342,7 @@ def _execute_process(
     x: np.ndarray,
     device: DeviceSpec,
     policy: ExecutionPolicy,
-) -> Tuple[List[SpMVResult], Dict[str, object]]:
+) -> Tuple[np.ndarray, List[SpMVResult], Dict[str, object]]:
     """The fault-tolerant multiprocessing backend."""
     from .workers import worker_pool
 
@@ -340,10 +360,11 @@ def _execute_process(
         telem = (uuid.uuid4().hex, None)
 
     pool = worker_pool(sharded, device, policy)
-    blocks, stats = pool.execute(x, telem=telem, verify=policy.verify)
+    y, counters, stats = pool.execute(x, telem=telem, verify=policy.verify)
+    bounds = sharded.bounds
     results = [
-        SpMVResult(y=y, counters=counters, device=device)
-        for y, counters in blocks
+        SpMVResult(y=y[bounds[d]:bounds[d + 1]], counters=c, device=device)
+        for d, c in enumerate(counters)
     ]
     if _metrics.collecting():
         # Worker processes record into their own registries (shipped back
@@ -374,7 +395,7 @@ def _execute_process(
         "respawns": stats.respawns,
         "events": tuple(stats.events),
     }
-    return results, recovery
+    return y, results, recovery
 
 
 def execute_sharded(
@@ -404,7 +425,8 @@ def execute_sharded(
         raise ValidationError("execute_sharded needs policy.devices > 1")
 
     sharded = sharded_view(
-        matrix, policy.devices, policy.partitioner, policy.verify)
+        matrix, policy.devices, policy.partitioner, policy.verify,
+        cache_for(policy))
     comms = model_comms(sharded, device, policy.comms)
     x = check_multi_x(sharded, x) if np.ndim(x) == 2 else sharded.check_x(x)
     k = x.shape[1] if x.ndim == 2 else 1
@@ -419,11 +441,10 @@ def execute_sharded(
         backend=policy.backend,
     ):
         if policy.backend == "process":
-            results, recovery = _execute_process(sharded, x, device, policy)
+            y, results, recovery = _execute_process(sharded, x, device, policy)
         else:
-            results, recovery = _execute_thread(sharded, x, device, policy)
+            y, results, recovery = _execute_thread(sharded, x, device, policy)
 
-    y = np.concatenate([r.y for r in results])
     merged = _merge(results, comms, k)
     _metrics.record_exec(
         sharded.inner_format, device.name, sharded.n_shards, merged, comms

@@ -4,12 +4,22 @@
 a :class:`WorkerPool`: a coordinator that writes every shard to its own
 sealed ``.brx`` container and spawns one ``multiprocessing`` worker per
 shard. Workers mmap their shard containers (zero-copy via the aligned
-array table of :mod:`repro.serialize`), receive the broadcast ``x`` — a
-vector, or a whole ``(n, k)`` multi-RHS block, which the worker replays
-with one ``run_spmm`` (plan ``execute_many``) — with each task, and
-return the shard's ``y`` rows and
-:class:`~repro.gpu.counters.KernelCounters` tagged with a CRC32 of the
-result bytes (the whole block for a multi-RHS task).
+array table of :mod:`repro.serialize`).
+
+Blocks never ride the task queues. The pool owns two segment files in
+its shard directory, an input segment for ``x`` and an output segment
+for ``y``, sized for the widest block so far (a wider block starts a new
+generation of files and unlinks the old one). The coordinator copies
+``x`` — a vector, or a whole ``(n, k)`` multi-RHS block, which the worker
+replays with one ``run_spmm`` (plan ``execute_many``) — into the input
+segment once per call, and each task carries only ``(generation, shape,
+row range)``. A worker maps both files by path (``x`` read-only), writes
+its shard's ``y`` into its own rows of the output segment and reports
+the shape, the :class:`~repro.gpu.counters.KernelCounters` and a CRC32
+of its private ``y``. The coordinator copies those rows out of the
+segment and checks the CRC on its copy, so the transport check stays end
+to end: a late, stale or torn write into the segment fails the CRC and
+the shard is retried.
 
 The robustness core is the coordinator's recovery loop. Every task
 carries a ``(call, shard, attempt)`` tag, and three detectors feed one
@@ -20,7 +30,7 @@ failover path:
 * **stall** — the shard missed its ``policy.shard_timeout_s`` deadline;
   the wedged worker is fenced (terminated) so a late result can never
   race a retry — stale tags are rejected on arrival;
-* **corruption** — the returned ``y`` fails its transport CRC, or the
+* **corruption** — the shard's rows fail their transport CRC, or the
   worker reported a typed error (e.g. its shard container failed the
   stored seal, or its cached plan failed its replay-array CRC).
 
@@ -85,10 +95,25 @@ _HEARTBEAT_TIMEOUT_S = 5.0
 _BACKOFF = 1.5
 #: Exit code used by the kill-worker chaos injector.
 _CHAOS_EXIT = 117
+#: Columns the first segment generation holds: SpMV and blocks up to
+#: this wide share it, a wider block starts a new generation.
+_SEGMENT_COLUMNS = 8
 
 
 def _crc(y: np.ndarray) -> int:
-    return zlib.crc32(np.ascontiguousarray(y).tobytes())
+    return zlib.crc32(np.ascontiguousarray(y))
+
+
+def _segment_paths(directory: str, generation: int) -> Tuple[str, str]:
+    """The input (``x``) and output (``y``) segment files of a generation."""
+    return (os.path.join(directory, f"x{generation}.seg"),
+            os.path.join(directory, f"y{generation}.seg"))
+
+
+def _map(path: str, mode: str, size: Optional[int] = None) -> np.ndarray:
+    """A flat float64 view of a segment file (``mode="w+"`` creates it)."""
+    return np.memmap(path, dtype=np.float64, mode=mode,
+                     shape=size).view(np.ndarray)
 
 
 def _flip_one_bit(y: np.ndarray) -> np.ndarray:
@@ -131,6 +156,8 @@ def _apply_plan_fault(
 def _worker_main(
     slot: int,
     shard_paths: List[str],
+    pool_dir: str,
+    coordinator: int,
     device_name: str,
     engine: str,
     compute_backend: str,
@@ -142,9 +169,21 @@ def _worker_main(
     """Worker loop: mmap shards on demand, run tasks, report results.
 
     Runs in a child process. A task is ``("spmv", call, shard, attempt,
-    x, chaos, telem, verify)``. The final text protocol is tuples on
-    ``result_queue``: ``("done", call, shard, attempt, slot, y, counters,
-    crc)`` or ``("error", call, shard, attempt, slot, errname, errmsg)``.
+    (generation, shape, (r0, r1)), chaos, telem, verify)``: the block of
+    ``shape`` is the head of input segment ``generation`` in
+    ``pool_dir``, and the shard's ``y`` goes to rows ``[r0, r1)`` of
+    the output segment, read as a C-order ``(m,) + shape[1:]`` array. The
+    worker maps a generation's files on its first task for it (``x``
+    read-only) and drops the previous maps. The result protocol is
+    tuples on ``result_queue``: ``("done", call, shard, attempt, slot,
+    y_shape, counters, crc)`` once the rows are written, with the CRC
+    taken on the private ``y`` before the copy, or ``("error", call,
+    shard, attempt, slot, errname, errmsg)``.
+
+    The heartbeat thread also watches the coordinator: when the parent
+    pid is no longer ``coordinator`` (it died and the worker was
+    reparented), nothing can collect the worker's work or remove the
+    pool directory, so the worker removes the directory and exits.
 
     When a task carries a trace context (``telem = (trace_id,
     parent_span_id)``), the task body runs under a private worker tracer +
@@ -160,9 +199,12 @@ def _worker_main(
     from ..serialize import load_container
 
     def _beat() -> None:
-        while True:
+        while os.getppid() == coordinator:
             heartbeats[slot] = time.time()
             time.sleep(_HEARTBEAT_INTERVAL_S)
+        # The coordinator died before its cleanup could run.
+        shutil.rmtree(pool_dir, ignore_errors=True)
+        os._exit(0)
 
     threading.Thread(target=_beat, daemon=True).start()
 
@@ -173,15 +215,24 @@ def _worker_main(
     policy = ExecutionPolicy(engine=engine, compute_backend=compute_backend)
     verify_policy = policy.with_(verify="checksum")
     shards: Dict[int, SparseFormat] = {}
+    segments: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}  # by generation
 
     while True:
         task = task_queue.get()
         if task[0] == "stop":
             return
-        _, call, shard_idx, attempt, x, chaos, telem, verify = task
-        run = run_spmm if x.ndim == 2 else run_spmv
+        _, call, shard_idx, attempt, block, chaos, telem, verify = task
+        generation, shape, (r0, r1) = block
+        k = shape[1] if len(shape) == 2 else 1
+        run = run_spmm if len(shape) == 2 else run_spmv
         task_policy = policy.with_(verify=verify)
         try:
+            if generation not in segments:
+                segments.clear()  # unmap the previous generation
+                x_path, y_path = _segment_paths(pool_dir, generation)
+                segments[generation] = (_map(x_path, "r"), _map(y_path, "r+"))
+            x_seg, y_seg = segments[generation]
+            x = x_seg[:int(np.prod(shape))].reshape(shape)
             matrix = shards.get(shard_idx)
             if matrix is None:
                 matrix = load_container(
@@ -238,8 +289,10 @@ def _worker_main(
                 # Transport corruption: flip a bit AFTER the CRC was
                 # computed, so the coordinator's end-to-end check fires.
                 y = _flip_one_bit(y)
+            y_seg[r0 * k:r1 * k] = y.reshape(-1)
             result_queue.put(
-                ("done", call, shard_idx, attempt, slot, y, result.counters, crc)
+                ("done", call, shard_idx, attempt, slot, y.shape,
+                 result.counters, crc)
             )
         except Exception as exc:  # noqa: BLE001 - forwarded to coordinator
             result_queue.put(
@@ -295,10 +348,11 @@ class WorkerPool:
     """A pool of shard workers with failover, bound to one ShardedMatrix.
 
     The pool owns a temp directory of per-shard ``.brx`` containers and
-    one worker process per shard. It is cached on the sharded container
-    (:func:`worker_pool`) so iterative solvers pay the spawn and shard
-    serialization cost once; :meth:`shutdown` (or garbage collection of
-    the matrix) terminates the workers and removes the directory.
+    the block segment files, and one worker process per shard. It is
+    cached on the sharded container (:func:`worker_pool`) so iterative
+    solvers pay the spawn and shard serialization cost once;
+    :meth:`shutdown` (or garbage collection of the matrix) terminates the
+    workers and removes the directory.
     """
 
     def __init__(
@@ -314,6 +368,8 @@ class WorkerPool:
         self.max_retries = policy.max_retries
         self.elastic = policy.elastic
         self.n_shards = sharded.n_shards
+        self.shape = sharded.shape
+        self._bounds = [int(b) for b in sharded.bounds]
         self.chaos_state = (
             ChaosState(policy.chaos) if policy.chaos is not None else None
         )
@@ -334,6 +390,11 @@ class WorkerPool:
         self._closed = False
         self._telem_ctx: Optional[Tuple[str, Optional[int]]] = None
         self._verify: object = False
+        #: The current call's ``(generation, shape)`` in the input segment.
+        self._block: Tuple[int, Tuple[int, ...]] = (0, ())
+        self.generation = -1
+        self._width = 0
+        self._grow(_SEGMENT_COLUMNS)
         self._workers: List[Optional[_Worker]] = [
             self._spawn(slot) for slot in range(self.n_shards)
         ]
@@ -365,14 +426,54 @@ class WorkerPool:
         self._heartbeats[slot] = time.time()
         process = self._ctx.Process(
             target=_worker_main,
-            args=(slot, self._paths, self.device.name, self.engine,
-                  self.compute_backend, task_queue, self._results,
-                  self._telemetry, self._heartbeats),
+            args=(slot, self._paths, str(self._tmpdir), os.getpid(),
+                  self.device.name, self.engine, self.compute_backend,
+                  task_queue, self._results, self._telemetry,
+                  self._heartbeats),
             daemon=True,
             name=f"repro-shard-worker-{slot}",
         )
         process.start()
         return _Worker(slot=slot, process=process, task_queue=task_queue)
+
+    # -- block transport ------------------------------------------------
+    def _grow(self, width: int) -> None:
+        """Start a segment generation for blocks up to ``width`` columns
+        and unlink the previous one (workers still mapping it keep their
+        pages; new tasks name the new generation)."""
+        old = self.generation
+        self.generation += 1
+        self._width = width
+        m, n = self.shape
+        x_path, y_path = _segment_paths(str(self._tmpdir), self.generation)
+        self._x_seg = _map(x_path, "w+", n * width)
+        self._y_seg = _map(y_path, "w+", m * width)
+        if old >= 0:
+            for path in _segment_paths(str(self._tmpdir), old):
+                os.unlink(path)
+
+    def _stage(self, x: np.ndarray) -> None:
+        """Copy this call's ``x`` into the input segment (once, before
+        any dispatch), growing the segments for a wider block."""
+        width = x.shape[1] if x.ndim == 2 else 1
+        if width > self._width:
+            self._grow(width)
+        self._x_seg[:x.size] = x.reshape(-1)
+        self._block = (self.generation, x.shape)
+
+    def _collect(self, shard: int, shape: Tuple[int, ...], crc: int,
+                 y: np.ndarray) -> Optional[str]:
+        """Copy a shard's rows from the output segment into ``y`` and
+        check the worker's CRC on the copy; returns why they were
+        rejected, or None."""
+        r0, r1 = self._bounds[shard], self._bounds[shard + 1]
+        rows = y[r0:r1]
+        if tuple(shape) != rows.shape:
+            return f"shard result has shape {tuple(shape)}, not {rows.shape}"
+        rows[...] = self._y_seg[:y.size].reshape(y.shape)[r0:r1]
+        if _crc(rows) != crc:
+            return "shard result failed its CRC check"
+        return None
 
     # -- liveness -------------------------------------------------------
     def _alive(self, worker: Optional[_Worker]) -> bool:
@@ -416,7 +517,6 @@ class WorkerPool:
         self,
         state: _ShardCall,
         worker: _Worker,
-        x: np.ndarray,
         event: Optional[ChaosEvent],
     ) -> None:
         chaos = None
@@ -428,15 +528,16 @@ class WorkerPool:
             budget = self.shard_timeout_s * (_BACKOFF ** state.attempt)
             state.deadline = time.monotonic() + budget
         worker.busy.add(state.shard)
+        generation, shape = self._block
+        rows = (self._bounds[state.shard], self._bounds[state.shard + 1])
         worker.task_queue.put(
-            ("spmv", self._call, state.shard, state.attempt, x, chaos,
-             self._telem_ctx, self._verify)
+            ("spmv", self._call, state.shard, state.attempt,
+             (generation, shape, rows), chaos, self._telem_ctx, self._verify)
         )
 
     def _fail(
         self,
         state: _ShardCall,
-        x: np.ndarray,
         stats: CallStats,
         reason: str,
         *,
@@ -474,7 +575,7 @@ class WorkerPool:
                 "shard_reassigned", shard=state.shard,
                 from_slot=previous, to_slot=target.slot, reason=reason,
             )
-        self._dispatch(state, target, x, event=None)
+        self._dispatch(state, target, event=None)
 
     # -- the recovery loop ---------------------------------------------
     def execute(
@@ -482,10 +583,11 @@ class WorkerPool:
         x: np.ndarray,
         telem: Optional[Tuple[str, Optional[int]]] = None,
         verify: object = False,
-    ) -> Tuple[List[Tuple[np.ndarray, KernelCounters]], CallStats]:
+    ) -> Tuple[np.ndarray, List[KernelCounters], CallStats]:
         """Run one SpMV (1-D ``x``) or one SpMM block (``(n, k)`` ``x``)
-        across the pool: one task per shard; returns per-shard results +
-        stats.
+        across the pool: one task per shard; returns the assembled ``y``
+        (shard ``d`` owns rows ``[bounds[d], bounds[d+1])``), the
+        per-shard counters and the call's stats.
 
         ``telem`` is the trace context ``(trace_id, parent_span_id)`` to
         propagate to the workers; when given, each shard's telemetry
@@ -497,9 +599,9 @@ class WorkerPool:
 
         Raises a typed :class:`~repro.errors.ShardTimeoutError` /
         :class:`~repro.errors.WorkerFailureError` when a shard exhausts
-        its retry budget — by construction the returned blocks all passed
-        their transport CRC, so the caller either gets verified bytes or
-        a typed error.
+        its retry budget — by construction every shard's rows of ``y``
+        passed their transport CRC, so the caller either gets verified
+        bytes or a typed error.
         """
         if self._closed:
             raise ValidationError("worker pool is already shut down")
@@ -508,10 +610,12 @@ class WorkerPool:
             self.chaos_state.plan_call(self.n_shards)
             if self.chaos_state is not None else None
         )
-        x = np.ascontiguousarray(x)
+        x = np.asarray(x)
         stats = CallStats()
         states = [_ShardCall(shard=d) for d in range(self.n_shards)]
-        done: Dict[int, Tuple[np.ndarray, KernelCounters]] = {}
+        done: Dict[int, KernelCounters] = {}
+        y = np.empty(self.shape[:1] + x.shape[1:])
+        self._stage(x)
         self._telem_ctx = telem
         self._verify = verify
         try:
@@ -519,7 +623,7 @@ class WorkerPool:
                 worker = self._workers[state.shard % len(self._workers)]
                 if not self._alive(worker):
                     worker = self._pick_slot(avoid=-1)
-                self._dispatch(state, worker, x, event)
+                self._dispatch(state, worker, event)
 
             while len(done) < self.n_shards:
                 try:
@@ -527,9 +631,9 @@ class WorkerPool:
                 except _queue.Empty:
                     msg = None
                 if msg is not None:
-                    self._handle(msg, call, states, done, x, stats)
-                self._check_liveness(states, done, x, stats)
-                self._check_deadlines(states, done, x, stats)
+                    self._handle(msg, call, states, done, y, stats)
+                self._check_liveness(states, done, stats)
+                self._check_deadlines(states, done, stats)
             if telem is not None:
                 self._drain_telemetry(telem, states, stats)
         finally:
@@ -538,7 +642,7 @@ class WorkerPool:
                 if worker is not None:
                     worker.busy.clear()
             self._call += 1
-        return [done[d] for d in range(self.n_shards)], stats
+        return y, [done[d] for d in range(self.n_shards)], stats
 
     def _drain_telemetry(
         self,
@@ -591,8 +695,8 @@ class WorkerPool:
         msg: Tuple,
         call: int,
         states: List[_ShardCall],
-        done: Dict[int, Tuple[np.ndarray, KernelCounters]],
-        x: np.ndarray,
+        done: Dict[int, KernelCounters],
+        y: np.ndarray,
         stats: CallStats,
     ) -> None:
         tag, msg_call, shard, attempt = msg[0], msg[1], msg[2], msg[3]
@@ -602,14 +706,15 @@ class WorkerPool:
             return
         if tag == "error":
             errname, errmsg = msg[5], msg[6]
-            self._fail(state, x, stats, f"worker error {errname}: {errmsg}")
+            self._fail(state, stats, f"worker error {errname}: {errmsg}")
             return
-        _, _, _, _, slot, y, counters, crc = msg
-        if _crc(y) != crc:
+        _, _, _, _, slot, shape, counters, crc = msg
+        rejected = self._collect(shard, shape, crc, y)
+        if rejected is not None:
             stats.note("shard_crc_mismatch", shard=shard, slot=slot)
-            self._fail(state, x, stats, "shard result failed its CRC check")
+            self._fail(state, stats, rejected)
             return
-        done[shard] = (y, counters)
+        done[shard] = counters
         worker = self._workers[state.slot]
         if worker is not None:
             worker.busy.discard(shard)
@@ -617,8 +722,7 @@ class WorkerPool:
     def _check_liveness(
         self,
         states: List[_ShardCall],
-        done: Dict[int, Tuple[np.ndarray, KernelCounters]],
-        x: np.ndarray,
+        done: Dict[int, KernelCounters],
         stats: CallStats,
     ) -> None:
         for worker in list(self._workers):
@@ -630,13 +734,12 @@ class WorkerPool:
                 continue
             self._fence(worker, stats, reason="process died")
             for state in pending:
-                self._fail(state, x, stats, "worker died mid-shard")
+                self._fail(state, stats, "worker died mid-shard")
 
     def _check_deadlines(
         self,
         states: List[_ShardCall],
-        done: Dict[int, Tuple[np.ndarray, KernelCounters]],
-        x: np.ndarray,
+        done: Dict[int, KernelCounters],
         stats: CallStats,
     ) -> None:
         if self.shard_timeout_s is None:
@@ -653,7 +756,7 @@ class WorkerPool:
             if worker is not None:
                 self._fence(worker, stats, reason="missed shard deadline")
             self._fail(
-                state, x, stats,
+                state, stats,
                 f"missed {self.shard_timeout_s}s deadline", stalled=True,
             )
 

@@ -59,6 +59,7 @@ now gone; ``policy=`` is the only spelling.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from typing import Optional
 
 import numpy as np
@@ -83,6 +84,12 @@ __all__ = ["run_spmv", "run_spmm"]
 #: out-of-range decoded indices surface from NumPy as IndexError, and
 #: garbage widths can trip ValueError/OverflowError inside the decoder.
 _CORRUPTION_ERRORS = (ReproError, IndexError, ValueError, OverflowError)
+
+#: True inside the primary execution of a guarded dispatch. The shards
+#: of a thread-backend call dispatch again, guarded at the call's verify
+#: level; only the outermost dispatch counts in ``COUNTERS``, since it
+#: alone decides what reaches the caller.
+_IN_GUARD: ContextVar[bool] = ContextVar("repro_in_guard", default=False)
 
 
 def _is_sharded_run(matrix: SparseFormat, policy: ExecutionPolicy) -> bool:
@@ -209,7 +216,9 @@ def _dispatch(
         engine=eng,
         devices=pol.devices,
     ) as sp:
-        COUNTERS.record_verification()
+        nested = _IN_GUARD.get()
+        if not nested:
+            COUNTERS.record_verification()
         try:
             if level is not False and (
                 level == "full"
@@ -223,21 +232,28 @@ def _dispatch(
             # path) happens inside the guarded region: a corrupted
             # stream fails the vectorized decode with the same typed
             # errors the stepwise decoder raises, and degrades identically.
-            result = _primary(matrix, x, device, eng, pol, multi)
+            token = _IN_GUARD.set(True)
+            try:
+                result = _primary(matrix, x, device, eng, pol, multi)
+            finally:
+                _IN_GUARD.reset(token)
         except _CORRUPTION_ERRORS as exc:
-            COUNTERS.record_detection()
+            if not nested:
+                COUNTERS.record_detection()
             if sp is not NULL_SPAN:
                 sp.event(
                     "integrity.detected",
                     error=f"{type(exc).__name__}: {exc}",
                 )
             if pol.fallback is None:
-                COUNTERS.record_raised()
+                if not nested:
+                    COUNTERS.record_raised()
                 raise
             result = _primary(
                 pol.fallback, x, device, "reference", ExecutionPolicy(), multi
             )
-            COUNTERS.record_fallback()
+            if not nested:
+                COUNTERS.record_fallback()
             if sp is not NULL_SPAN:
                 sp.event("integrity.fallback", format=pol.fallback.format_name)
             result.fault_detected = True

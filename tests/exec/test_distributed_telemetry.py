@@ -127,7 +127,7 @@ class TestMergedEqualsSum:
         policy = ExecutionPolicy(devices=N_DEVICES, backend="process")
         pool = worker_pool(sharded, device, policy)
         try:
-            _, stats = pool.execute(x, telem=("trace-x", None))
+            _, _, stats = pool.execute(x, telem=("trace-x", None))
         finally:
             shutdown_pools(mat)
         batches = stats.telemetry
@@ -222,7 +222,7 @@ class TestDisabledPath:
         policy = ExecutionPolicy(devices=N_DEVICES, backend="process")
         pool = worker_pool(sharded, get_device("k20"), policy)
         try:
-            _, stats = pool.execute(x)  # no trace context
+            _, _, stats = pool.execute(x)  # no trace context
             assert stats.telemetry == []
             # give any (erroneous) late writer a moment, then assert empty
             with pytest.raises(_queue.Empty):

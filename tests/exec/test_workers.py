@@ -7,16 +7,24 @@ single-device reference with the recovery path visible
 numbers.
 """
 
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro import telemetry
 from repro.errors import ShardTimeoutError, ValidationError, WorkerFailureError
 from repro.exec.chaos import PROCESS_FAULT_KINDS, ChaosPolicy
-from repro.exec.engine import ShardedSpMVResult, shutdown_pools
+from repro.exec.engine import ShardedSpMVResult, sharded_view, shutdown_pools
 from repro.exec.policy import ExecutionPolicy
-from repro.exec.workers import worker_pool
+from repro.exec.workers import WorkerPool, worker_pool
 from repro.exec.partition import partition
+from repro.integrity import seal
 from repro.formats.conversion import convert
 from repro.matrices.suite import generate
 from repro.telemetry import metrics as M
@@ -328,3 +336,159 @@ class TestElasticity:
             assert clean.retries == 0
         finally:
             shutdown_pools(mat)
+
+
+def _pool(mat, pol):
+    return worker_pool(sharded_view(mat, pol.devices, pol.partitioner),
+                       first_device(), pol)
+
+
+def _files(pool):
+    """Names of the segment files in the pool's shard directory."""
+    return sorted(p.name for p in Path(pool._tmpdir).glob("*.seg"))
+
+
+class TestBlockTransport:
+    """Blocks travel through the pool's mapped segment files; the task
+    and result messages carry only a token and the CRC."""
+
+    def test_widths_share_one_pool_and_grow_once(self, coo):
+        from repro.kernels.dispatch import run_spmm
+
+        mat = convert(coo, "bro_ell")
+        pol = _policy(devices=2)
+        thread = ExecutionPolicy(devices=2, backend="thread")
+        reference = ExecutionPolicy(engine="reference")
+        rng = np.random.default_rng(31)
+        generations = []
+        try:
+            for k in (1, 8, 16, 8):
+                X = rng.standard_normal((mat.shape[1], k))
+                res = run_spmm(mat, X, "k20", policy=pol)
+                base = run_spmm(mat, X, "k20", policy=thread)
+                ref = run_spmm(mat, X, "k20", policy=reference).y
+                assert np.array_equal(
+                    res.y.view(np.uint64),
+                    np.ascontiguousarray(ref).view(np.uint64)), k
+                assert np.array_equal(res.y.view(np.uint64),
+                                      base.y.view(np.uint64)), k
+                assert res.counters == base.counters, k
+                assert [r.counters for r in res.shard_results] == [
+                    r.counters for r in base.shard_results], k
+                assert res.retries == 0
+                pool = _pool(mat, pol)
+                generations.append(pool.generation)
+                assert _files(pool) == [f"x{pool.generation}.seg",
+                                        f"y{pool.generation}.seg"]
+        finally:
+            shutdown_pools(mat)
+        assert generations == [0, 0, 1, 1]
+
+    def test_late_write_after_done_is_caught_and_retried(
+            self, coo, monkeypatch):
+        from repro.kernels.dispatch import run_spmm
+
+        mat = convert(coo, "csr")
+        X = np.random.default_rng(37).standard_normal((mat.shape[1], 8))
+        base = run_spmm(mat, X, "k20")
+        handle = WorkerPool._handle
+        scribbled = []
+
+        def late_write(self, msg, call, states, done, y, stats):
+            if msg[0] == "done" and not scribbled:
+                # Another write lands in the shard's rows after its
+                # "done" message, before the coordinator copies them out.
+                shard = msg[2]
+                r0, r1 = self._bounds[shard], self._bounds[shard + 1]
+                self._y_seg[:y.size].reshape(y.shape)[r0:r1] += 1.0
+                scribbled.append(shard)
+            return handle(self, msg, call, states, done, y, stats)
+
+        monkeypatch.setattr(WorkerPool, "_handle", late_write)
+        try:
+            res = run_spmm(mat, X, "k20", policy=_policy(devices=2))
+        finally:
+            shutdown_pools(mat)
+        assert np.array_equal(res.y.view(np.uint64),
+                              np.ascontiguousarray(base.y).view(np.uint64))
+        assert res.retries == 1
+        assert res.worker_deaths == 0
+        assert [e["shard"] for e in res.recovery_events
+                if e["event"] == "shard_crc_mismatch"] == scribbled
+
+    def test_no_segment_outlives_its_pool(self, coo, x):
+        from repro.kernels.dispatch import run_spmv
+
+        mat = seal(convert(coo, "csr"))
+        pol = _policy(devices=2)
+        kill = _policy(devices=2, chaos=ChaosPolicy(
+            seed=1, kinds=("kill-worker",), max_faults=1))
+        dirs = []
+        try:
+            run_spmv(mat, x, "k20", policy=pol)
+            dirs.append(Path(_pool(mat, pol)._tmpdir))
+            mat.vals[:] *= 2.0
+            seal(mat)  # the re-seal supersedes the partition and its pool
+            run_spmv(mat, x, "k20", policy=pol)
+            assert not dirs[0].exists()
+            res = run_spmv(mat, x, "k20", policy=kill)
+            assert res.worker_deaths == 1  # and a respawn: elastic
+            for policy in (pol, kill):
+                pool = _pool(mat, policy)
+                assert _files(pool) == ["x0.seg", "y0.seg"]
+                dirs.append(Path(pool._tmpdir))
+        finally:
+            assert shutdown_pools(mat) == 2
+        assert not any(d.exists() for d in dirs)
+
+
+#: A coordinator that runs one 2-device process call, prints its worker
+#: pids and waits to be killed.
+_COORDINATOR = """
+import time
+import numpy as np
+from repro import ExecutionPolicy, run_spmv
+from repro.exec.engine import sharded_view
+from repro.exec.workers import worker_pool
+from repro.formats.conversion import convert
+from repro.gpu.device import get_device
+from repro.matrices.suite import generate
+
+mat = convert(generate("cant", scale=0.02, seed=0), "csr")
+pol = ExecutionPolicy(devices=2, backend="process")
+run_spmv(mat, np.ones(mat.shape[1]), "k20", policy=pol)
+pool = worker_pool(sharded_view(mat, 2, pol.partitioner),
+                   get_device("k20"), pol)
+print(*(w.process.pid for w in pool._workers), flush=True)
+time.sleep(60)
+"""
+
+
+def _gone(pid: int) -> bool:
+    """Whether ``pid`` has exited (a zombie awaiting its reaper counts)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_workers_exit_when_their_coordinator_is_killed(tmp_path):
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.Popen([sys.executable, "-c", _COORDINATOR],
+                            stdout=subprocess.PIPE, env=env, text=True)
+    try:
+        pids = [int(p) for p in proc.stdout.readline().split()]
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+    assert len(pids) == 2
+    deadline = time.monotonic() + 2.0
+    while time.monotonic() < deadline and not all(map(_gone, pids)):
+        time.sleep(0.05)
+    assert all(map(_gone, pids)), pids
+    assert not list(tmp_path.glob("repro-shards-*"))

@@ -15,6 +15,7 @@ from repro.exec.policy import ExecutionPolicy
 from repro.formats.conversion import convert
 from repro.formats.csr import CSRMatrix
 from repro.integrity import seal
+from repro.integrity.counters import COUNTERS
 from repro.kernels.dispatch import run_spmm, run_spmv
 from repro.kernels.plancache import PLAN_CACHE, PlanCache
 from tests.conftest import random_coo, requires_scipy_executor
@@ -108,8 +109,16 @@ class TestPlanArrayFaults:
         assert np.array_equal(run_spmv(mat, x, "k20", policy=pol).y, expected)
         shard = sharded_view(mat, 2, pol.partitioner).shards[1]
         _flip(PLAN_CACHE.get_or_build(shard, "k20"), "_vals")
+        before = COUNTERS.snapshot()
         result = run_spmv(mat, x, "k20", policy=pol)
+        after = COUNTERS.snapshot()
         assert result.fallback_used
+        # Counted once, by the dispatch whose result the caller gets; the
+        # shard's nested dispatch raised to it, not to the caller.
+        assert (after.verifications - before.verifications,
+                after.detections - before.detections,
+                after.fallbacks - before.fallbacks,
+                after.raised - before.raised) == (1, 1, 1, 0)
         np.testing.assert_allclose(result.y, coo.to_dense() @ x, rtol=1e-9)
         assert np.array_equal(run_spmv(mat, x, "k20", policy=pol).y, expected)
 
@@ -243,3 +252,16 @@ class TestShardedViewFollowsTheSeal:
         assert np.array_equal(after, 2.0 * before)
         assert sharded_view(mat, 2, pol.partitioner) is not old
         assert all(pool._closed for pool in pools)
+
+    def test_reseal_drops_superseded_shard_plans(self):
+        coo = random_coo(64, 48, density=0.08, seed=9)
+        mat = seal(convert(coo, "csr"))
+        x = np.random.default_rng(9).standard_normal(48)
+        pol = ExecutionPolicy(devices=2, backend="thread")
+        sizes = []
+        for _ in range(3):
+            mat.vals[:] *= 2.0
+            seal(mat)
+            run_spmv(mat, x, "k20", policy=pol)
+            sizes.append(len(PLAN_CACHE))
+        assert sizes == [2, 2, 2]
