@@ -752,6 +752,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
               f"{report.unaffected} unaffected, {report.detected} raised "
               f"typed errors, {report.silent} SILENT, "
               f"{report.untyped} untyped")
+        if report.skipped:
+            print("skipped (fault does not apply): " + ", ".join(
+                f"{fmt} x {kind}" for fmt, kind in report.skipped))
         if args.output:
             print(f"wrote campaign report to {args.output}")
     if not report.clean:

@@ -26,6 +26,12 @@ one bit of the shard's warm plan instead and replays it under checksum
 verification: the plan fails its replay-array CRC, is dropped, and the
 retry rebuilds it.
 
+:func:`run_shard` applies an event to one shard's run, and both sharded
+backends call it, so a kind means the same on either: the thread backend
+runs it in the calling process, a process worker in its own. Only
+``"kill-worker"`` and ``"corrupt-shard-result"`` act around it, in the
+worker loop, and the thread backend rejects them.
+
 :func:`run_chaos_campaign` sweeps formats × fault kinds and asserts the
 zero-silent-corruption contract end-to-end: every trial must return the
 bit-identical product (recovered) or raise a typed
@@ -35,12 +41,18 @@ never an untyped crash.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ReproError, ValidationError
+
+if TYPE_CHECKING:
+    from ..formats.base import SparseFormat
+    from ..kernels.base import SpMVResult
+    from .policy import ExecutionPolicy
 
 __all__ = [
     "PROCESS_FAULT_KINDS",
@@ -50,6 +62,7 @@ __all__ = [
     "ChaosTrial",
     "ChaosCampaignReport",
     "run_chaos_campaign",
+    "run_shard",
 ]
 
 #: Fault kinds injected at the worker-pool level (not into containers).
@@ -160,6 +173,61 @@ class ChaosState:
         )
 
 
+def run_shard(
+    run: Callable[..., SpMVResult],
+    shard: SparseFormat,
+    x: np.ndarray,
+    device: Any,
+    policy: ExecutionPolicy,
+    event: Optional[ChaosEvent],
+    index: int,
+) -> SpMVResult:
+    """``run(shard, x, device, policy=policy)`` with ``event`` applied
+    when it targets shard ``index``.
+
+    A stall sleeps, then runs clean. ``"plan_bit_flip"`` flips a bit of
+    the shard's warm plan (building it when cold) and a container kind
+    runs a corrupted copy of the shard; both run under ``"checksum"``,
+    so the fault surfaces as a typed error. A container kind seals an
+    unsealed shard first, since the checksum can only catch corruption
+    against a pristine seal, and raises ``ValidationError`` when the
+    format cannot be sealed. ``"kill-worker"`` and
+    ``"corrupt-shard-result"`` run clean here.
+    """
+    if event is None or event.shard != index:
+        return run(shard, x, device, policy=policy)
+    kind = event.kind
+    if kind == "stall-worker":
+        time.sleep(event.stall_s)
+    if kind in PROCESS_FAULT_KINDS:
+        return run(shard, x, device, policy=policy)
+    from ..integrity.faults import PLAN_FAULT_KIND, flip_plan_bit, inject_fault
+
+    policy = policy.with_(verify="checksum")
+    rng = np.random.default_rng(event.call * 8191 + index)
+    if kind == PLAN_FAULT_KIND:
+        from ..kernels.plancache import cache_for
+
+        flip_plan_bit(cache_for(policy).get_or_build(
+            shard, device, backend=policy.compute_backend,
+            verify=policy.verify), rng)
+        return run(shard, x, device, policy=policy)
+    from ..integrity.checksums import is_sealed, seal
+
+    if not is_sealed(shard):
+        try:
+            seal(shard)
+        except ReproError as exc:
+            raise ValidationError(
+                f"chaos kind {kind!r} needs a sealable shard format, "
+                f"got {shard.format_name!r}"
+            ) from exc
+    injected = inject_fault(shard, rng, kind=kind)
+    if injected.matrix is None:
+        raise injected.build_error  # construction-time detection
+    return run(injected.matrix, x, device, policy=policy)
+
+
 def chaos_state(owner: object, policy: ChaosPolicy) -> ChaosState:
     """The :class:`ChaosState` for ``policy`` cached on ``owner``."""
     cache = getattr(owner, "_repro_chaos_states", None)
@@ -209,6 +277,8 @@ class ChaosCampaignReport:
     """Aggregated chaos-campaign outcome; ``clean`` is the contract gate."""
 
     trials: List[ChaosTrial] = field(default_factory=list)
+    #: ``(format, kind)`` pairs not run because the fault does not apply.
+    skipped: List[Tuple[str, str]] = field(default_factory=list)
     workers: int = 0
     backend: str = "process"
     seed: int = 0
@@ -272,6 +342,8 @@ class ChaosCampaignReport:
             "clean": self.clean,
             "rows": self.rows(),
             "trials": [t.to_dict() for t in self.trials],
+            "skipped": [{"format": fmt, "kind": kind}
+                        for fmt, kind in self.skipped],
         }
 
 
@@ -290,6 +362,18 @@ def _campaign_fixture(format_name: str, seed: int):
         sealed = seal(convert(coo, format_name))
     x = np.random.default_rng(seed + 101).standard_normal(coo.shape[1])
     return sealed, x
+
+
+def _applies(format_name: str, kind: str) -> bool:
+    """Whether ``kind`` can be injected into a shard of ``format_name``."""
+    from ..integrity.faults import PLAN_FAULT_KIND, fault_kinds
+    from ..kernels.plan import has_planner
+
+    if kind in PROCESS_FAULT_KINDS:
+        return True
+    if kind == PLAN_FAULT_KIND:
+        return has_planner(format_name)
+    return kind in fault_kinds(format_name)
 
 
 def run_chaos_campaign(
@@ -319,7 +403,10 @@ def run_chaos_campaign(
     * ``untyped`` — a non-Repro exception escaped (contract violation).
 
     Process-level kinds require ``backend="process"``; container kinds
-    run on either backend. A fresh worker pool is created and shut down
+    run on either backend. A pair whose fault does not apply to the
+    format (a container kind with no injector for it, ``plan_bit_flip``
+    on a format without a planner) runs no trial and is listed in
+    ``report.skipped``. A fresh worker pool is created and shut down
     per trial so every trial replays deterministically from the seed.
     """
     from ..kernels.dispatch import run_spmv
@@ -338,6 +425,9 @@ def run_chaos_campaign(
         sealed, x = _campaign_fixture(fmt, seed + 17 * f_idx)
         y_ref = run_spmv(sealed, x, device).y
         for k_idx, kind in enumerate(kinds):
+            if not _applies(fmt, kind):
+                report.skipped.append((fmt, kind))
+                continue
             for rep in range(int(repeats)):
                 trial_seed = seed + 1009 * f_idx + 101 * k_idx + rep
                 chaos = ChaosPolicy(

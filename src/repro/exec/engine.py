@@ -31,20 +31,22 @@ The engine
    times the single-vector volume for an ``(n, k)`` block, so a block's
    counters equal the sum of its ``k`` per-column records.
 
-Both backends honor ``policy.shard_timeout_s``: the thread engine raises
-a typed :class:`~repro.errors.ShardTimeoutError` when a shard future
-misses its deadline, and the process engine treats the miss as a stalled
-worker — fence, retry elsewhere, and only raise once
-``policy.max_retries`` is exhausted. Recovery actions surface on the
-returned :class:`ShardedSpMVResult` (``worker_deaths``,
-``shard_reassignments``, ``retries``) and in the metrics registry
-(``exec.worker_deaths`` etc.).
+Both backends run a shard through :func:`~repro.exec.chaos.run_shard`,
+so a ``policy.chaos`` fault kind means the same on either, and both
+return the call's :class:`~repro.exec.workers.CallStats`. Both honor
+``policy.shard_timeout_s``: the thread engine raises a typed
+:class:`~repro.errors.ShardTimeoutError` when a shard future misses its
+deadline, and the process engine treats the miss as a stalled worker —
+fence, retry elsewhere, and only raise once ``policy.max_retries`` is
+exhausted. Recovery actions surface on the returned
+:class:`ShardedSpMVResult` (``worker_deaths``, ``shard_reassignments``,
+``retries``) and in the metrics registry (``exec.worker_deaths`` etc.).
 
 Thread-safety note: the telemetry tracer keeps one global span stack,
-so when a tracer is active the thread backend runs shards sequentially
-(same results and counters, deterministic span tree); the pool is used
-only for untraced runs. NumPy releases the GIL on the large kernels, so
-the pool gives real overlap in the common case.
+so when a tracer is active the thread backend's pool has one thread and
+runs the shards one at a time (same results and counters, deterministic
+span tree, the same deadlines). NumPy releases the GIL on the large
+kernels, so the untraced pool gives real overlap.
 """
 
 from __future__ import annotations
@@ -60,13 +62,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import ReproError, ShardTimeoutError, ValidationError
+from ..errors import ShardTimeoutError, ValidationError
 from ..formats.base import SparseFormat
 from ..gpu.counters import KernelCounters
 from ..gpu.device import DeviceSpec, get_device
 from ..gpu.timing import MultiDeviceBreakdown, predict_sharded
 from ..integrity.checksums import get_header
-from ..integrity.faults import PLAN_FAULT_KIND
 from ..integrity.validators import verify_container, verify_rank
 from ..kernels.base import SpMVResult
 from ..kernels.plan import check_multi_x
@@ -74,11 +75,11 @@ from ..kernels.plancache import PlanCache, cache_for, fingerprint_token
 from ..telemetry import metrics as _metrics
 from ..telemetry.tracer import get_tracer
 from ..telemetry.tracer import span as _span
-from .chaos import PROCESS_FAULT_KINDS, ChaosEvent, chaos_state
+from .chaos import PROCESS_FAULT_KINDS, ChaosEvent, chaos_state, run_shard
 from .comms import CommsReport, model_comms
 from .partition import ShardedMatrix, partition
 from .policy import ExecutionPolicy
-from .workers import shutdown_matrix_pools
+from .workers import CallStats, shutdown_matrix_pools
 
 __all__ = [
     "ShardedSpMVResult",
@@ -222,7 +223,7 @@ def _plan_thread_chaos(
 ) -> Optional[ChaosEvent]:
     """The thread backend's chaos event for this call, if any.
 
-    The thread pool shares one address space, so only stalls and
+    The thread pool shares one address space, so only stalls, plan and
     container-level faults are expressible; process-only kinds are a
     configuration error rather than a silent no-op.
     """
@@ -243,7 +244,7 @@ def _execute_thread(
     x: np.ndarray,
     device: DeviceSpec,
     policy: ExecutionPolicy,
-) -> Tuple[np.ndarray, List[SpMVResult], Dict[str, object]]:
+) -> Tuple[np.ndarray, List[SpMVResult], CallStats]:
     """The in-process thread backend (with per-shard deadlines)."""
     from ..kernels.dispatch import run_spmm, run_spmv  # late: dispatch imports us
 
@@ -258,64 +259,17 @@ def _execute_thread(
 
     def run_one(d: int, shard: SparseFormat) -> SpMVResult:
         if not _metrics.collecting():  # keep the disabled path clock-free
-            return _run_one_inner(d, shard)
+            return run_shard(run, shard, x, device, shard_policy, event, d)
         t_begin = time.perf_counter()
         try:
-            return _run_one_inner(d, shard)
+            return run_shard(run, shard, x, device, shard_policy, event, d)
         finally:
             _metrics.record_shard_latency(str(d), time.perf_counter() - t_begin)
 
-    def _run_one_inner(d: int, shard: SparseFormat) -> SpMVResult:
-        if event is not None and event.shard == d:
-            if event.kind == "stall-worker":
-                time.sleep(event.stall_s)
-            elif event.kind == PLAN_FAULT_KIND:
-                from .workers import _apply_plan_fault
-
-                verified = shard_policy.with_(verify="checksum")
-                _apply_plan_fault(
-                    shard, device, verified, event.call * 8191 + d)
-                return run(shard, x, device, policy=verified)
-            else:
-                from ..integrity.checksums import is_sealed, seal
-                from .workers import _apply_container_fault
-
-                # The checksum verify below can only catch the injected
-                # corruption against a pristine seal; unsealed shards
-                # must be sealed first (the process backend gets this
-                # for free from its sealed .brx shard containers).
-                if not is_sealed(shard):
-                    try:
-                        seal(shard)
-                    except ReproError as exc:
-                        raise ValidationError(
-                            f"chaos kind {event.kind!r} needs a sealable "
-                            f"shard format, got {shard.format_name!r}"
-                        ) from exc
-                victim = _apply_container_fault(
-                    shard, event.kind, event.call * 8191 + d
-                )
-                return run(
-                    victim, x, device,
-                    policy=shard_policy.with_(verify="checksum"),
-                )
-        return run(shard, x, device, policy=shard_policy)
-
-    if get_tracer() is not None or sharded.n_shards == 1:
-        # The tracer's span stack is global: keep the tree deterministic.
-        # Deadlines are enforced post-hoc (a shard cannot be preempted).
-        results = []
-        for d, shard in enumerate(sharded.shards):
-            t0 = time.monotonic()
-            results.append(run_one(d, shard))
-            if timeout is not None and time.monotonic() - t0 > timeout:
-                raise ShardTimeoutError(
-                    f"shard {d} exceeded its {timeout}s deadline",
-                    shard=d, timeout_s=timeout,
-                )
-        return np.concatenate([r.y for r in results]), results, {}
-
-    with ThreadPoolExecutor(max_workers=sharded.n_shards) as pool:
+    # The tracer's span stack is global: a traced call runs one shard at
+    # a time so its span tree stays deterministic.
+    workers = 1 if get_tracer() is not None else sharded.n_shards
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         # Each shard runs in a copy of the caller's context, so its
         # dispatch sees that it is nested in the call's guarded dispatch.
         futures = [
@@ -334,7 +288,7 @@ def _execute_thread(
                     f"thread backend",
                     shard=d, timeout_s=timeout or 0.0,
                 ) from None
-    return np.concatenate([r.y for r in results]), results, {}
+    return np.concatenate([r.y for r in results]), results, CallStats()
 
 
 def _execute_process(
@@ -342,7 +296,7 @@ def _execute_process(
     x: np.ndarray,
     device: DeviceSpec,
     policy: ExecutionPolicy,
-) -> Tuple[np.ndarray, List[SpMVResult], Dict[str, object]]:
+) -> Tuple[np.ndarray, List[SpMVResult], CallStats]:
     """The fault-tolerant multiprocessing backend."""
     from .workers import worker_pool
 
@@ -355,8 +309,8 @@ def _execute_process(
             parent.span_id if parent is not None else None,
         )
     elif _metrics.collecting():
-        # Metrics-only mode still wants worker registry snapshots; a
-        # fresh trace id tags the call so stale batches can't mix in.
+        # Metrics-only mode still wants worker registry snapshots; the
+        # worker tracers get a fresh trace id.
         telem = (uuid.uuid4().hex, None)
 
     pool = worker_pool(sharded, device, policy)
@@ -388,14 +342,7 @@ def _execute_process(
                 _metrics.record_shard_latency(
                     str(batch["worker"]), batch["elapsed_s"]
                 )
-    recovery = {
-        "worker_deaths": stats.worker_deaths,
-        "shard_reassignments": stats.shard_reassignments,
-        "retries": stats.retries,
-        "respawns": stats.respawns,
-        "events": tuple(stats.events),
-    }
-    return y, results, recovery
+    return y, results, stats
 
 
 def execute_sharded(
@@ -440,17 +387,15 @@ def execute_sharded(
         comms=comms.strategy,
         backend=policy.backend,
     ):
-        if policy.backend == "process":
-            y, results, recovery = _execute_process(sharded, x, device, policy)
-        else:
-            y, results, recovery = _execute_thread(sharded, x, device, policy)
+        backend = _execute_process if policy.backend == "process" else _execute_thread
+        y, results, stats = backend(sharded, x, device, policy)
 
     merged = _merge(results, comms, k)
     _metrics.record_exec(
         sharded.inner_format, device.name, sharded.n_shards, merged, comms
     )
     for name in ("worker_deaths", "shard_reassignments", "retries", "respawns"):
-        count = int(recovery.get(name, 0) or 0)
+        count = getattr(stats, name)
         if count:
             _metrics.record_worker_event(name, count)
     return ShardedSpMVResult(
@@ -461,8 +406,8 @@ def execute_sharded(
         comms=comms,
         partitioner=sharded.partitioner,
         backend=policy.backend,
-        worker_deaths=int(recovery.get("worker_deaths", 0) or 0),
-        shard_reassignments=int(recovery.get("shard_reassignments", 0) or 0),
-        retries=int(recovery.get("retries", 0) or 0),
-        recovery_events=tuple(recovery.get("events", ()) or ()),
+        worker_deaths=stats.worker_deaths,
+        shard_reassignments=stats.shard_reassignments,
+        retries=stats.retries,
+        recovery_events=tuple(stats.events),
     )

@@ -15,11 +15,12 @@ replays with one ``run_spmm`` (plan ``execute_many``) — into the input
 segment once per call, and each task carries only ``(generation, shape,
 row range)``. A worker maps both files by path (``x`` read-only), writes
 its shard's ``y`` into its own rows of the output segment and reports
-the shape, the :class:`~repro.gpu.counters.KernelCounters` and a CRC32
-of its private ``y``. The coordinator copies those rows out of the
-segment and checks the CRC on its copy, so the transport check stays end
-to end: a late, stale or torn write into the segment fails the CRC and
-the shard is retried.
+the shape, the :class:`~repro.gpu.counters.KernelCounters`, a CRC32 of
+its private ``y`` and, on a traced call, its telemetry batch, all in one
+result message. The coordinator copies those rows out of the segment and
+checks the CRC on its copy, so the transport check stays end to end: a
+late, stale or torn write into the segment fails the CRC and the shard
+is retried. The batch is kept only with rows that pass.
 
 The robustness core is the coordinator's recovery loop. Every task
 carries a ``(call, shard, attempt)`` tag, and three detectors feed one
@@ -52,9 +53,11 @@ reassignments, retries, respawns) for
 ``ShardedSpMVResult`` recovery fields.
 
 Chaos injection (:mod:`repro.exec.chaos`) rides the task channel: the
-coordinator plans at most one fault per call and the executing worker
-applies it on the shard's first attempt only, so recovery always has a
-clean retry to converge to.
+coordinator plans at most one fault per call and sends the
+:class:`~repro.exec.chaos.ChaosEvent` with the targeted shard's first
+attempt only, so recovery always has a clean retry to converge to. The
+worker runs the shard through :func:`~repro.exec.chaos.run_shard`, the
+runner the thread backend uses too.
 """
 
 from __future__ import annotations
@@ -78,8 +81,7 @@ from ..errors import ReproError, ShardTimeoutError, ValidationError, WorkerFailu
 from ..formats.base import SparseFormat
 from ..gpu.counters import KernelCounters
 from ..gpu.device import DeviceSpec
-from ..integrity.faults import PLAN_FAULT_KIND, flip_plan_bit
-from .chaos import PROCESS_FAULT_KINDS, ChaosEvent, ChaosState
+from .chaos import ChaosEvent, ChaosState, run_shard
 from .partition import ShardedMatrix
 from .policy import ExecutionPolicy
 
@@ -128,31 +130,6 @@ def _flip_one_bit(y: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _apply_container_fault(
-    matrix: SparseFormat, kind: str, seed: int
-) -> SparseFormat:
-    """A corrupted copy of ``matrix`` (or raise when construction rejects)."""
-    from ..integrity.faults import inject_fault
-
-    injected = inject_fault(matrix, np.random.default_rng(seed), kind=kind)
-    if injected.matrix is None:
-        raise injected.build_error  # construction-time detection
-    return injected.matrix
-
-
-def _apply_plan_fault(
-    matrix: SparseFormat, device: Any, policy: ExecutionPolicy, seed: int
-) -> None:
-    """Flip one bit of one replay array of ``matrix``'s cached plan,
-    building the plan first when it is cold."""
-    from ..kernels.plancache import cache_for
-
-    plan = cache_for(policy).get_or_build(
-        matrix, device, backend=policy.compute_backend, verify=policy.verify
-    )
-    flip_plan_bit(plan, np.random.default_rng(seed))
-
-
 def _worker_main(
     slot: int,
     shard_paths: List[str],
@@ -163,22 +140,27 @@ def _worker_main(
     compute_backend: str,
     task_queue: Any,
     result_queue: Any,
-    telemetry_queue: Any,
     heartbeats: Any,
 ) -> None:
     """Worker loop: mmap shards on demand, run tasks, report results.
 
     Runs in a child process. A task is ``("spmv", call, shard, attempt,
-    (generation, shape, (r0, r1)), chaos, telem, verify)``: the block of
+    (generation, shape, (r0, r1)), event, telem, verify)``: the block of
     ``shape`` is the head of input segment ``generation`` in
     ``pool_dir``, and the shard's ``y`` goes to rows ``[r0, r1)`` of
     the output segment, read as a C-order ``(m,) + shape[1:]`` array. The
     worker maps a generation's files on its first task for it (``x``
     read-only) and drops the previous maps. The result protocol is
     tuples on ``result_queue``: ``("done", call, shard, attempt, slot,
-    y_shape, counters, crc)`` once the rows are written, with the CRC
-    taken on the private ``y`` before the copy, or ``("error", call,
+    y_shape, counters, crc, batch)`` once the rows are written, with the
+    CRC taken on the private ``y`` before the copy, or ``("error", call,
     shard, attempt, slot, errname, errmsg)``.
+
+    ``event`` is the call's :class:`~repro.exec.chaos.ChaosEvent` on the
+    first attempt of the shard it targets, else ``None``.
+    :func:`~repro.exec.chaos.run_shard` applies it, as on the thread
+    backend; only ``"kill-worker"`` (exit before the run) and
+    ``"corrupt-shard-result"`` (flip a bit after the CRC) act here.
 
     The heartbeat thread also watches the coordinator: when the parent
     pid is no longer ``coordinator`` (it died and the worker was
@@ -187,11 +169,10 @@ def _worker_main(
 
     When a task carries a trace context (``telem = (trace_id,
     parent_span_id)``), the task body runs under a private worker tracer +
-    registry (:class:`repro.telemetry.remote.capture`) and one batch dict
-    is put on ``telemetry_queue`` *before* the result message. Tasks with
-    ``telem=None`` (telemetry disabled on the coordinator) skip capture
-    entirely — no allocation, no queue traffic. Failed attempts ship no
-    batch, so the coordinator only ever merges accepted work.
+    registry (:class:`repro.telemetry.remote.capture`) and the ``done``
+    message carries the batch dict; otherwise ``batch`` is ``None`` and
+    the worker does no telemetry work. Failed attempts ship no batch, and
+    the coordinator keeps a batch only with the rows it accepts.
     """
     import threading
 
@@ -213,7 +194,6 @@ def _worker_main(
     # coordinator, or vice versa) — the result is bit-identical either
     # way, so mixed fleets stay correct.
     policy = ExecutionPolicy(engine=engine, compute_backend=compute_backend)
-    verify_policy = policy.with_(verify="checksum")
     shards: Dict[int, SparseFormat] = {}
     segments: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}  # by generation
 
@@ -221,7 +201,7 @@ def _worker_main(
         task = task_queue.get()
         if task[0] == "stop":
             return
-        _, call, shard_idx, attempt, block, chaos, telem, verify = task
+        _, call, shard_idx, attempt, block, event, telem, verify = task
         generation, shape, (r0, r1) = block
         k = shape[1] if len(shape) == 2 else 1
         run = run_spmm if len(shape) == 2 else run_spmv
@@ -239,49 +219,28 @@ def _worker_main(
                     shard_paths[shard_idx], mmap_arrays=True, verify=True
                 )
                 shards[shard_idx] = matrix
-            kind = chaos[0] if chaos is not None else None
+            kind = event.kind if event is not None else None
             if kind == "kill-worker":
                 os._exit(_CHAOS_EXIT)
-            if kind == "stall-worker":
-                time.sleep(float(chaos[1]))
-                kind = None
-
-            def _run(kind: Any = kind, matrix: SparseFormat = matrix) -> Any:
-                if kind == PLAN_FAULT_KIND:
-                    # Plan-array fault: flip a bit of the warm plan and
-                    # replay it under checksum verification.
-                    _apply_plan_fault(
-                        matrix, device_name, verify_policy, int(chaos[2]))
-                    return run(matrix, x, device_name, policy=verify_policy)
-                if kind is not None and kind not in PROCESS_FAULT_KINDS:
-                    # Container-level fault: corrupt a copy and execute it
-                    # under checksum verification — detection raises typed.
-                    victim = _apply_container_fault(
-                        matrix, kind, int(chaos[2])
-                    )
-                    return run(
-                        victim, x, device_name, policy=verify_policy
-                    )
-                return run(matrix, x, device_name, policy=task_policy)
-
+            batch = None
             if telem is None:
-                result = _run()
+                result = run_shard(run, matrix, x, device_name, task_policy,
+                                   event, shard_idx)
             else:
                 from ..telemetry import remote as _remote
 
                 t_begin = time.perf_counter()
                 with _remote.capture(telem[0]) as cap:
                     cap.root.set(shard=shard_idx, attempt=attempt, slot=slot)
-                    result = _run()
-                telemetry_queue.put(
-                    _remote.build_batch(
-                        cap,
-                        worker=slot,
-                        shard=shard_idx,
-                        attempt=attempt,
-                        parent_span_id=telem[1],
-                        elapsed_s=time.perf_counter() - t_begin,
-                    )
+                    result = run_shard(run, matrix, x, device_name,
+                                       task_policy, event, shard_idx)
+                batch = _remote.build_batch(
+                    cap,
+                    worker=slot,
+                    shard=shard_idx,
+                    attempt=attempt,
+                    parent_span_id=telem[1],
+                    elapsed_s=time.perf_counter() - t_begin,
                 )
             y = np.ascontiguousarray(result.y)
             crc = _crc(y)
@@ -292,7 +251,7 @@ def _worker_main(
             y_seg[r0 * k:r1 * k] = y.reshape(-1)
             result_queue.put(
                 ("done", call, shard_idx, attempt, slot, y.shape,
-                 result.counters, crc)
+                 result.counters, crc, batch)
             )
         except Exception as exc:  # noqa: BLE001 - forwarded to coordinator
             result_queue.put(
@@ -337,7 +296,8 @@ class CallStats:
     respawns: int = 0
     events: List[Dict[str, Any]] = field(default_factory=list)
     #: Worker telemetry batches for the accepted attempt of each shard
-    #: (see :mod:`repro.telemetry.remote`); empty when telemetry is off.
+    #: (see :mod:`repro.telemetry.remote`); empty when telemetry is off
+    #: and on the thread backend.
     telemetry: List[Dict[str, Any]] = field(default_factory=list)
 
     def note(self, event: str, **info: Any) -> None:
@@ -382,10 +342,6 @@ class WorkerPool:
         self._paths = self._save_shards(sharded)
         self._heartbeats = self._ctx.Array("d", self.n_shards)
         self._results = self._ctx.Queue()
-        # Dedicated channel for worker span/metric batches, created
-        # unconditionally (it must be inherited at fork/spawn time) but
-        # only ever written to when a call carries a trace context.
-        self._telemetry = self._ctx.Queue()
         self._call = 0
         self._closed = False
         self._telem_ctx: Optional[Tuple[str, Optional[int]]] = None
@@ -400,7 +356,7 @@ class WorkerPool:
         ]
         self._finalizer = weakref.finalize(
             self, WorkerPool._cleanup, self._workers, self._results,
-            self._telemetry, str(self._tmpdir),
+            str(self._tmpdir),
         )
         _LIVE_POOLS.add(self)
 
@@ -428,8 +384,7 @@ class WorkerPool:
             target=_worker_main,
             args=(slot, self._paths, str(self._tmpdir), os.getpid(),
                   self.device.name, self.engine, self.compute_backend,
-                  task_queue, self._results, self._telemetry,
-                  self._heartbeats),
+                  task_queue, self._results, self._heartbeats),
             daemon=True,
             name=f"repro-shard-worker-{slot}",
         )
@@ -519,10 +474,8 @@ class WorkerPool:
         worker: _Worker,
         event: Optional[ChaosEvent],
     ) -> None:
-        chaos = None
-        if (event is not None and state.attempt == 0
-                and event.shard == state.shard):
-            chaos = (event.kind, event.stall_s, event.call * 8191 + state.shard)
+        if event is not None and event.shard != state.shard:
+            event = None  # retries are dispatched with no event at all
         state.slot = worker.slot
         if self.shard_timeout_s is not None:
             budget = self.shard_timeout_s * (_BACKOFF ** state.attempt)
@@ -532,7 +485,7 @@ class WorkerPool:
         rows = (self._bounds[state.shard], self._bounds[state.shard + 1])
         worker.task_queue.put(
             ("spmv", self._call, state.shard, state.attempt,
-             (generation, shape, rows), chaos, self._telem_ctx, self._verify)
+             (generation, shape, rows), event, self._telem_ctx, self._verify)
         )
 
     def _fail(
@@ -591,9 +544,9 @@ class WorkerPool:
 
         ``telem`` is the trace context ``(trace_id, parent_span_id)`` to
         propagate to the workers; when given, each shard's telemetry
-        batch (for its *accepted* attempt only) is drained into
-        ``stats.telemetry``. ``None`` (telemetry disabled) sends no
-        context and touches the telemetry queue not at all. ``verify``
+        batch (for its *accepted* attempt only, carried in its result
+        message) lands in ``stats.telemetry``. ``None`` (telemetry
+        disabled) sends no context, and workers capture nothing. ``verify``
         is the ``ExecutionPolicy.verify`` level every worker runs its
         shard under.
 
@@ -634,8 +587,6 @@ class WorkerPool:
                     self._handle(msg, call, states, done, y, stats)
                 self._check_liveness(states, done, stats)
                 self._check_deadlines(states, done, stats)
-            if telem is not None:
-                self._drain_telemetry(telem, states, stats)
         finally:
             self._telem_ctx = None
             for worker in self._workers:
@@ -643,44 +594,6 @@ class WorkerPool:
                     worker.busy.clear()
             self._call += 1
         return y, [done[d] for d in range(self.n_shards)], stats
-
-    def _drain_telemetry(
-        self,
-        telem: Tuple[str, Optional[int]],
-        states: List[_ShardCall],
-        stats: CallStats,
-    ) -> None:
-        """Collect one batch per shard's accepted attempt (bounded wait).
-
-        The worker puts its batch *before* the result message, but the
-        two queues are independent pipes with no cross-queue ordering
-        guarantee, so wait up to a short deadline. Batches from retried
-        attempts, chaos-corrupted attempts or earlier calls carry
-        non-matching ``(shard, attempt)`` / trace-context tags and are
-        dropped, so the merged view only ever contains accepted work.
-        """
-        trace_id, parent_span_id = telem
-        pending = {(s.shard, s.attempt) for s in states}
-        deadline = time.monotonic() + 2.0
-        while pending and time.monotonic() < deadline:
-            try:
-                batch = self._telemetry.get(timeout=_POLL_S)
-            except _queue.Empty:
-                continue
-            if (
-                batch.get("trace_id") != trace_id
-                or batch.get("parent_span_id") != parent_span_id
-            ):
-                continue  # stale: a previous call's leftover batch
-            key = (batch["shard"], batch["attempt"])
-            if key in pending:
-                pending.discard(key)
-                stats.telemetry.append(batch)
-        if pending:
-            stats.note(
-                "telemetry_batches_missing",
-                shards=sorted(shard for shard, _ in pending),
-            )
 
     def heartbeat_ages(self) -> List[float]:
         """Seconds since each worker slot's last heartbeat write."""
@@ -708,13 +621,15 @@ class WorkerPool:
             errname, errmsg = msg[5], msg[6]
             self._fail(state, stats, f"worker error {errname}: {errmsg}")
             return
-        _, _, _, _, slot, shape, counters, crc = msg
+        _, _, _, _, slot, shape, counters, crc, batch = msg
         rejected = self._collect(shard, shape, crc, y)
         if rejected is not None:
             stats.note("shard_crc_mismatch", shard=shard, slot=slot)
             self._fail(state, stats, rejected)
             return
         done[shard] = counters
+        if batch is not None:
+            stats.telemetry.append(batch)
         worker = self._workers[state.slot]
         if worker is not None:
             worker.busy.discard(shard)
@@ -763,8 +678,7 @@ class WorkerPool:
     # -- teardown -------------------------------------------------------
     @staticmethod
     def _cleanup(
-        workers: List[Optional[_Worker]], results: Any, telemetry: Any,
-        tmpdir: str,
+        workers: List[Optional[_Worker]], results: Any, tmpdir: str
     ) -> None:
         for worker in workers:
             if worker is None:
@@ -783,7 +697,6 @@ class WorkerPool:
                 worker.process.terminate()
                 worker.process.join(timeout=1.0)
         results.close()
-        telemetry.close()
         shutil.rmtree(tmpdir, ignore_errors=True)
 
     def shutdown(self) -> None:

@@ -9,8 +9,7 @@ and the two halves of the distributed-telemetry pipeline:
 arrives with a trace context ``(trace_id, parent_span_id)`` runs under a
 private :class:`~repro.telemetry.tracer.Tracer` and
 :class:`~repro.telemetry.metrics.MetricsRegistry`, then ships one *batch*
-dict over the pool's dedicated telemetry queue (alongside, never inside,
-the result message)::
+dict inside the shard's ``done`` result message::
 
     {
       "worker": 2,                # worker slot (one lane per worker)
@@ -25,8 +24,9 @@ the result message)::
     }
 
 **Coordinator side** (:func:`graft_spans`, :func:`merge_batches`) —
-accepted batches (matching the shard/attempt the coordinator actually
-used; stale retry attempts are dropped) are grafted into the live tracer
+accepted batches (those whose message's rows the coordinator accepted;
+stale and failed attempts are dropped with their message) are grafted
+into the live tracer
 with ids remapped and timestamps rebased through the wall-clock anchors
 (``offset = batch.t0_wall - local.t0_wall``; ``perf_counter`` origins are
 per-process and otherwise incomparable), and their registry snapshots are
@@ -40,8 +40,8 @@ spans carry ``worker``/``worker_pid`` attributes that the Chrome-trace
 exporter turns into one process lane per worker.
 
 Zero-overhead contract: when telemetry is disabled the coordinator sends
-``None`` as the trace context, the worker skips capture entirely, and no
-message is ever put on the telemetry queue.
+``None`` as the trace context, the worker skips capture entirely, and
+the result message carries ``None`` for its batch.
 """
 
 from __future__ import annotations

@@ -1,9 +1,12 @@
 """Chaos policy semantics and the zero-silent-corruption campaign."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
-from repro.errors import ValidationError
+from repro import telemetry
+from repro.errors import ShardTimeoutError, ValidationError
 from repro.exec.chaos import (
     DEFAULT_CAMPAIGN_KINDS,
     PROCESS_FAULT_KINDS,
@@ -110,6 +113,32 @@ class TestCampaign:
         assert set(PROCESS_FAULT_KINDS) < set(DEFAULT_CAMPAIGN_KINDS)
         assert "stream_bit_flip" in DEFAULT_CAMPAIGN_KINDS
 
+    @pytest.mark.parametrize("backend", ["process", "thread"])
+    def test_pairs_that_do_not_apply_are_skipped(self, backend):
+        # CSR has no container fault injector: its stream_bit_flip trial
+        # would count a fault that was never injected.
+        report = run_chaos_campaign(
+            formats=("bro_ell", "csr"),
+            kinds=("stream_bit_flip", "plan_bit_flip"),
+            workers=2, backend=backend, seed=0,
+        )
+        assert [(t.format_name, t.kind) for t in report.trials] == [
+            ("bro_ell", "stream_bit_flip"), ("bro_ell", "plan_bit_flip"),
+            ("csr", "plan_bit_flip"),
+        ]
+        assert report.to_dict()["skipped"] == [
+            {"format": "csr", "kind": "stream_bit_flip"}]
+        assert report.clean
+
+    def test_cli_prints_the_skipped_pairs(self, capsys):
+        from repro.cli import main
+
+        assert main(["chaos", "--campaign", "--backend", "thread",
+                     "--kinds", "stream_bit_flip", "--formats", "bro_ell,csr",
+                     "--workers", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "skipped (fault does not apply): csr x stream_bit_flip\n" in out
+
     def test_campaign_is_deterministic_in_seed(self):
         kw = dict(
             formats=("csr",), kinds=("kill-worker",), workers=2, seed=42
@@ -133,3 +162,19 @@ class TestThreadBackendChaos:
         pol = ExecutionPolicy(devices=2, backend="thread", chaos=chaos)
         with pytest.raises(ValidationError, match="process"):
             run_spmv(mat, x, "k20", policy=pol)
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_stalled_shard_misses_its_deadline(self, traced):
+        from repro.exec.policy import ExecutionPolicy
+        from repro.formats.conversion import convert
+        from repro.kernels.dispatch import run_spmv
+        from tests.conftest import random_coo
+
+        mat = convert(random_coo(128, 128, density=0.05, seed=0), "csr")
+        chaos = ChaosPolicy(kinds=("stall-worker",), stall_s=0.6, shard=1)
+        pol = ExecutionPolicy(devices=2, backend="thread",
+                              shard_timeout_s=0.2, chaos=chaos)
+        with telemetry.tracing() if traced else nullcontext():
+            with pytest.raises(ShardTimeoutError) as info:
+                run_spmv(mat, np.ones(128), "k20", policy=pol)
+        assert info.value.shard == 1

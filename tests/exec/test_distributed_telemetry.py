@@ -9,19 +9,21 @@ A 4-device ``backend="process"`` run with telemetry enabled must produce
   backend,
 * per-worker latency histograms with working exact percentiles,
 
-and with telemetry disabled the telemetry queue must carry no traffic.
+and with telemetry disabled no worker may capture telemetry.
 """
 
-import queue as _queue
+import multiprocessing as mp
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.errors import WorkerFailureError
+from repro.exec.chaos import ChaosPolicy
 from repro.exec.engine import execute_sharded, sharded_view, shutdown_pools
 from repro.exec.policy import ExecutionPolicy
-from repro.exec.workers import worker_pool
+from repro.exec.workers import WorkerPool, worker_pool
 from repro.formats.conversion import convert
 from repro.gpu.device import get_device
 from repro.kernels.dispatch import run_spmv
@@ -185,6 +187,49 @@ class TestMergedEqualsSum:
         assert workers == {str(w) for w in range(N_DEVICES)}
 
 
+class TestAcceptedAttemptsOnly:
+    """A faulted shard's first attempt ships no telemetry that is kept:
+    only the attempt whose rows were accepted is grafted and merged."""
+
+    @pytest.mark.parametrize("kind", ["corrupt-shard-result", "kill-worker"])
+    def test_one_root_and_one_batch_per_shard(self, mat, x, kind,
+                                              monkeypatch):
+        calls = []
+        execute = WorkerPool.execute
+
+        def spy(self, *args, **kwargs):
+            out = execute(self, *args, **kwargs)
+            calls.append(out[2])
+            return out
+
+        monkeypatch.setattr(WorkerPool, "execute", spy)
+        chaos = ChaosPolicy(seed=0, kinds=(kind,), max_faults=1, shard=1)
+        policy = ExecutionPolicy(devices=2, backend="process",
+                                 shard_timeout_s=5.0, chaos=chaos)
+        try:
+            with telemetry.tracing() as tracer:
+                result = run_spmv(mat, x, "k20", policy=policy)
+        finally:
+            shutdown_pools(mat)
+        assert result.retries >= 1
+        roots = [s for s in tracer.spans if s.name == "worker.task"]
+        assert sorted(s.attrs["shard"] for s in roots) == [0, 1]
+        assert {s.attrs["shard"]: s.attrs["attempt"] for s in roots} == {
+            0: 0, 1: 1}
+
+        (stats,) = calls
+        assert sorted((b["shard"], b["attempt"])
+                      for b in stats.telemetry) == [(0, 0), (1, 1)]
+        merged = MetricsRegistry()
+        remote.merge_batches(merged, stats.telemetry)
+        per_batch = []
+        for b in stats.telemetry:
+            one = MetricsRegistry()
+            one.merge(b["snapshot"], {"worker": str(b["worker"])})
+            per_batch.append(one.snapshot())
+        assert merge_snapshots(per_batch) == merged.snapshot()
+
+
 class TestLatencyHistograms:
     def test_per_worker_p99_recorded_on_process_backend(self, traced):
         hists = {
@@ -216,17 +261,31 @@ class TestLatencyHistograms:
 
 
 class TestDisabledPath:
-    def test_no_queue_traffic_when_disabled(self, mat, x):
+    def test_no_queue_traffic_when_disabled(self, mat, x, monkeypatch):
+        """With telemetry off no worker enters ``remote.capture``: the
+        forked workers inherit a ``capture`` that raises, so a capture
+        would fail its shard."""
+        if "fork" not in mp.get_all_start_methods():
+            pytest.skip("workers inherit the patch only when forked")
         assert not telemetry.enabled() and not M.collecting()
+
+        def no_capture(trace_id):
+            raise RuntimeError("a worker entered remote.capture")
+
+        shutdown_pools(mat)
+        monkeypatch.setattr(remote, "capture", no_capture)
         sharded = sharded_view(mat, N_DEVICES, "greedy-nnz")
-        policy = ExecutionPolicy(devices=N_DEVICES, backend="process")
+        policy = ExecutionPolicy(
+            devices=N_DEVICES, backend="process", max_retries=0)
         pool = worker_pool(sharded, get_device("k20"), policy)
         try:
-            _, _, stats = pool.execute(x)  # no trace context
+            y, _, stats = pool.execute(x)  # no trace context
             assert stats.telemetry == []
-            # give any (erroneous) late writer a moment, then assert empty
-            with pytest.raises(_queue.Empty):
-                pool._telemetry.get(timeout=0.2)
+            assert stats.retries == 0
+            assert np.array_equal(y, run_spmv(mat, x, "k20").y)
+            # Control: a traced call does enter the patched capture.
+            with pytest.raises(WorkerFailureError, match="remote.capture"):
+                pool.execute(x, telem=("trace-x", None))
         finally:
             shutdown_pools(mat)
 
