@@ -269,7 +269,9 @@ def _execute_thread(
     # The tracer's span stack is global: a traced call runs one shard at
     # a time so its span tree stays deterministic.
     workers = 1 if get_tracer() is not None else sharded.n_shards
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    pool = ThreadPoolExecutor(max_workers=workers)
+    missed = False
+    try:
         # Each shard runs in a copy of the caller's context, so its
         # dispatch sees that it is nested in the call's guarded dispatch.
         futures = [
@@ -281,13 +283,16 @@ def _execute_thread(
             try:
                 results.append(future.result(timeout=timeout))
             except _FutureTimeout:
-                for pending in futures[d:]:
-                    pending.cancel()
+                missed = True
                 raise ShardTimeoutError(
                     f"shard {d} missed its {timeout}s deadline on the "
                     f"thread backend",
                     shard=d, timeout_s=timeout or 0.0,
                 ) from None
+    finally:
+        # A missed deadline raises now: the stalled shard's thread is
+        # left to finish on its own instead of being joined.
+        pool.shutdown(wait=not missed, cancel_futures=missed)
     return np.concatenate([r.y for r in results]), results, CallStats()
 
 

@@ -506,10 +506,12 @@ def _jagged_layout(
     rows: ``counts[c]`` rows. ``gather``/``vals`` hold column 0's lanes,
     then column 1's, ... and ``rows`` maps a sorted row to its output row.
     Masked-out lanes gather index ``n`` (the zero slot appended to ``x``)
-    with a ``+0.0`` value. With ``padded_n``, ``x`` reads as zero-padded to
-    that length: lanes in ``[n, padded_n)`` gather the zero slot and keep
-    their stored value. The fill is one scatter per block, never a loop
-    over (column x block).
+    with a ``+0.0`` value: no-op lanes, which the row-major layout drops
+    (:meth:`JaggedELLPlan._lay_out`). With ``padded_n``, ``x`` reads as
+    zero-padded to that length: lanes in ``[n, padded_n)`` gather the
+    zero slot and keep their stored value (a no-op only when it is
+    ``+0.0``). The fill is one scatter per block, never a loop over
+    (column x block).
     """
     blocks = [b for b in blocks if b[1].size]
     limit = n if padded_n is None else padded_n
@@ -594,9 +596,11 @@ class JaggedELLPlan(SpMVPlan):
 
     The plan holds one copy of the lanes, in the order its executor reads
     them: column-major (jagged) for numpy and jit, row-major for scipy —
-    a CSR over the output rows whose per-row lane order is the same, so
-    ``_indptr`` is set and lane ``(c, s)`` sits at ``indptr[rows[s]] + c``.
-    :meth:`set_backend` moves the lanes between the two orders in place.
+    a CSR over the output rows that keeps each row's lane order but drops
+    its no-op lanes (gather ``n``, value ``+0.0``: the adds argued away
+    above), so ``_indptr`` counts kept lanes and jagged lane ``(c, s)``
+    no longer sits at ``indptr[rows[s]] + c``. :meth:`set_backend` moves
+    the lanes between the two orders in place (see :meth:`_lay_out`).
     """
 
     def __init__(
@@ -633,40 +637,64 @@ class JaggedELLPlan(SpMVPlan):
         return arrays
 
     def _lay_out(self, backend: str) -> None:
-        """Move the lanes between jagged and row-major order: one scatter
-        (or gather) per array, no sort; then re-seal the arrays."""
+        """Move the lanes between jagged and row-major order, then re-seal.
+
+        Row-major keeps only the lanes that can change ``y``: a no-op
+        lane (gather ``n``, value bits ``+0.0``) is dropped and ``_indptr``
+        counts kept lanes. Back in jagged order each row's kept lanes come
+        first, in order, and its dropped lanes follow as ``(n, +0.0)``.
+        Bit-exact both ways: a no-op lane changes nothing wherever it sits.
+        One scatter (or gather) per array, one keep mask and a binary
+        search of the row starts in it; no sort.
+        """
         row_major = backend == "scipy"
         if row_major == (self._indptr is not None):
             return
         m, n = self.matrix.shape
-        lanes = self._vals.shape[0]
+        lanes = int(self._counts.sum())
         dtype = _index_dtype(max(n, lanes))
-        # Sorted row s is as wide as the number of columns covering it.
-        widths = np.searchsorted(
-            -self._counts, -np.arange(self._rows.shape[0]), side="left"
-        )
-        row_len = np.zeros(m, dtype=dtype)
-        row_len[self._rows] = widths
-        indptr = np.zeros(m + 1, dtype=dtype)
-        np.cumsum(row_len, out=indptr[1:])
+        if row_major:
+            # Sorted row s is as wide as the number of columns covering it.
+            row_len = np.zeros(m, dtype=dtype)
+            row_len[self._rows] = np.searchsorted(
+                -self._counts, -np.arange(self._rows.shape[0]), side="left"
+            )
+            indptr = np.zeros(m + 1, dtype=dtype)
+            np.cumsum(row_len, out=indptr[1:])
+        else:
+            indptr = self._indptr
+            end = indptr[self._rows + 1]
         start = indptr[self._rows]
-        dest = np.empty(lanes, dtype=dtype)
+        # Jagged lane (c, s) <-> row-major slot start[s] + c; in a
+        # compacted row, slots past its kept lanes read the no-op lane
+        # appended at the end of the row-major arrays.
+        slot = np.empty(lanes, dtype=dtype)
         lo = 0
         for c, cnt in enumerate(self._counts.tolist()):
-            np.add(start[:cnt], c, out=dest[lo : lo + cnt])
+            col = slot[lo : lo + cnt]
+            np.add(start[:cnt], c, out=col)
+            if not row_major:
+                col[col >= end[:cnt]] = self._vals.shape[0]
             lo += cnt
         if row_major:
             gather = np.empty(lanes, dtype=dtype)
-            gather[dest] = self._gather
-            self._gather = gather
+            gather[slot] = self._gather
             vals = np.empty_like(self._vals)
-            vals[dest] = self._vals
-            self._vals = vals
-            self._indptr = indptr
+            vals[slot] = self._vals
+            if self._zero_slot:
+                keep = np.flatnonzero(
+                    (gather != n) | (vals.view(np.uint64) != 0)
+                )
+                # Kept lanes before each row's first slot.
+                indptr = np.searchsorted(keep, indptr).astype(dtype)
+                gather, vals = gather.take(keep), vals.take(keep)
+            self._gather, self._vals, self._indptr = gather, vals, indptr
         else:
-            self._gather = self._gather[dest].astype(_index_dtype(n), copy=False)
-            self._vals = self._vals[dest]
+            gather = np.append(self._gather, n)[slot]
+            self._gather = gather.astype(_index_dtype(n), copy=False)
+            self._vals = np.append(self._vals, 0.0)[slot]
             self._indptr = None
+        self._zero_slot = bool(np.any(self._gather == n))
         self._seal_arrays()
 
     def _extend(self, x: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Chaos policy semantics and the zero-silent-corruption campaign."""
 
+import threading
+import time
 from contextlib import nullcontext
 
 import numpy as np
@@ -149,6 +151,16 @@ class TestCampaign:
 
 
 class TestThreadBackendChaos:
+    @pytest.fixture(autouse=True)
+    def _join_abandoned_shards(self):
+        """A missed deadline leaves the stalled shard's thread running;
+        join it so it cannot touch the next test's plan cache."""
+        before = set(threading.enumerate())
+        yield
+        for thread in set(threading.enumerate()) - before:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+
     def test_process_only_kind_rejected_at_execution(self):
         from repro.exec.policy import ExecutionPolicy
         from repro.formats.conversion import convert
@@ -171,10 +183,14 @@ class TestThreadBackendChaos:
         from tests.conftest import random_coo
 
         mat = convert(random_coo(128, 128, density=0.05, seed=0), "csr")
-        chaos = ChaosPolicy(kinds=("stall-worker",), stall_s=0.6, shard=1)
+        chaos = ChaosPolicy(kinds=("stall-worker",), stall_s=2.0, shard=1)
         pol = ExecutionPolicy(devices=2, backend="thread",
                               shard_timeout_s=0.2, chaos=chaos)
+        t0 = time.perf_counter()
         with telemetry.tracing() if traced else nullcontext():
             with pytest.raises(ShardTimeoutError) as info:
                 run_spmv(mat, np.ones(128), "k20", policy=pol)
         assert info.value.shard == 1
+        # Raised at the deadline, not when the stalled shard returns.
+        assert time.perf_counter() - t0 < 1.0
+

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.bro_ell import BROELLMatrix
+from repro.core.bro_hyb import BROHYBMatrix
 from repro.errors import IntegrityError
 from repro.exec.chaos import ChaosPolicy
 from repro.exec.engine import sharded_view, shutdown_pools
@@ -18,6 +19,7 @@ from repro.integrity import seal
 from repro.integrity.counters import COUNTERS
 from repro.kernels.dispatch import run_spmm, run_spmv
 from repro.kernels.plancache import PLAN_CACHE, PlanCache
+from repro.matrices import generate
 from tests.conftest import random_coo, requires_scipy_executor
 
 
@@ -26,6 +28,15 @@ def fixture():
     coo = random_coo(64, 48, density=0.08, seed=21)
     mat = seal(BROELLMatrix.from_coo(coo, h=16))
     x = np.random.default_rng(21).standard_normal(coo.shape[1])
+    return coo, mat, x, CSRMatrix.from_coo(coo)
+
+
+@pytest.fixture(scope="module")
+def cop20k_hyb():
+    """BRO-HYB of cop20k_A: a quarter of its ELL lanes are masked."""
+    coo = generate("cop20k_A", scale=0.05)
+    mat = seal(BROHYBMatrix.from_coo(coo, h=64))
+    x = np.random.default_rng(22).standard_normal(coo.shape[1])
     return coo, mat, x, CSRMatrix.from_coo(coo)
 
 
@@ -70,17 +81,25 @@ class TestPlanArrayFaults:
 
     @requires_scipy_executor
     @pytest.mark.parametrize("array", ["_indptr", "_gather", "_vals", "_rows"])
-    def test_scipy_layout_bit_flip_detected(self, fixture, array):
-        coo, mat, x, csr = fixture
-        pol = ExecutionPolicy(verify="checksum", fallback=csr)
-        run_spmv(mat, x, "k20", policy=pol)
-        plan = PLAN_CACHE.get_or_build(mat, "k20", backend="auto")
-        if plan.backend != "scipy":
-            pytest.skip("auto does not resolve to the scipy executor here")
-        _flip(plan, array)
-        result = run_spmv(mat, x, "k20", policy=pol)
-        assert result.fallback_used
-        np.testing.assert_allclose(result.y, coo.to_dense() @ x, rtol=1e-9)
+    def test_scipy_layout_bit_flip_detected(self, fixture, cop20k_hyb, array):
+        for coo, mat, x, csr in (fixture, cop20k_hyb):
+            pol = ExecutionPolicy(verify="checksum", fallback=csr)
+            first = run_spmv(mat, x, "k20", policy=pol)
+            assert not first.fault_detected  # the relayout re-sealed
+            expected = first.y
+            plan = PLAN_CACHE.get_or_build(mat, "k20", backend="auto")
+            if plan.backend != "scipy":
+                pytest.skip("auto does not resolve to the scipy executor here")
+            if mat is cop20k_hyb[1]:
+                # The ELL part's masked lanes were dropped: the sealed
+                # arrays are the compacted ones.
+                ell = plan._parts[0]
+                assert ell._vals.shape[0] < ell._counts.sum()
+            name = _flip(plan, array)
+            result = run_spmv(mat, x, "k20", policy=pol)
+            assert result.fault_detected and result.fallback_used
+            assert name in result.integrity_error
+            np.testing.assert_allclose(result.y, expected, rtol=1e-9)
 
     def test_unverified_call_does_not_check_the_plan(self, fixture):
         _, mat, x, _ = fixture

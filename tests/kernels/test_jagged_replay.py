@@ -41,13 +41,14 @@ columns already differed from its own SpMV there.
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from repro.exec.policy import ExecutionPolicy
 from repro.formats.conversion import convert
 from repro.formats.coo import COOMatrix
 from repro.kernels import prepare, run_spmm, run_spmv
+from repro.kernels.plan import JaggedELLPlan
 from tests.conftest import requires_scipy_executor
 
 _REF = ExecutionPolicy(engine="reference")
@@ -201,6 +202,66 @@ def _differential(executor):
 test_jagged_replay_matches_reference = _differential("numpy")
 test_jagged_replay_matches_reference_on_scipy = requires_scipy_executor(
     _differential("scipy"))
+
+
+def _leaves(plan):
+    """The plan's :class:`JaggedELLPlan` leaves (parts, folded inner)."""
+    if isinstance(plan, JaggedELLPlan):
+        return [plan]
+    return [leaf for child in plan._children() for leaf in _leaves(child)]
+
+
+def _no_op_lanes(leaf) -> int:
+    """Lanes that gather the zero slot with a ``+0.0`` value."""
+    n = leaf.matrix.shape[1]
+    return int(np.count_nonzero(
+        (leaf._gather == n) & (leaf._vals.view(np.uint64) == 0)))
+
+
+def _replay_bytes(plan) -> int:
+    return sum(a.nbytes for a in plan.replay_arrays().values())
+
+
+def _check_reference_bits(mat, plan, x, label):
+    ref = run_spmv(mat, x, "k20", policy=_REF).y
+    _assert_same(plan.execute(x).y, ref, (label, "spmv"))
+    X = _block(x, 3)
+    ref = run_spmm(mat, X, "k20", policy=_REF).y
+    _assert_same(plan.execute_many(X).y, ref, (label, "spmm"))
+
+
+@requires_scipy_executor
+@pytest.mark.parametrize("fmt", FORMATS)
+@seed(20240)
+@given(case=jagged_cases())
+@settings(max_examples=20, deadline=None)
+# BRO-ELL slices with masked lanes: one long row among short ones.
+@example(case=_case({0: [(c, 1.0 + c) for c in range(6)], 1: [(2, -0.0)],
+                     3: [(5, 2.0)]}, (4, 6), h=4))
+def test_row_major_layout_drops_no_op_lanes(fmt, case):
+    """The scipy layout keeps only lanes that can change ``y``; moving the
+    lanes scipy -> numpy -> scipy keeps the reference engine's bits."""
+    coo, h, sigma, x = case
+    x = x.copy()
+    specials = (np.nan, np.inf, -np.inf, -0.0)
+    x[: len(specials)] = specials[: x.shape[0]]
+    mat = _convert(coo, fmt, h, sigma)
+    jagged = prepare(mat, "k20", backend="numpy")
+    dropped = sum(_no_op_lanes(leaf) for leaf in _leaves(jagged))
+    plan = prepare(mat, "k20", backend="scipy")
+    row_major = _replay_bytes(plan)
+    indptr = sum(leaf._indptr.nbytes for leaf in _leaves(plan))
+    # The lane arrays shrink by what was dropped; only _indptr is added.
+    assert row_major - indptr <= _replay_bytes(jagged)
+    assert (row_major - indptr < _replay_bytes(jagged)) == (dropped > 0)
+    for backend in ("scipy", "numpy", "scipy"):
+        plan.set_backend(backend)
+        plan.verify_arrays()
+        if backend == "scipy":
+            assert all(_no_op_lanes(leaf) == 0 for leaf in _leaves(plan))
+        else:
+            assert _replay_bytes(plan) == _replay_bytes(jagged)
+        _check_reference_bits(mat, plan, x, (fmt, backend))
 
 
 def _unsorted_duplicates():
