@@ -17,7 +17,7 @@ from ..core.compression import index_compression_report
 from ..exec.policy import ExecutionPolicy
 from ..formats.coo import COOMatrix
 from ..formats.ellpack import ELLPACKMatrix
-from ..gpu.device import DEVICES
+from ..gpu.device import DEVICES, get_device
 from ..matrices.analysis import analyze
 from ..matrices.suite import TABLE2, test_set_1, test_set_2
 from ..reorder import (
@@ -534,6 +534,7 @@ def microbench_exec(
     from ..formats.csr import CSRMatrix
     from ..kernels import backends as _bk
     from ..kernels.plan import prepare
+    from ..registry import planner_for
 
     backend = "jit" if _bk.jit_available() else "python"
     if backend == "python":
@@ -553,8 +554,7 @@ def microbench_exec(
     x = rng.standard_normal(m)
 
     numpy_plan = prepare(mat, "k20")
-    kernel_plan = prepare(mat, "k20")
-    kernel_plan.set_backend("jit")  # the interpreted twin without Numba
+    kernel_plan = planner_for("csr")(mat, get_device("k20"), "jit")  # or its twin
     numpy_plan.execute(x)  # warm both paths (jit: triggers compilation)
     kernel_plan.execute(x)
     t_numpy = _time_repeat(lambda: numpy_plan.execute(x), repeats)

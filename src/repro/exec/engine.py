@@ -12,8 +12,8 @@ The engine
    :class:`~repro.exec.partition.ShardedMatrix`), caching the partition
    on the container under its seal so solver loops pay for it once, and
    a re-seal after mutation re-partitions;
-2. prepares and runs every shard's kernel concurrently — on a
-   ``ThreadPoolExecutor`` (``policy.backend="thread"``, default) or on a
+2. prepares and runs every shard's kernel concurrently — on daemon
+   threads (``policy.backend="thread"``, default) or on a
    fault-tolerant ``multiprocessing`` :class:`~repro.exec.workers.WorkerPool`
    (``policy.backend="process"``) where each worker mmaps its own sealed
    ``.brx`` shard container and shard failures fail over to surviving
@@ -43,19 +43,20 @@ exhausted. Recovery actions surface on the returned
 ``retries``) and in the metrics registry (``exec.worker_deaths`` etc.).
 
 Thread-safety note: the telemetry tracer keeps one global span stack,
-so when a tracer is active the thread backend's pool has one thread and
-runs the shards one at a time (same results and counters, deterministic
-span tree, the same deadlines). NumPy releases the GIL on the large
-kernels, so the untraced pool gives real overlap.
+so when a tracer is active the thread backend runs the shards one at a
+time on one thread (same results and counters, deterministic span tree,
+the same deadlines). NumPy releases the GIL on the large kernels, so
+the untraced threads give real overlap.
 """
 
 from __future__ import annotations
 
 import contextvars
+import threading
 import time
 import uuid
 import weakref
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, wait
 from concurrent.futures import TimeoutError as _FutureTimeout
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
@@ -266,33 +267,42 @@ def _execute_thread(
         finally:
             _metrics.record_shard_latency(str(d), time.perf_counter() - t_begin)
 
-    # The tracer's span stack is global: a traced call runs one shard at
-    # a time so its span tree stays deterministic.
-    workers = 1 if get_tracer() is not None else sharded.n_shards
-    pool = ThreadPoolExecutor(max_workers=workers)
-    missed = False
-    try:
-        # Each shard runs in a copy of the caller's context, so its
-        # dispatch sees that it is nested in the call's guarded dispatch.
-        futures = [
-            pool.submit(contextvars.copy_context().run, run_one, d, shard)
-            for d, shard in enumerate(sharded.shards)
-        ]
-        results = []
-        for d, future in enumerate(futures):
-            try:
-                results.append(future.result(timeout=timeout))
-            except _FutureTimeout:
-                missed = True
-                raise ShardTimeoutError(
-                    f"shard {d} missed its {timeout}s deadline on the "
-                    f"thread backend",
-                    shard=d, timeout_s=timeout or 0.0,
-                ) from None
-    finally:
-        # A missed deadline raises now: the stalled shard's thread is
-        # left to finish on its own instead of being joined.
-        pool.shutdown(wait=not missed, cancel_futures=missed)
+    # Each shard runs in a copy of the caller's context, so its dispatch
+    # sees that it is nested in the call's guarded dispatch.
+    calls = [(Future[SpMVResult](), contextvars.copy_context(), d, shard)
+             for d, shard in enumerate(sharded.shards)]
+
+    def run_lane(lane: list) -> None:
+        for future, context, d, shard in lane:
+            if future.set_running_or_notify_cancel():
+                try:
+                    future.set_result(context.run(run_one, d, shard))
+                except BaseException as exc:
+                    future.set_exception(exc)
+
+    # Daemon threads, which no exit hook joins: a shard abandoned at its
+    # deadline never holds up interpreter exit. The tracer's span stack
+    # is global, so a traced call runs its shards one at a time.
+    for lane in [calls] if get_tracer() is not None else [[c] for c in calls]:
+        threading.Thread(target=run_lane, args=(lane,), daemon=True).start()
+    futures = [call[0] for call in calls]
+    results = []
+    for d, future in enumerate(futures):
+        try:
+            results.append(future.result(timeout=timeout))
+        except _FutureTimeout:
+            # Raise now; the stalled shard finishes on its own, and shards
+            # not yet started never run.
+            for pending in futures:
+                pending.cancel()
+            raise ShardTimeoutError(
+                f"shard {d} missed its {timeout}s deadline on the "
+                f"thread backend",
+                shard=d, timeout_s=timeout or 0.0,
+            ) from None
+        except BaseException:
+            wait(futures)  # the other shards finish before the error leaves
+            raise
     return np.concatenate([r.y for r in results]), results, CallStats()
 
 

@@ -13,8 +13,10 @@ call reads, when it reads them:
   time) or with an explicit ``plan=``. ``"full"`` deep-checks it on
   every call;
 * the **plan** — at ``"checksum"`` and ``"full"`` every replay first
-  compares the plan's arrays against the CRC taken when it was built,
-  and a plan that fails is dropped from its cache.
+  compares the plan's arrays against the CRC taken when it was built;
+  at ``"structure"`` it range-checks the index arrays the executor
+  reads, so a flipped index bit cannot read out of bounds. A plan that
+  fails is dropped from its cache.
 
 With a fallback matrix supplied, dispatch degrades gracefully: any typed
 :class:`~repro.errors.ReproError` raised during verification or decode
@@ -152,9 +154,11 @@ def _primary(
             )
         else:
             _check_plan(plan, matrix, device)
-        if policy.verify in ("checksum", "full"):
+        if policy.verify:
+            check = (plan.verify_bounds if policy.verify == "structure"
+                     else plan.verify_arrays)
             try:
-                plan.verify_arrays()
+                check()
             except IntegrityError:
                 if policy.plan is None:
                     cache.discard(plan)  # the next call rebuilds it

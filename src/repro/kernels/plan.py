@@ -60,10 +60,13 @@ every counter field of every plannable format.
 
 Integrity
 ---------
-Every plan records the CRC32 of its replay arrays at build and after a
-:meth:`SpMVPlan.set_backend` relayout. :meth:`SpMVPlan.verify_arrays`
-compares against it (composites check their parts); ``run_spmv`` does so
-before every replay under ``verify="checksum"`` or ``"full"``.
+A plan is built for one executor, in the one lane layout that executor
+reads. It records the CRC32 of its replay arrays at build;
+:meth:`SpMVPlan.verify_arrays` compares against it (composites check
+their parts), and ``run_spmv`` does so before every replay under
+``verify="checksum"`` or ``"full"``. Under ``"structure"`` it runs
+:meth:`SpMVPlan.verify_bounds` instead, a one-pass range check of the
+index arrays the executor reads.
 
 Telemetry
 ---------
@@ -81,7 +84,7 @@ import time
 import zlib
 from abc import ABC
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -160,10 +163,10 @@ class SpMVPlan(ABC):
 
     Holds a strong reference to its matrix (so a cached plan can never be
     confused with a new object reusing the same ``id``), the device spec,
-    and a :class:`KernelCounters` prototype that every replay copies.
+    a :class:`KernelCounters` prototype every replay copies, and its parts.
     """
 
-    #: format this plan executes (matches ``SparseFormat.format_name``).
+    #: format this plan executes (by default ``matrix.format_name``).
     format_name: str = ""
 
     def __init__(
@@ -171,21 +174,35 @@ class SpMVPlan(ABC):
         matrix: SparseFormat,
         device: DeviceSpec,
         counters: KernelCounters,
+        backend: str,
+        parts: Tuple["SpMVPlan", ...] = (),
     ) -> None:
+        if backend not in _backends.EXECUTOR_BACKENDS:
+            raise ValidationError(
+                f"executor backend must be one of "
+                f"{_backends.EXECUTOR_BACKENDS}, got {backend!r}"
+            )
+        if backend == "scipy" and _backends.scipy_refusal() is not None:
+            raise ValidationError(
+                f"scipy executor unavailable ({_backends.scipy_refusal()})"
+            )
+        self.format_name = self.format_name or matrix.format_name
         self.matrix = matrix
         self.device = device
         self._counters = counters
+        self._parts = parts
         #: scaled counters prototypes per k, derived once instead of on
         #: every replay (the prototype is x-independent, so a warm plan
         #: never re-derives it).
         self._counters_memo: dict = {}
         #: wall-clock seconds the one-time build took (set by prepare()).
         self.build_seconds = 0.0
-        #: executor backend replays dispatch to (one of EXECUTOR_BACKENDS).
-        self.backend = "numpy"
+        #: executor backend replays dispatch to (one of EXECUTOR_BACKENDS),
+        #: fixed at build: the plan's arrays are laid out for it.
+        self.backend = backend
         #: seconds the JIT warm-compile pass took (0.0 on the numpy path).
         self.jit_compile_seconds = 0.0
-        #: CRC32 of every replay array, taken at build and after a relayout.
+        #: CRC32 of every replay array, taken at build.
         self._array_crcs: Dict[str, int] = {}
 
     @property
@@ -221,38 +238,17 @@ class SpMVPlan(ABC):
             self._counters_memo[k] = proto
         return replace(proto)
 
-    # -- executor backend ----------------------------------------------
-    def _children(self) -> Tuple["SpMVPlan", ...]:
-        """Part plans a composite plan delegates to (backend recursion)."""
-        return ()
-
-    def set_backend(self, backend: str) -> None:
-        """Select the executor backend for this plan (and its parts).
-
-        Accepts a *concrete* backend name; resolve policy requests with
-        :func:`repro.kernels.backends.resolve_backend` first. ``"scipy"``
-        raises when the host's SciPy loops failed their probe. Switching
-        may reorder the plan's arrays, so never switch a plan another
-        thread is replaying (:func:`prepare` switches before publishing).
-        """
-        if backend not in _backends.EXECUTOR_BACKENDS:
-            raise ValidationError(
-                f"executor backend must be one of "
-                f"{_backends.EXECUTOR_BACKENDS}, got {backend!r}"
-            )
-        if backend == "scipy" and _backends.scipy_refusal() is not None:
-            raise ValidationError(
-                f"scipy executor unavailable ({_backends.scipy_refusal()})"
-            )
-        for child in self._children():
-            child.set_backend(backend)
-        self._lay_out(backend)
-        self.backend = backend
-
-    def _lay_out(self, backend: str) -> None:
-        """Reorder stored replay data for ``backend`` (before it is live)."""
-
     # -- integrity ------------------------------------------------------
+    def _children(self) -> Tuple["SpMVPlan", ...]:
+        """Part plans a composite plan delegates to."""
+        return self._parts
+
+    def _plans(self, prefix: str = "") -> Iterator[Tuple[str, "SpMVPlan"]]:
+        """This plan and every part below it, each with its path prefix."""
+        yield prefix, self
+        for i, child in enumerate(self._children()):
+            yield from child._plans(f"{prefix}parts[{i}].")
+
     def _own_arrays(self) -> Dict[str, np.ndarray]:
         """The arrays this plan's own replay reads (none for a combinator)."""
         return {}
@@ -260,11 +256,8 @@ class SpMVPlan(ABC):
     def replay_arrays(self) -> Dict[str, np.ndarray]:
         """Every array a replay reads, its parts' included, keyed by
         path (``"_gather"``, ``"parts[1]._vals"``)."""
-        arrays = dict(self._own_arrays())
-        for i, child in enumerate(self._children()):
-            for name, arr in child.replay_arrays().items():
-                arrays[f"parts[{i}].{name}"] = arr
-        return arrays
+        return {prefix + name: arr for prefix, plan in self._plans()
+                for name, arr in plan._own_arrays().items()}
 
     def _crcs(self) -> Dict[str, int]:
         return {
@@ -272,33 +265,44 @@ class SpMVPlan(ABC):
             for name, arr in self._own_arrays().items()
         }
 
-    def _seal_arrays(self) -> None:
-        """Record the CRC32 of every own replay array as it stands now."""
-        self._array_crcs = self._crcs()
+    def _stale_arrays(self) -> List[str]:
+        """Own arrays whose bytes changed since the build."""
+        return [name for name, crc in self._crcs().items()
+                if self._array_crcs.get(name) != crc]
 
-    def _stale_arrays(self, prefix: str = "") -> List[str]:
-        bad = [prefix + name for name, crc in self._crcs().items()
-               if self._array_crcs.get(name) != crc]
-        for i, child in enumerate(self._children()):
-            bad += child._stale_arrays(f"{prefix}parts[{i}].")
-        return bad
+    def _out_of_bounds(self) -> List[str]:
+        """Own index arrays that would send a replay outside its arrays."""
+        return []
+
+    def _raise_failing(self, check: str, what: str) -> None:
+        """Raise naming every array, parts' included, that fails ``check``."""
+        bad = tuple(prefix + name for prefix, plan in self._plans()
+                    for name in getattr(plan, check)())
+        if bad:
+            raise IntegrityError(
+                f"{self.format_name} plan failed its {what}; "
+                f"corrupted arrays: {', '.join(bad)}",
+                fields=bad,
+            )
 
     def verify_arrays(self) -> None:
         """Check every replay array against the CRC taken at build.
 
         Raises :class:`~repro.errors.IntegrityError` naming (by their
         :meth:`replay_arrays` paths) the arrays whose bytes changed since
-        the plan was built or laid out. This is the per-call check of
+        the plan was built. This is the per-call check of
         ``verify="checksum"``: the plan's arrays, not the container's,
         are the bytes a replay reads.
         """
-        bad = tuple(self._stale_arrays())
-        if bad:
-            raise IntegrityError(
-                f"{self.format_name} plan failed its replay-array checksum; "
-                f"corrupted arrays: {', '.join(bad)}",
-                fields=bad,
-            )
+        self._raise_failing("_stale_arrays", "replay-array checksum")
+
+    def verify_bounds(self) -> None:
+        """Range-check every index array the executor reads, in one pass
+        each, raising as :meth:`verify_arrays` does. The per-call check of
+        ``verify="structure"``: the compiled loops check no bounds, and
+        below ``"checksum"`` no CRC proves these are the bytes checked at
+        build."""
+        self._raise_failing("_out_of_bounds", "index bounds check")
 
     def warm_compile(self) -> float:
         """Trigger JIT compilation of the replay loops on a zeros input.
@@ -414,7 +418,7 @@ class SpMVPlan(ABC):
 def register_planner(format_name: str):
     """Decorator binding a plan builder to its format's capability record."""
 
-    def deco(fn: Callable[[SparseFormat, DeviceSpec], SpMVPlan]):
+    def deco(fn: Callable[[SparseFormat, DeviceSpec, str], SpMVPlan]):
         _registry.bind_planner(format_name, fn)
         return fn
 
@@ -441,10 +445,12 @@ def prepare(
     ``backend`` selects the executor the plan replays with: ``"numpy"``
     (default), ``"jit"`` or ``"auto"``, resolved per format by
     :func:`repro.kernels.backends.resolve_backend`, or a concrete
-    ``"scipy"``. Resolution (whose first call runs the SciPy probe) and
-    the executor's lane layout count in ``build_seconds``. A JIT plan
-    warm-compiles its loops here so compilation cost is part of the
-    build, recorded on the plan as ``jit_compile_seconds``.
+    ``"scipy"``. The format's planner is called as ``planner(matrix,
+    device, executor)`` with the resolved name and builds only the lane
+    layout that executor reads. Resolution (whose first call runs the
+    SciPy probe) counts in ``build_seconds``. A JIT plan warm-compiles
+    its loops here so compilation cost is part of the build, recorded
+    on the plan as ``jit_compile_seconds``.
 
     Raises :class:`~repro.errors.KernelError` for formats without a plan
     builder (they stay on the reference engine) and propagates the same
@@ -466,8 +472,7 @@ def prepare(
     with _span(
         "spmv.plan", "pipeline", format=matrix.format_name, device=device.name
     ):
-        plan = builder(matrix, device)
-        plan.set_backend(resolved)
+        plan = builder(matrix, device, resolved)
     plan.build_seconds = time.perf_counter() - t0
     _metrics.record_plan_build(matrix.format_name, device.name, plan.build_seconds)
     if resolved == "jit":
@@ -496,25 +501,59 @@ def _index_dtype(limit: int) -> type:
     return np.int32 if limit < 2**31 - 1 else np.int64
 
 
+def _max_unsigned(a: np.ndarray) -> int:
+    """The largest index, a negative one read as huge (unsigned)."""
+    return int(a.view(f"u{a.itemsize}").max())
+
+
+def _checked_blocks(
+    blocks: List[_EllBlock], m: int, n: int, padded_n: Optional[int] = None
+) -> List[_EllBlock]:
+    """The non-empty blocks, range-checked.
+
+    A column index outside ``x``, or an output row out of range or
+    repeated, raises ``IndexError``. With ``padded_n``, ``x`` reads as
+    zero-padded to that length: lanes in ``[n, padded_n)`` gather the
+    zero slot ``n`` and keep their stored value (a no-op only when it is
+    ``+0.0``).
+    """
+    limit = n if padded_n is None else padded_n
+    checked: List[_EllBlock] = []
+    for rows, g, v, valid in blocks:
+        if not g.size:
+            continue
+        live = g if valid is None else np.where(valid, g, 0)
+        if _max_unsigned(live) >= limit:
+            raise IndexError(f"ELL column index out of range for x of length {limit}")
+        g = np.minimum(g, n) if limit > n else g
+        checked.append((np.asarray(rows, dtype=np.int64), g, v, valid))
+    if checked:
+        rows = np.concatenate([b[0] for b in checked])
+        if _max_unsigned(rows) >= m or np.bincount(rows, minlength=m).max() > 1:
+            raise IndexError(f"output rows out of range or repeated for {m} rows")
+    return checked
+
+
+def _lanes(block: _EllBlock, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """A checked block's gather and value lanes, each masked-out lane a
+    no-op lane: gather ``n`` (the zero slot appended to ``x``), ``+0.0``."""
+    _, g, v, valid = block
+    if valid is None:
+        return g, v
+    return np.where(valid, g, n), np.where(valid, v, 0.0)
+
+
 def _jagged_layout(
-    blocks: List[_EllBlock], n: int, padded_n: Optional[int] = None
+    blocks: List[_EllBlock], n: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten ELL blocks into the jagged-diagonal order (pJDS).
+    """Flatten checked blocks into the jagged-diagonal order (pJDS).
 
     The blocks are stably sorted by decreasing width, so ELL column ``c``
     of every block wide enough to have one covers a prefix of the sorted
     rows: ``counts[c]`` rows. ``gather``/``vals`` hold column 0's lanes,
     then column 1's, ... and ``rows`` maps a sorted row to its output row.
-    Masked-out lanes gather index ``n`` (the zero slot appended to ``x``)
-    with a ``+0.0`` value: no-op lanes, which the row-major layout drops
-    (:meth:`JaggedELLPlan._lay_out`). With ``padded_n``, ``x`` reads as
-    zero-padded to that length: lanes in ``[n, padded_n)`` gather the
-    zero slot and keep their stored value (a no-op only when it is
-    ``+0.0``). The fill is one scatter per block, never a loop over
-    (column x block).
+    The fill is one scatter per block, never a loop over (column x block).
     """
-    blocks = [b for b in blocks if b[1].size]
-    limit = n if padded_n is None else padded_n
     widths = np.array([b[1].shape[1] for b in blocks], dtype=np.int64)
     heights = np.array([b[1].shape[0] for b in blocks], dtype=np.int64)
     order = np.argsort(-widths, kind="stable")
@@ -532,24 +571,42 @@ def _jagged_layout(
     vals = np.empty(int(col_start[-1]), dtype=VALUE_DTYPE)
     rows = np.empty(int(row_start[-1]), dtype=np.int64)
     for s, i in enumerate(order):
-        block_rows, g, v, valid = blocks[i]
+        g, v = _lanes(blocks[i], n)
         h_i, l_i = g.shape
         r0 = int(row_start[s])
-        live = g if valid is None else np.where(valid, g, 0)
-        if live.min() < 0 or live.max() >= limit:
-            raise IndexError(
-                f"ELL column index out of range for x of length {limit}"
-            )
-        if limit > n:
-            g = np.minimum(g, n)
-        if valid is not None:
-            g = np.where(valid, g, n)
-            v = np.where(valid, v, 0.0)
         dest = (col_start[:l_i, None] + np.arange(r0, r0 + h_i)).ravel()
         gather[dest] = g.T.ravel()
         vals[dest] = v.T.ravel()
-        rows[r0 : r0 + h_i] = block_rows
+        rows[r0 : r0 + h_i] = blocks[i][0]
     return counts, gather, vals, rows
+
+
+def _row_major_layout(
+    blocks: List[_EllBlock], m: int, n: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lay checked blocks out row by row: a CSR over the output rows.
+
+    Each row takes its lanes in ELL-column order, one scatter per block
+    and no sort. One pass then keeps only the lanes that can change
+    ``y``: a no-op lane (gather ``n``, value bits ``+0.0``) is dropped and
+    ``indptr`` counts kept lanes. ``indptr`` and ``gather`` share one
+    index dtype, wide enough for ``n`` and for every lane before the drop.
+    """
+    dtype = _index_dtype(max(n, sum(b[1].size for b in blocks)))
+    indptr = np.zeros(m + 1, dtype=dtype)
+    for rows, g, _, _ in blocks:
+        indptr[rows + 1] = g.shape[1]
+    np.cumsum(indptr, out=indptr)
+    gather = np.empty(int(indptr[-1]), dtype=dtype)
+    vals = np.empty(int(indptr[-1]), dtype=VALUE_DTYPE)
+    for block in blocks:
+        g, v = _lanes(block, n)
+        slot = indptr[block[0], None] + np.arange(g.shape[1])
+        gather[slot], vals[slot] = g, v
+    keep = np.flatnonzero((gather != n) | (vals.view(np.uint64) != 0))
+    # A row's kept lanes start after the kept lanes before its first slot.
+    indptr = np.searchsorted(keep, indptr).astype(dtype)
+    return indptr, gather.take(keep), vals.take(keep)
 
 
 def _row_blocks(
@@ -594,13 +651,12 @@ class JaggedELLPlan(SpMVPlan):
     adds a literal ``+0.0``; the accumulator can never hold ``-0.0`` (an
     exact zero sum rounds to ``+0.0``), so such an add never changes a bit.
 
-    The plan holds one copy of the lanes, in the order its executor reads
-    them: column-major (jagged) for numpy and jit, row-major for scipy —
-    a CSR over the output rows that keeps each row's lane order but drops
-    its no-op lanes (gather ``n``, value ``+0.0``: the adds argued away
-    above), so ``_indptr`` counts kept lanes and jagged lane ``(c, s)``
-    no longer sits at ``indptr[rows[s]] + c``. :meth:`set_backend` moves
-    the lanes between the two orders in place (see :meth:`_lay_out`).
+    The plan is built in the one layout its executor reads: column-major
+    (jagged: ``_counts``, ``_gather``, ``_vals``, ``_rows``) for numpy
+    and jit; row-major for scipy, a CSR over the output rows
+    (``_indptr``, ``_gather``, ``_vals``) that keeps each row's lane
+    order but drops its no-op lanes (gather ``n``, value ``+0.0``: the
+    adds argued away above).
     """
 
     def __init__(
@@ -608,94 +664,46 @@ class JaggedELLPlan(SpMVPlan):
         matrix: SparseFormat,
         device: DeviceSpec,
         counters: KernelCounters,
+        backend: str,
         blocks: List[_EllBlock],
         padded_n: Optional[int] = None,
     ) -> None:
-        super().__init__(matrix, device, counters)
-        self.format_name = matrix.format_name
-        n = matrix.shape[1]
-        self._counts, self._gather, self._vals, self._rows = _jagged_layout(
-            blocks, n, padded_n
-        )
-        m = matrix.shape[0]
-        if self._rows.size and (
-            self._rows.min() < 0 or self._rows.max() >= m
-            or np.bincount(self._rows, minlength=m).max() > 1
-        ):
-            raise IndexError(f"output rows out of range or repeated for {m} rows")
+        super().__init__(matrix, device, counters, backend)
+        m, n = matrix.shape
+        blocks = _checked_blocks(blocks, m, n, padded_n)
+        if backend == "scipy":
+            self._indptr, self._gather, self._vals = _row_major_layout(blocks, m, n)
+        else:
+            self._counts, self._gather, self._vals, self._rows = (
+                _jagged_layout(blocks, n)
+            )
         #: whether some lane gathers the zero slot ``x[n]``.
         self._zero_slot = bool(np.any(self._gather == n))
-        #: row pointers while the lanes are row-major (scipy), else None.
-        self._indptr: Optional[np.ndarray] = None
-        self._seal_arrays()
+        self._array_crcs = self._crcs()
 
     def _own_arrays(self) -> Dict[str, np.ndarray]:
-        arrays = {"_counts": self._counts, "_gather": self._gather,
-                  "_vals": self._vals, "_rows": self._rows}
-        if self._indptr is not None:
-            arrays["_indptr"] = self._indptr
-        return arrays
+        names = (("_indptr", "_gather", "_vals") if self.backend == "scipy"
+                 else ("_counts", "_gather", "_vals", "_rows"))
+        return {name: getattr(self, name) for name in names}
 
-    def _lay_out(self, backend: str) -> None:
-        """Move the lanes between jagged and row-major order, then re-seal.
-
-        Row-major keeps only the lanes that can change ``y``: a no-op
-        lane (gather ``n``, value bits ``+0.0``) is dropped and ``_indptr``
-        counts kept lanes. Back in jagged order each row's kept lanes come
-        first, in order, and its dropped lanes follow as ``(n, +0.0)``.
-        Bit-exact both ways: a no-op lane changes nothing wherever it sits.
-        One scatter (or gather) per array, one keep mask and a binary
-        search of the row starts in it; no sort.
-        """
-        row_major = backend == "scipy"
-        if row_major == (self._indptr is not None):
-            return
+    def _out_of_bounds(self) -> List[str]:
+        """``_gather`` inside the ``x`` a replay reads (its zero slot too,
+        when used); row-major: ``_indptr`` from 0, never decreasing, to
+        the lane count; jagged: ``_rows`` in ``[0, m)``, ``_counts`` never
+        increasing, within ``[0, len(_rows)]``, summing to the lanes."""
         m, n = self.matrix.shape
-        lanes = int(self._counts.sum())
-        dtype = _index_dtype(max(n, lanes))
-        if row_major:
-            # Sorted row s is as wide as the number of columns covering it.
-            row_len = np.zeros(m, dtype=dtype)
-            row_len[self._rows] = np.searchsorted(
-                -self._counts, -np.arange(self._rows.shape[0]), side="left"
-            )
-            indptr = np.zeros(m + 1, dtype=dtype)
-            np.cumsum(row_len, out=indptr[1:])
+        lanes = self._gather.shape[0]
+        bad: Dict[str, object] = {
+            "_gather": lanes and _max_unsigned(self._gather) >= n + self._zero_slot}
+        if self.backend == "scipy":
+            p = self._indptr
+            bad["_indptr"] = p[0] != 0 or p[-1] != lanes or np.any(p[1:] < p[:-1])
         else:
-            indptr = self._indptr
-            end = indptr[self._rows + 1]
-        start = indptr[self._rows]
-        # Jagged lane (c, s) <-> row-major slot start[s] + c; in a
-        # compacted row, slots past its kept lanes read the no-op lane
-        # appended at the end of the row-major arrays.
-        slot = np.empty(lanes, dtype=dtype)
-        lo = 0
-        for c, cnt in enumerate(self._counts.tolist()):
-            col = slot[lo : lo + cnt]
-            np.add(start[:cnt], c, out=col)
-            if not row_major:
-                col[col >= end[:cnt]] = self._vals.shape[0]
-            lo += cnt
-        if row_major:
-            gather = np.empty(lanes, dtype=dtype)
-            gather[slot] = self._gather
-            vals = np.empty_like(self._vals)
-            vals[slot] = self._vals
-            if self._zero_slot:
-                keep = np.flatnonzero(
-                    (gather != n) | (vals.view(np.uint64) != 0)
-                )
-                # Kept lanes before each row's first slot.
-                indptr = np.searchsorted(keep, indptr).astype(dtype)
-                gather, vals = gather.take(keep), vals.take(keep)
-            self._gather, self._vals, self._indptr = gather, vals, indptr
-        else:
-            gather = np.append(self._gather, n)[slot]
-            self._gather = gather.astype(_index_dtype(n), copy=False)
-            self._vals = np.append(self._vals, 0.0)[slot]
-            self._indptr = None
-        self._zero_slot = bool(np.any(self._gather == n))
-        self._seal_arrays()
+            c, rows = self._counts, self._rows
+            bad["_rows"] = rows.size and _max_unsigned(rows) >= m
+            bad["_counts"] = c.sum() != lanes or c.size and (
+                c[-1] < 0 or c[0] > rows.shape[0] or np.any(c[1:] > c[:-1]))
+        return [name for name, failed in bad.items() if failed]
 
     def _extend(self, x: np.ndarray) -> np.ndarray:
         """``x`` (or ``X``) with the zero slot appended when a lane uses it."""
@@ -762,15 +770,35 @@ class JaggedELLPlan(SpMVPlan):
     _replay_many_scipy = _replay_scipy
 
 
+def _leaf_planner(*expected: type):
+    """The planner of ``expected`` matrices from their lowering, which
+    returns the leaf's ``(counters, blocks[, padded_n])``: it builds the
+    :class:`JaggedELLPlan` in the layout of the executor it is called with.
+    """
+
+    def deco(lower: Callable[..., tuple]):
+        def planner(
+            matrix: SparseFormat, device: DeviceSpec, executor: str
+        ) -> JaggedELLPlan:
+            _check_plan_type(matrix, *expected)
+            counters, *lanes = lower(matrix, device)
+            return JaggedELLPlan(matrix, device, counters, executor, *lanes)
+
+        return planner
+
+    return deco
+
+
 # ----------------------------------------------------------------------
 # BRO-ELL family (BRO-ELL, BRO-ELL-VC, BRO-SELL): decoded, masked slices
 # ----------------------------------------------------------------------
 @register_planner("bro_ell")
 @register_planner("bro_ell_vc")
 @register_planner("bro_sell")
-def _plan_bro_ell(matrix: SparseFormat, device: DeviceSpec) -> JaggedELLPlan:
-    _check_plan_type(matrix, BROELLMatrix, BROSELLMatrix)
-    assert isinstance(matrix, (BROELLMatrix, BROSELLMatrix))
+@_leaf_planner(BROELLMatrix, BROSELLMatrix)
+def _plan_bro_ell(
+    matrix: Union[BROELLMatrix, BROSELLMatrix], device: DeviceSpec
+) -> tuple:
     slices: List[KernelCounters] = []
     blocks: List[_EllBlock] = []
     for _, rows, bit_alloc, view, vals, channel in bro_ell_blocks(matrix):
@@ -781,9 +809,7 @@ def _plan_bro_ell(matrix: SparseFormat, device: DeviceSpec) -> JaggedELLPlan:
             cols, valid, loads, matrix.sym_len, device, channel
         ))
         blocks.append((rows, np.where(valid, cols, 0), vals, valid))
-    return JaggedELLPlan(
-        matrix, device, bro_ell_counters(matrix, slices, device), blocks
-    )
+    return bro_ell_counters(matrix, slices, device), blocks
 
 
 # ----------------------------------------------------------------------
@@ -793,48 +819,34 @@ class MultiRowBROELLPlan(SpMVPlan):
     """The ``Fold`` combinator: inner BRO-ELL plan over the row-split
     storage, then each row's ``threads_per_row`` partial sums added."""
 
-    format_name = "bro_ell_mt"
-
-    def __init__(
-        self,
-        matrix: SparseFormat,
-        device: DeviceSpec,
-        counters: KernelCounters,
-        inner_plan: JaggedELLPlan,
-    ) -> None:
-        super().__init__(matrix, device, counters)
-        self._inner_plan = inner_plan
-
-    def _children(self) -> Tuple[SpMVPlan, ...]:
-        return (self._inner_plan,)
-
     def _replay_numpy(self, x: np.ndarray) -> np.ndarray:
-        inner = self._inner_plan.execute(x)
+        inner = self._parts[0].execute(x)
         return self.matrix.fold(inner.y)
 
     def _replay_many_numpy(self, X: np.ndarray) -> np.ndarray:
-        partial = self._inner_plan.execute_many(X).y
+        partial = self._parts[0].execute_many(X).y
         m = self.matrix.shape[0]
         t = self.matrix.threads_per_row
         return partial.reshape(m, t, X.shape[1]).sum(axis=1)
 
 
 @register_planner("bro_ell_mt")
-def _plan_bro_ell_mt(matrix: SparseFormat, device: DeviceSpec) -> MultiRowBROELLPlan:
+def _plan_bro_ell_mt(
+    matrix: SparseFormat, device: DeviceSpec, executor: str
+) -> MultiRowBROELLPlan:
     _check_plan_type(matrix, MultiRowBROELL)
     assert isinstance(matrix, MultiRowBROELL)
-    inner_plan = _plan_bro_ell(matrix.inner, device)
+    inner_plan = _plan_bro_ell(matrix.inner, device, executor)
     counters = bro_ell_mt_counters(matrix, inner_plan.counters(), device)
-    return MultiRowBROELLPlan(matrix, device, counters, inner_plan)
+    return MultiRowBROELLPlan(matrix, device, counters, executor, (inner_plan,))
 
 
 # ----------------------------------------------------------------------
 # Entry lists (COO, BRO-COO, CMRS, CSR): rows grouped by length
 # ----------------------------------------------------------------------
 @register_planner("bro_coo")
-def _plan_bro_coo(matrix: SparseFormat, device: DeviceSpec) -> JaggedELLPlan:
-    _check_plan_type(matrix, BROCOOMatrix)
-    assert isinstance(matrix, BROCOOMatrix)
+@_leaf_planner(BROCOOMatrix)
+def _plan_bro_coo(matrix: BROCOOMatrix, device: DeviceSpec) -> tuple:
     rows = np.zeros(matrix.padded_nnz, dtype=np.int64)
     intervals: List[KernelCounters] = []
     for i, lo, hi, _ in matrix.iter_intervals():
@@ -844,39 +856,34 @@ def _plan_bro_coo(matrix: SparseFormat, device: DeviceSpec) -> JaggedELLPlan:
             bro_coo_interval_counters(matrix, i, rows_2d, loads, device)
         )
     blocks = _row_blocks(rows, matrix.col_idx, matrix.vals, matrix.shape[0])
-    return JaggedELLPlan(
-        matrix, device, bro_coo_counters(matrix, intervals, device), blocks
-    )
+    return bro_coo_counters(matrix, intervals, device), blocks
 
 
 @register_planner("coo")
-def _plan_coo(matrix: SparseFormat, device: DeviceSpec) -> JaggedELLPlan:
-    _check_plan_type(matrix, COOMatrix)
-    assert isinstance(matrix, COOMatrix)
+@_leaf_planner(COOMatrix)
+def _plan_coo(matrix: COOMatrix, device: DeviceSpec) -> tuple:
     blocks = _row_blocks(
         matrix.row_idx, matrix.col_idx, matrix.vals, matrix.shape[0]
     )
-    return JaggedELLPlan(matrix, device, coo_counters(matrix, device), blocks)
+    return coo_counters(matrix, device), blocks
 
 
 @register_planner("cmrs")
-def _plan_cmrs(matrix: SparseFormat, device: DeviceSpec) -> JaggedELLPlan:
-    _check_plan_type(matrix, CMRSMatrix)
-    assert isinstance(matrix, CMRSMatrix)
+@_leaf_planner(CMRSMatrix)
+def _plan_cmrs(matrix: CMRSMatrix, device: DeviceSpec) -> tuple:
     blocks = _row_blocks(
         matrix.entry_rows(), matrix.col_idx, matrix.vals, matrix.shape[0]
     )
-    return JaggedELLPlan(matrix, device, cmrs_counters(matrix, device), blocks)
+    return cmrs_counters(matrix, device), blocks
 
 
 @register_planner("csr")
-def _plan_csr(matrix: SparseFormat, device: DeviceSpec) -> JaggedELLPlan:
-    _check_plan_type(matrix, CSRMatrix)
-    assert isinstance(matrix, CSRMatrix)
+@_leaf_planner(CSRMatrix)
+def _plan_csr(matrix: CSRMatrix, device: DeviceSpec) -> tuple:
     m = matrix.shape[0]
     rows = np.repeat(np.arange(m), np.diff(matrix.indptr))
     blocks = _row_blocks(rows, matrix.indices, matrix.vals, m)
-    return JaggedELLPlan(matrix, device, csr_counters(matrix, device), blocks)
+    return csr_counters(matrix, device), blocks
 
 
 # ----------------------------------------------------------------------
@@ -891,20 +898,6 @@ class SumPlan(SpMVPlan):
     right, so ``y = ell + coo`` in the reference kernel's order.
     """
 
-    def __init__(
-        self,
-        matrix: SparseFormat,
-        device: DeviceSpec,
-        counters: KernelCounters,
-        parts: Tuple[SpMVPlan, ...],
-    ) -> None:
-        super().__init__(matrix, device, counters)
-        self.format_name = matrix.format_name
-        self._parts = parts
-
-    def _children(self) -> Tuple[SpMVPlan, ...]:
-        return self._parts
-
     def _replay_numpy(self, x: np.ndarray) -> np.ndarray:
         ys = [p.execute(x).y for p in self._parts]
         return add_parts(ys, self.matrix.shape[0], x)
@@ -916,7 +909,9 @@ class SumPlan(SpMVPlan):
 
 @register_planner("hyb")
 @register_planner("bro_hyb")
-def _plan_hybrid(matrix: SparseFormat, device: DeviceSpec) -> SumPlan:
+def _plan_hybrid(
+    matrix: SparseFormat, device: DeviceSpec, executor: str
+) -> SumPlan:
     """``ell + coo`` over the parts that launch (:func:`hybrid_parts`)."""
     _check_plan_type(matrix, HYBMatrix, BROHYBMatrix)
     assert isinstance(matrix, (HYBMatrix, BROHYBMatrix))
@@ -924,9 +919,9 @@ def _plan_hybrid(matrix: SparseFormat, device: DeviceSpec) -> SumPlan:
     for part in hybrid_parts(matrix):
         builder = _registry.planner_for(part.format_name)
         assert builder is not None
-        parts.append(builder(part, device))
+        parts.append(builder(part, device, executor))
     counters = hybrid_counters([p.counters() for p in parts], device)
-    return SumPlan(matrix, device, counters, tuple(parts))
+    return SumPlan(matrix, device, counters, executor, tuple(parts))
 
 
 # ----------------------------------------------------------------------
@@ -935,35 +930,28 @@ def _plan_hybrid(matrix: SparseFormat, device: DeviceSpec) -> SumPlan:
 # format's one <fmt>_counters function next to its reference kernel.
 # ----------------------------------------------------------------------
 @register_planner("ellpack")
-def _plan_ellpack(matrix: SparseFormat, device: DeviceSpec) -> JaggedELLPlan:
-    _check_plan_type(matrix, ELLPACKMatrix)
-    assert isinstance(matrix, ELLPACKMatrix)
+@_leaf_planner(ELLPACKMatrix)
+def _plan_ellpack(matrix: ELLPACKMatrix, device: DeviceSpec) -> tuple:
     blocks = [(np.arange(matrix.shape[0]), matrix.col_idx, matrix.vals, None)]
-    return JaggedELLPlan(
-        matrix, device, ellpack_counters(matrix, device), blocks
-    )
+    return ellpack_counters(matrix, device), blocks
 
 
 @register_planner("ellpack_r")
-def _plan_ellpack_r(matrix: SparseFormat, device: DeviceSpec) -> JaggedELLPlan:
-    _check_plan_type(matrix, ELLPACKRMatrix)
-    assert isinstance(matrix, ELLPACKRMatrix)
+@_leaf_planner(ELLPACKRMatrix)
+def _plan_ellpack_r(matrix: ELLPACKRMatrix, device: DeviceSpec) -> tuple:
     blocks = [(np.arange(matrix.shape[0]), matrix.col_idx, matrix.vals,
                matrix.valid_mask())]
-    return JaggedELLPlan(
-        matrix, device, ellpack_r_counters(matrix, device), blocks
-    )
+    return ellpack_r_counters(matrix, device), blocks
 
 
 @register_planner("bellpack")
-def _plan_bellpack(matrix: SparseFormat, device: DeviceSpec) -> JaggedELLPlan:
+@_leaf_planner(BELLPACKMatrix)
+def _plan_bellpack(matrix: BELLPACKMatrix, device: DeviceSpec) -> tuple:
     """One ``(mb*r, K*c)`` block: matrix row ``b*r + rr`` walks its block
     columns left to right, ``c`` entry columns each (the kernel's register
     accumulation order); rows past ``m`` are dropped, and lanes reading
     the zero padding of ``x`` (columns ``[n, n_pad)``) read the zero slot.
     """
-    _check_plan_type(matrix, BELLPACKMatrix)
-    assert isinstance(matrix, BELLPACKMatrix)
     m, n = matrix.shape
     r, c = matrix.block_shape
     mb, K = matrix.block_col_idx.shape
@@ -972,34 +960,27 @@ def _plan_bellpack(matrix: SparseFormat, device: DeviceSpec) -> JaggedELLPlan:
     vals = matrix.block_vals.transpose(0, 2, 1, 3)
     blocks = [(np.arange(m), gather.reshape(mb * r, K * c)[:m],
                vals.reshape(mb * r, K * c)[:m], None)]
-    return JaggedELLPlan(
-        matrix, device, bellpack_counters(matrix, device), blocks,
-        padded_n=ceil_div(n, c) * c,
-    )
+    return bellpack_counters(matrix, device), blocks, ceil_div(n, c) * c
 
 
 @register_planner("sliced_ellpack")
-def _plan_sliced_ell(matrix: SparseFormat, device: DeviceSpec) -> JaggedELLPlan:
-    _check_plan_type(matrix, SlicedELLPACKMatrix)
-    assert isinstance(matrix, SlicedELLPACKMatrix)
+@_leaf_planner(SlicedELLPACKMatrix)
+def _plan_sliced_ell(matrix: SlicedELLPACKMatrix, device: DeviceSpec) -> tuple:
     blocks = [
         (np.arange(r0, r1), col_block, val_block, None)
         for r0, r1, col_block, val_block in matrix.iter_slices()
     ]
-    return JaggedELLPlan(
-        matrix, device, sliced_ell_counters(matrix, device), blocks
-    )
+    return sliced_ell_counters(matrix, device), blocks
 
 
 # ----------------------------------------------------------------------
 # SELL-C-σ family: chunks scattered through the row permutation
 # ----------------------------------------------------------------------
 @register_planner("sell_c_sigma")
-def _plan_sell_c_sigma(matrix: SparseFormat, device: DeviceSpec) -> JaggedELLPlan:
-    _check_plan_type(matrix, SELLCSigmaMatrix)
-    assert isinstance(matrix, SELLCSigmaMatrix)
+@_leaf_planner(SELLCSigmaMatrix)
+def _plan_sell_c_sigma(matrix: SELLCSigmaMatrix, device: DeviceSpec) -> tuple:
     blocks = [
         (matrix.row_ids[r0:r1], col_block, val_block, None)
         for r0, r1, col_block, val_block in matrix.iter_chunks()
     ]
-    return JaggedELLPlan(matrix, device, sell_counters(matrix, device), blocks)
+    return sell_counters(matrix, device), blocks

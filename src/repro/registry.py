@@ -26,6 +26,8 @@ A format can declare everything at its definition site::
 or — as the built-in formats do, because the kernels live in modules
 that import the formats — attach capabilities later with the ``bind_*``
 hooks. Both paths land on the same record; lookups are identical.
+A planner is called as ``planner(matrix, device, executor)`` and builds
+its plan for that concrete executor (``"numpy"``, ``"jit"``, ``"scipy"``).
 
 This module imports only :mod:`repro.errors`, so every layer of the
 library can import it without cycles. Capability providers that live in
@@ -110,7 +112,7 @@ class FormatSpec:
     container: Optional[type] = None
     default_kwargs: Dict[str, Any] = field(default_factory=dict)
     kernel: Optional[type] = None
-    planner: Optional[Callable[[Any, Any], Any]] = None
+    planner: Optional[Callable[[Any, Any, str], Any]] = None
     validator: Optional[Callable[[Any, bool], None]] = None
     integrity_fields: Optional[Callable[[Any], Tuple[Dict[str, Any], Tuple]]] = None
     tracer: Optional[BlockTracer] = None

@@ -1,8 +1,12 @@
 """Chaos policy semantics and the zero-silent-corruption campaign."""
 
+import os
+import subprocess
+import sys
 import threading
 import time
 from contextlib import nullcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,4 +197,40 @@ class TestThreadBackendChaos:
         assert info.value.shard == 1
         # Raised at the deadline, not when the stalled shard returns.
         assert time.perf_counter() - t0 < 1.0
+
+    def test_abandoned_shard_does_not_hold_up_exit(self):
+        """The stalled shard's thread is a daemon: the interpreter exits
+        without waiting for it to wake."""
+        code = (
+            "import time\n"
+            "import numpy as np\n"
+            "from repro.errors import ShardTimeoutError\n"
+            "from repro.exec.chaos import ChaosPolicy\n"
+            "from repro.exec.policy import ExecutionPolicy\n"
+            "from repro.formats.conversion import convert\n"
+            "from repro.kernels.dispatch import run_spmv\n"
+            "from tests.conftest import random_coo\n"
+            "mat = convert(random_coo(128, 128, density=0.05, seed=0), 'csr')\n"
+            "chaos = ChaosPolicy(kinds=('stall-worker',), stall_s=3.0, shard=1)\n"
+            "pol = ExecutionPolicy(devices=2, backend='thread',\n"
+            "                      shard_timeout_s=0.2, chaos=chaos)\n"
+            "print(time.time(), flush=True)\n"
+            "try:\n"
+            "    run_spmv(mat, np.ones(128), 'k20', policy=pol)\n"
+            "except ShardTimeoutError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise SystemExit('no ShardTimeoutError')\n"
+        )
+        root = Path(__file__).resolve().parents[2]
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            cwd=root, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                [str(root / "src"), str(root)])},
+        )
+        assert proc.returncode == 0, proc.stderr
+        # From the call to the end of the process, interpreter start-up
+        # and imports excluded.
+        assert time.time() - float(proc.stdout.split()[0]) < 1.5
 

@@ -1,8 +1,14 @@
 """Integrity on the warm path: each check runs on the bytes a call reads.
 
 The container is checked when a cache first reads it under its seal; the
-plan's replay arrays are checked on every ``verify="checksum"`` call.
+plan's replay arrays are checked on every ``verify="checksum"`` call, and
+its index arrays are range-checked on every ``verify="structure"`` call.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +24,12 @@ from repro.formats.csr import CSRMatrix
 from repro.integrity import seal
 from repro.integrity.counters import COUNTERS
 from repro.kernels.dispatch import run_spmm, run_spmv
+from repro.kernels.plan import prepare
 from repro.kernels.plancache import PLAN_CACHE, PlanCache
 from repro.matrices import generate
 from tests.conftest import random_coo, requires_scipy_executor
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture
@@ -52,6 +61,15 @@ def _flip(plan, suffix):
     return name
 
 
+def _flip_high(plan, suffix):
+    """Flip the second-highest bit of the first element of the first
+    replay array whose path ends in ``suffix``: an index far out of range."""
+    name, arr = next((n, a) for n, a in plan.replay_arrays().items()
+                     if n.endswith(suffix) and a.size)
+    arr.reshape(-1)[:1].view(np.uint8)[arr.itemsize - 1] ^= np.uint8(1 << 6)
+    return name
+
+
 def _corrupt_in_place(mat):
     mat.stream.data[0] ^= np.uint32(1 << 13)
 
@@ -80,12 +98,12 @@ class TestPlanArrayFaults:
         assert np.array_equal(again.y, expected)
 
     @requires_scipy_executor
-    @pytest.mark.parametrize("array", ["_indptr", "_gather", "_vals", "_rows"])
+    @pytest.mark.parametrize("array", ["_indptr", "_gather", "_vals"])
     def test_scipy_layout_bit_flip_detected(self, fixture, cop20k_hyb, array):
         for coo, mat, x, csr in (fixture, cop20k_hyb):
             pol = ExecutionPolicy(verify="checksum", fallback=csr)
             first = run_spmv(mat, x, "k20", policy=pol)
-            assert not first.fault_detected  # the relayout re-sealed
+            assert not first.fault_detected  # the build sealed its arrays
             expected = first.y
             plan = PLAN_CACHE.get_or_build(mat, "k20", backend="auto")
             if plan.backend != "scipy":
@@ -93,8 +111,9 @@ class TestPlanArrayFaults:
             if mat is cop20k_hyb[1]:
                 # The ELL part's masked lanes were dropped: the sealed
                 # arrays are the compacted ones.
-                ell = plan._parts[0]
-                assert ell._vals.shape[0] < ell._counts.sum()
+                jagged = prepare(mat, "k20", backend="numpy")
+                assert (plan._parts[0]._vals.shape[0]
+                        < jagged._parts[0]._vals.shape[0])
             name = _flip(plan, array)
             result = run_spmv(mat, x, "k20", policy=pol)
             assert result.fault_detected and result.fallback_used
@@ -111,14 +130,73 @@ class TestPlanArrayFaults:
             plan.verify_arrays()
         run_spmv(mat, x, "k20", policy=pol)  # no check below "checksum"
 
-    def test_relayout_reseals(self, fixture):
-        _, mat, _, _ = fixture
-        plan = PlanCache().get_or_build(mat, "k20", backend="numpy")
-        plan.set_backend("numpy")
-        plan.verify_arrays()
-        plan._lay_out("scipy")
-        plan.verify_arrays()
-        assert "_indptr" in plan.replay_arrays()
+    @requires_scipy_executor
+    def test_scipy_leaf_holds_only_its_row_arrays(self, fixture, cop20k_hyb):
+        for _, mat, _, _ in (fixture, cop20k_hyb):
+            plan = prepare(mat, "k20", backend="scipy")
+            for leaf in plan._children() or (plan,):
+                assert set(leaf.replay_arrays()) == {
+                    "_indptr", "_gather", "_vals"}
+            plan.verify_arrays()
+            plan.verify_bounds()
+
+    @pytest.mark.parametrize("fmt", ["bro_ell", "bro_hyb", "csr"])
+    @pytest.mark.parametrize("array", ["_gather", "_rows", "_counts"])
+    def test_structure_guard_catches_out_of_range_index(self, fmt, array):
+        coo = random_coo(64, 48, density=0.08, seed=3)
+        mat = seal(convert(coo, fmt))
+        x = np.random.default_rng(3).standard_normal(48)
+        pol = ExecutionPolicy(verify="structure", compute_backend="numpy",
+                              fallback=CSRMatrix.from_coo(coo))
+        expected = run_spmv(mat, x, "k20", policy=pol).y
+        plan = PLAN_CACHE.get_or_build(mat, "k20", backend="numpy")
+        name = _flip_high(plan, array)
+        result = run_spmv(mat, x, "k20", policy=pol)
+        assert result.fault_detected and result.fallback_used
+        assert "index bounds" in result.integrity_error
+        assert name in result.integrity_error
+        # The failed plan left the cache: the next call rebuilds it.
+        again = run_spmv(mat, x, "k20", policy=pol)
+        assert not again.fallback_used
+        assert np.array_equal(again.y, expected)
+
+    @requires_scipy_executor
+    def test_structure_guard_keeps_scipy_loop_in_bounds(self):
+        """A far out-of-range ``_gather`` or ``_indptr`` entry in a warm
+        scipy plan comes back as a typed error under ``"structure"``; the
+        compiled row loop never reads it (which could kill the process)."""
+        code = (
+            "import numpy as np\n"
+            "from repro.core.bro_ell import BROELLMatrix\n"
+            "from repro.errors import IntegrityError\n"
+            "from repro.exec.policy import ExecutionPolicy\n"
+            "from repro.integrity import seal\n"
+            "from repro.kernels.dispatch import run_spmv\n"
+            "from repro.kernels.plancache import PLAN_CACHE\n"
+            "from tests.conftest import random_coo\n"
+            "mat = seal(BROELLMatrix.from_coo(\n"
+            "    random_coo(64, 48, density=0.08, seed=21), h=16))\n"
+            "pol = ExecutionPolicy(verify='structure')\n"
+            "for name in ('_gather', '_indptr'):\n"
+            "    run_spmv(mat, np.ones(48), 'k20', policy=pol)\n"
+            "    plan = PLAN_CACHE.get_or_build(mat, 'k20')\n"
+            "    assert plan.backend == 'scipy', plan.backend\n"
+            "    arr = getattr(plan, name)\n"
+            "    arr[:1].view(np.uint8)[arr.itemsize - 1] ^= np.uint8(1 << 6)\n"
+            "    try:\n"
+            "        run_spmv(mat, np.ones(48), 'k20', policy=pol)\n"
+            "    except IntegrityError as exc:\n"
+            "        assert name in str(exc), exc\n"
+            "        print(name, 'typed')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            cwd=ROOT, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                [str(ROOT / "src"), str(ROOT)])},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[:2] == ["_gather typed", "_indptr typed"]
 
     def test_thread_shards(self, fixture):
         coo, mat, x, csr = fixture

@@ -6,16 +6,16 @@ Three contracts, in order of importance:
   length, the ``"jit"`` replay produces the same ``y`` bits and the same
   :class:`KernelCounters` as the ``"numpy"`` replay and as the
   ``"scipy"`` replay (SciPy's CSR row loops). On a Numba-free host the
-  compiled aliases *are* the pure-Python twins, so forcing
-  ``set_backend("jit")`` drives the exact loops Numba would compile.
+  compiled aliases *are* the pure-Python twins, so a plan the planner
+  builds for ``"jit"`` drives the exact loops Numba would compile.
 * **graceful resolution** — ``resolve_backend`` maps policy requests to
   concrete backends: ``"auto"`` degrades silently (jit, then scipy, then
   numpy), an explicit ``"jit"`` that cannot be honoured resolves the same
   way with an ``exec.backend_fallback`` counter, nothing ever raises for
   a missing Numba or SciPy, and a SciPy build that fails the probe (an
   FMA-contracting loop, say) is refused with a reason.
-* **plan wiring** — ``set_backend`` recurses through composite plans'
-  ``_children()``, ``warm_compile`` records ``jit_compile_seconds`` at
+* **plan wiring** — the planner's executor reaches every part of a
+  composite plan, ``warm_compile`` records ``jit_compile_seconds`` at
   prepare() time, and legacy plans that override ``_replay`` directly
   keep working under any requested backend.
 """
@@ -35,7 +35,9 @@ from repro.formats.conversion import convert
 from repro.kernels import backends, prepare, run_spmv
 from repro.kernels.plan import SpMVPlan
 from repro.kernels.plancache import PlanCache
+from repro.gpu.device import get_device
 from repro.matrices.suite import generate
+from repro.registry import planner_for
 from repro.telemetry import metrics as M
 from tests.conftest import random_coo, requires_scipy_executor
 
@@ -63,6 +65,12 @@ def suite_mat(name, fmt, sym_len=None):
 
 def _x_for(mat, seed=11):
     return np.random.default_rng(seed).standard_normal(mat.shape[1])
+
+
+def _built_for(mat, executor):
+    """The format's plan built for ``executor``; for ``"jit"`` without
+    Numba its loops are the interpreted twins."""
+    return planner_for(mat.format_name)(mat, get_device("k20"), executor)
 
 
 def _auto_without_numba():
@@ -193,12 +201,12 @@ class TestScipyProbe:
     def test_fma_loop_is_refused(self, fresh_probe, monkeypatch):
         monkeypatch.setattr(backends, "_load_sparsetools",
                             lambda: _FakeSparsetools("fma"))
-        plan = prepare(suite_mat("epb3", "bro_ell", 32), "k20", backend="auto")
+        mat = suite_mat("epb3", "bro_ell", 32)
+        plan = prepare(mat, "k20", backend="auto")
         assert plan.backend == "numpy"
         assert backends.scipy_refusal() == "scipy-fma"
         with pytest.raises(ValidationError, match="scipy-fma"):
-            plan.set_backend("scipy")
-        assert plan.backend == "numpy"
+            prepare(mat, "k20", backend="scipy")
 
     def test_missing_extension_resolves_to_numpy(self, fresh_probe,
                                                  monkeypatch):
@@ -237,10 +245,11 @@ class TestScipyProbe:
 # Bit-identity: jit replay == numpy replay, bits and counters
 # ----------------------------------------------------------------------
 class TestBitIdentity:
-    """Force ``set_backend("jit")`` so the jit code paths execute even
-    without Numba (the aliases are then the interpreted twins, which pin
-    the exact loop order the compiled functions share), and compare it
-    with the plan's replay on ``EXECUTOR``."""
+    """Build each plan for ``"jit"`` through its planner so the jit code
+    paths execute even without Numba (the aliases are then the
+    interpreted twins, which pin the exact loop order the compiled
+    functions share), and compare it with the plan built for
+    ``EXECUTOR``."""
 
     #: the executor the jit replay is compared with; TestBitIdentityScipy
     #: repeats every test on SciPy's row loops.
@@ -254,8 +263,7 @@ class TestBitIdentity:
             x = _x_for(mat)
             plan = prepare(mat, "k20", backend=self.EXECUTOR)
             y_base = plan.execute(x)
-            plan.set_backend("jit")
-            y_jit = plan.execute(x)
+            y_jit = _built_for(mat, "jit").execute(x)
             assert np.array_equal(y_base.y, y_jit.y), (name, fmt, sym_len)
             assert y_base.counters == y_jit.counters
 
@@ -266,8 +274,7 @@ class TestBitIdentity:
             x = _x_for(mat, seed)
             plan = prepare(mat, "k20", backend=self.EXECUTOR)
             y_base = plan.execute(x)
-            plan.set_backend("jit")
-            y_jit = plan.execute(x)
+            y_jit = _built_for(mat, "jit").execute(x)
             assert np.array_equal(y_base.y, y_jit.y)
             assert y_base.counters == y_jit.counters
 
@@ -279,13 +286,13 @@ class TestBitIdentity:
         Y_base = plan.execute_many(X)
         for j in range(X.shape[1]):
             assert np.array_equal(Y_base.y[:, j], plan.execute(X[:, j]).y)
-        plan.set_backend("jit")
-        Y_jit = plan.execute_many(X)
+        jit = _built_for(mat, "jit")
+        Y_jit = jit.execute_many(X)
         assert np.array_equal(Y_base.y, Y_jit.y)
         assert Y_base.counters == Y_jit.counters
         # ... and each column matches a single-vector jit replay.
         for j in range(X.shape[1]):
-            assert np.array_equal(Y_jit.y[:, j], plan.execute(X[:, j]).y)
+            assert np.array_equal(Y_jit.y[:, j], jit.execute(X[:, j]).y)
 
 
 @requires_scipy_executor
@@ -294,23 +301,22 @@ class TestBitIdentityScipy(TestBitIdentity):
 
 
 # ----------------------------------------------------------------------
-# Plan wiring: set_backend recursion, warm_compile, prepare() integration
+# Plan wiring: the executor reaches every part, warm_compile, prepare()
 # ----------------------------------------------------------------------
 class TestPlanWiring:
-    def test_set_backend_recurses_into_children(self):
-        plan = prepare(suite_mat("dense2", "bro_hyb", 32), "k20")
-        children = plan._children()
-        assert children, "bro_hyb plan should have part plans"
-        plan.set_backend("jit")
-        assert plan.backend == "jit"
-        assert all(c.backend == "jit" for c in children)
-        plan.set_backend("numpy")
-        assert all(c.backend == "numpy" for c in children)
+    @pytest.mark.parametrize("fmt", ["bro_hyb", "bro_ell_mt"])
+    def test_executor_reaches_every_part(self, fmt):
+        mat = suite_mat("dense2", fmt, 32)
+        for executor in ("jit", "numpy"):
+            plan = _built_for(mat, executor)
+            children = plan._children()
+            assert children, f"{fmt} plan should have part plans"
+            assert plan.backend == executor
+            assert all(c.backend == executor for c in children)
 
-    def test_set_backend_rejects_policy_names(self):
-        plan = prepare(suite_mat("epb3", "bro_ell", 32), "k20")
+    def test_planner_rejects_policy_names(self):
         with pytest.raises(ValidationError, match="executor backend"):
-            plan.set_backend("auto")
+            _built_for(suite_mat("epb3", "bro_ell", 32), "auto")
 
     def test_warm_compile_noop_on_numpy(self):
         plan = prepare(suite_mat("epb3", "bro_ell", 32), "k20")
@@ -318,8 +324,7 @@ class TestPlanWiring:
         assert plan.jit_compile_seconds == 0.0
 
     def test_warm_compile_records_seconds_on_jit(self):
-        plan = prepare(suite_mat("epb3", "bro_ell", 32), "k20")
-        plan.set_backend("jit")
+        plan = _built_for(suite_mat("epb3", "bro_ell", 32), "jit")
         seconds = plan.warm_compile()
         assert seconds > 0.0
         assert plan.jit_compile_seconds == seconds
@@ -366,8 +371,7 @@ class TestPlanWiring:
 
         mat = convert(random_coo(10, 8, density=0.3, seed=0), "csr")
         donor = prepare(mat, "k20")
-        plan = _LegacyPlan(mat, donor.device, donor.counters())
-        plan.set_backend("jit")
+        plan = _LegacyPlan(mat, donor.device, donor.counters(), "jit")
         assert plan._replay(np.ones(8)).shape == (10,)
         with pytest.raises(NotImplementedError, match="_replay_numpy"):
             plan._replay_numpy(np.ones(8))

@@ -47,8 +47,10 @@ from hypothesis import strategies as st
 from repro.exec.policy import ExecutionPolicy
 from repro.formats.conversion import convert
 from repro.formats.coo import COOMatrix
+from repro.gpu.device import get_device
 from repro.kernels import prepare, run_spmm, run_spmv
 from repro.kernels.plan import JaggedELLPlan
+from repro.registry import planner_for
 from tests.conftest import requires_scipy_executor
 
 _REF = ExecutionPolicy(engine="reference")
@@ -149,13 +151,14 @@ def _check_matrix(mat, x, executor="numpy"):
             _assert_same(many.y[:, j], plan.execute(X[:, j]).y, (fmt, k, j))
         assert many.counters == run_spmm(mat, X, "k20", policy=_REF).counters
 
-    # The compiled loop's interpreted twin (what Numba compiles) agrees.
-    plan.set_backend("jit")
-    _assert_same(plan.execute(x).y, fast.y, (fmt, "jit"))
+    # The compiled loop's interpreted twin (what Numba compiles) agrees:
+    # without Numba, a plan built for "jit" runs it.
+    jit = planner_for(fmt)(mat, get_device("k20"), "jit")
+    _assert_same(jit.execute(x).y, fast.y, (fmt, "jit"))
     X = _block(x, 3)
-    many = plan.execute_many(X).y
+    many = jit.execute_many(X).y
     for j in range(3):
-        _assert_same(many[:, j], plan.execute(X[:, j]).y, (fmt, "jit", j))
+        _assert_same(many[:, j], jit.execute(X[:, j]).y, (fmt, "jit", j))
 
 
 def _differential(executor):
@@ -218,8 +221,10 @@ def _no_op_lanes(leaf) -> int:
         (leaf._gather == n) & (leaf._vals.view(np.uint64) == 0)))
 
 
-def _replay_bytes(plan) -> int:
-    return sum(a.nbytes for a in plan.replay_arrays().values())
+def _lane_bytes(plan) -> int:
+    """Bytes of the plan's lane arrays (``_gather`` and ``_vals``)."""
+    return sum(a.nbytes for name, a in plan.replay_arrays().items()
+               if name.endswith(("_gather", "_vals")))
 
 
 def _check_reference_bits(mat, plan, x, label):
@@ -239,8 +244,8 @@ def _check_reference_bits(mat, plan, x, label):
 @example(case=_case({0: [(c, 1.0 + c) for c in range(6)], 1: [(2, -0.0)],
                      3: [(5, 2.0)]}, (4, 6), h=4))
 def test_row_major_layout_drops_no_op_lanes(fmt, case):
-    """The scipy layout keeps only lanes that can change ``y``; moving the
-    lanes scipy -> numpy -> scipy keeps the reference engine's bits."""
+    """A plan built for scipy keeps only the lanes that can change ``y``,
+    and still gives the reference engine's bits."""
     coo, h, sigma, x = case
     x = x.copy()
     specials = (np.nan, np.inf, -np.inf, -0.0)
@@ -249,19 +254,16 @@ def test_row_major_layout_drops_no_op_lanes(fmt, case):
     jagged = prepare(mat, "k20", backend="numpy")
     dropped = sum(_no_op_lanes(leaf) for leaf in _leaves(jagged))
     plan = prepare(mat, "k20", backend="scipy")
-    row_major = _replay_bytes(plan)
-    indptr = sum(leaf._indptr.nbytes for leaf in _leaves(plan))
-    # The lane arrays shrink by what was dropped; only _indptr is added.
-    assert row_major - indptr <= _replay_bytes(jagged)
-    assert (row_major - indptr < _replay_bytes(jagged)) == (dropped > 0)
-    for backend in ("scipy", "numpy", "scipy"):
-        plan.set_backend(backend)
-        plan.verify_arrays()
-        if backend == "scipy":
-            assert all(_no_op_lanes(leaf) == 0 for leaf in _leaves(plan))
-        else:
-            assert _replay_bytes(plan) == _replay_bytes(jagged)
-        _check_reference_bits(mat, plan, x, (fmt, backend))
+    assert all(_no_op_lanes(leaf) == 0 for leaf in _leaves(plan))
+    # Exactly the no-op lanes of the jagged plan are gone, and the lane
+    # arrays shrink only when some were there.
+    assert (sum(leaf._vals.size for leaf in _leaves(plan))
+            == sum(leaf._vals.size for leaf in _leaves(jagged)) - dropped)
+    assert _lane_bytes(plan) <= _lane_bytes(jagged)
+    assert (_lane_bytes(plan) < _lane_bytes(jagged)) == (dropped > 0)
+    plan.verify_arrays()
+    plan.verify_bounds()
+    _check_reference_bits(mat, plan, x, fmt)
 
 
 def _unsorted_duplicates():

@@ -139,13 +139,13 @@ class _ToyPlan(SpMVPlan):
         return self.matrix.diag * x
 
 
-def _build_toy_plan(matrix, device):
+def _build_toy_plan(matrix, device, executor):
     n = matrix.shape[0]
     counters = KernelCounters(
         value_bytes=8 * n, x_bytes=8 * n, y_bytes=8 * n,
         useful_flops=2 * n, issued_flops=2 * n, launches=1, threads=n,
     )
-    return _ToyPlan(matrix, device, counters)
+    return _ToyPlan(matrix, device, counters, executor)
 
 
 def _validate_toy(matrix, deep=False):
