@@ -16,9 +16,10 @@ point now shares:
 * :func:`~repro.exec.comms.model_comms` — broadcast vs halo-exchange
   x-distribution accounting at interconnect-cacheline granularity;
 * :func:`~repro.exec.engine.execute_sharded` — the shard executor
-  producing bit-identical results and merged counters, on a thread pool
-  or on the fault-tolerant :mod:`~repro.exec.workers` process pool
-  (heartbeats, shard failover, elastic respawn);
+  producing bit-identical results and merged counters, in process with
+  the shards one after another (replay holds the GIL, so threads would
+  not overlap them) or on the fault-tolerant :mod:`~repro.exec.workers`
+  process pool (heartbeats, shard failover, elastic respawn);
 * :class:`~repro.exec.chaos.ChaosPolicy` and
   :func:`~repro.exec.chaos.run_chaos_campaign` — seeded fault injection
   into the sharded engines and the zero-silent-corruption campaign

@@ -12,8 +12,8 @@ The engine
    :class:`~repro.exec.partition.ShardedMatrix`), caching the partition
    on the container under its seal so solver loops pay for it once, and
    a re-seal after mutation re-partitions;
-2. prepares and runs every shard's kernel concurrently — on daemon
-   threads (``policy.backend="thread"``, default) or on a
+2. prepares and runs every shard's kernel — one after another in
+   process (``policy.backend="thread"``, default) or concurrently on a
    fault-tolerant ``multiprocessing`` :class:`~repro.exec.workers.WorkerPool`
    (``policy.backend="process"``) where each worker mmaps its own sealed
    ``.brx`` shard container and shard failures fail over to surviving
@@ -35,29 +35,30 @@ Both backends run a shard through :func:`~repro.exec.chaos.run_shard`,
 so a ``policy.chaos`` fault kind means the same on either, and both
 return the call's :class:`~repro.exec.workers.CallStats`. Both honor
 ``policy.shard_timeout_s``: the thread engine raises a typed
-:class:`~repro.errors.ShardTimeoutError` when a shard future misses its
+:class:`~repro.errors.ShardTimeoutError` when a shard misses its
 deadline, and the process engine treats the miss as a stalled worker —
 fence, retry elsewhere, and only raise once ``policy.max_retries`` is
 exhausted. Recovery actions surface on the returned
 :class:`ShardedSpMVResult` (``worker_deaths``, ``shard_reassignments``,
 ``retries``) and in the metrics registry (``exec.worker_deaths`` etc.).
 
-Thread-safety note: the telemetry tracer keeps one global span stack,
-so when a tracer is active the thread backend runs the shards one at a
-time on one thread (same results and counters, deterministic span tree,
-the same deadlines). NumPy releases the GIL on the large kernels, so
-the untraced threads give real overlap.
+The thread backend runs its shards in order because replay holds the
+GIL (SciPy's CSR loops and the Numba loops both do), so shard threads
+would never overlap and would only add a thread start per shard.
+Without a deadline the shards run on the calling thread; a deadline
+costs one daemon runner thread per call, which the caller abandons on a
+miss. Either way one shard runs at a time, so the tracer's global span
+stack sees a deterministic span tree.
 """
 
 from __future__ import annotations
 
 import contextvars
+import queue
 import threading
 import time
 import uuid
 import weakref
-from concurrent.futures import Future, wait
-from concurrent.futures import TimeoutError as _FutureTimeout
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -224,7 +225,7 @@ def _plan_thread_chaos(
 ) -> Optional[ChaosEvent]:
     """The thread backend's chaos event for this call, if any.
 
-    The thread pool shares one address space, so only stalls, plan and
+    The thread backend shares one address space, so only stalls, plan and
     container-level faults are expressible; process-only kinds are a
     configuration error rather than a silent no-op.
     """
@@ -246,7 +247,13 @@ def _execute_thread(
     device: DeviceSpec,
     policy: ExecutionPolicy,
 ) -> Tuple[np.ndarray, List[SpMVResult], CallStats]:
-    """The in-process thread backend (with per-shard deadlines)."""
+    """The in-process backend: the shards run one after another.
+
+    Without a deadline they run on the calling thread, in its context,
+    so a shard's dispatch sees that it is nested in the call's guarded
+    dispatch; a deadline runs the same loop on one runner thread, in a
+    copy of that context. A shard's error ends the call.
+    """
     from ..kernels.dispatch import run_spmm, run_spmv  # late: dispatch imports us
 
     run = run_spmm if x.ndim == 2 else run_spmv
@@ -267,42 +274,42 @@ def _execute_thread(
         finally:
             _metrics.record_shard_latency(str(d), time.perf_counter() - t_begin)
 
-    # Each shard runs in a copy of the caller's context, so its dispatch
-    # sees that it is nested in the call's guarded dispatch.
-    calls = [(Future[SpMVResult](), contextvars.copy_context(), d, shard)
-             for d, shard in enumerate(sharded.shards)]
+    handoff: queue.SimpleQueue[SpMVResult | BaseException] = queue.SimpleQueue()
+    abandoned = threading.Event()
 
-    def run_lane(lane: list) -> None:
-        for future, context, d, shard in lane:
-            if future.set_running_or_notify_cancel():
-                try:
-                    future.set_result(context.run(run_one, d, shard))
-                except BaseException as exc:
-                    future.set_exception(exc)
+    def run_in_order() -> None:
+        for d, shard in enumerate(sharded.shards):
+            if abandoned.is_set():
+                return
+            try:
+                handoff.put(run_one(d, shard))
+            except BaseException as exc:
+                handoff.put(exc)
+                return
 
-    # Daemon threads, which no exit hook joins: a shard abandoned at its
-    # deadline never holds up interpreter exit. The tracer's span stack
-    # is global, so a traced call runs its shards one at a time.
-    for lane in [calls] if get_tracer() is not None else [[c] for c in calls]:
-        threading.Thread(target=run_lane, args=(lane,), daemon=True).start()
-    futures = [call[0] for call in calls]
+    if timeout is None:
+        run_in_order()
+    else:
+        # A daemon, which no exit hook joins: a shard abandoned at its
+        # deadline never holds up interpreter exit.
+        threading.Thread(target=contextvars.copy_context().run,
+                         args=(run_in_order,), daemon=True).start()
     results = []
-    for d, future in enumerate(futures):
+    for d in range(sharded.n_shards):
         try:
-            results.append(future.result(timeout=timeout))
-        except _FutureTimeout:
-            # Raise now; the stalled shard finishes on its own, and shards
-            # not yet started never run.
-            for pending in futures:
-                pending.cancel()
+            item = handoff.get(timeout=timeout)
+        except queue.Empty:
+            # Raise now; the stalled shard finishes on its own, and no
+            # further shard starts.
+            abandoned.set()
             raise ShardTimeoutError(
                 f"shard {d} missed its {timeout}s deadline on the "
                 f"thread backend",
                 shard=d, timeout_s=timeout or 0.0,
             ) from None
-        except BaseException:
-            wait(futures)  # the other shards finish before the error leaves
-            raise
+        if isinstance(item, BaseException):
+            raise item
+        results.append(item)
     return np.concatenate([r.y for r in results]), results, CallStats()
 
 
@@ -378,8 +385,8 @@ def execute_sharded(
     checks the container when :func:`sharded_view` partitions it, and
     each shard runs with a single-device variant of ``policy`` (same
     verify level, engine selection and plan cache); the backend —
-    thread pool or failover-capable worker processes — is selected by
-    ``policy.backend``.
+    in-process shards in order or failover-capable worker processes — is
+    selected by ``policy.backend``.
     """
     if isinstance(device, str):
         device = get_device(device)

@@ -112,17 +112,20 @@ class ExecutionPolicy:
         to every device) or ``"halo"`` (each device fetches only the
         remote cachelines its columns reach).
     backend:
-        How shards execute: ``"thread"`` (default, in-process thread
-        pool) or ``"process"`` — a coordinator plus ``multiprocessing``
-        workers that each mmap their own ``.brx`` shard container, with
-        heartbeats, shard failover and elastic respawn
-        (:mod:`repro.exec.workers`).
+        How shards execute: ``"thread"`` (default) runs them in process,
+        one after another — replay holds the GIL, so threads could not
+        overlap them — on the calling thread, or on one runner thread
+        per call when ``shard_timeout_s`` is set; or ``"process"`` — a
+        coordinator plus ``multiprocessing`` workers that each mmap
+        their own ``.brx`` shard container, with heartbeats, shard
+        failover and elastic respawn (:mod:`repro.exec.workers`).
     shard_timeout_s:
         Per-shard execution deadline in seconds (``None`` disables).
         The thread backend raises a typed
-        :class:`~repro.errors.ShardTimeoutError` on a miss; the process
-        backend treats a miss as a stalled worker and fails the shard
-        over to a surviving worker before giving up.
+        :class:`~repro.errors.ShardTimeoutError` on a miss and starts no
+        further shard; the process backend treats a miss as a stalled
+        worker and fails the shard over to a surviving worker before
+        giving up.
     max_retries:
         Process-backend retry budget per shard and call: how many times
         a shard may be re-executed (with backoff and reassignment) after

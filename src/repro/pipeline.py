@@ -366,39 +366,21 @@ class Session:
             self._tuner.observe(result)
         return result
 
-    def _call_policy(
-        self, policy: Optional[ExecutionPolicy],
-        verify: Union[bool, str, None], engine: Optional[str],
-    ) -> ExecutionPolicy:
-        """The effective policy of one run call.
-
-        ``policy=`` replaces the session default outright (except that a
-        missing plan cache inherits the session's); the legacy
-        ``verify=``/``engine=`` keywords override individual fields.
-        """
-        if policy is not None:
-            if verify is not None or engine is not None:
-                raise ValidationError(
-                    "run: pass either policy= or the legacy "
-                    "verify=/engine= overrides, not both"
-                )
-            if policy.plan_cache is None:
-                policy = policy.with_(plan_cache=self.policy.plan_cache)
-            return policy
-        pol = self.policy
-        if verify is not None:
-            pol = pol.with_(verify=verify)
-        if engine is not None:
-            pol = pol.with_(engine=engine)
-        return pol
+    def _call_policy(self, policy: Optional[ExecutionPolicy]) -> ExecutionPolicy:
+        """The effective policy of one run call: ``policy=`` replaces the
+        session default outright, except that a missing plan cache
+        inherits the session's."""
+        if policy is None:
+            return self.policy
+        if policy.plan_cache is None:
+            policy = policy.with_(plan_cache=self.policy.plan_cache)
+        return policy
 
     def run(
         self,
         x: np.ndarray,
         *,
         policy: Optional[ExecutionPolicy] = None,
-        verify: Union[bool, str, None] = None,
-        engine: Optional[str] = None,
     ) -> SpMVResult:
         """Execute ``y = A @ x`` — the one entry point for both shapes.
 
@@ -406,8 +388,7 @@ class Session:
         multi-RHS SpMM whose column ``j`` is bit-identical to the
         single-vector run of ``x[:, j]``. Both shapes return the same
         typed :class:`~repro.kernels.base.SpMVResult` and hit the same
-        dispatch/integrity boundary, so ``policy=`` (or the legacy
-        ``verify=``/``engine=`` field overrides) behaves identically.
+        dispatch/integrity boundary, so ``policy=`` behaves identically.
         """
         x = np.asarray(x)
         if x.ndim == 1:
@@ -422,7 +403,7 @@ class Session:
         return self._record(
             runner(
                 self.matrix, x, self.device,
-                policy=self._call_policy(policy, verify, engine),
+                policy=self._call_policy(policy),
             )
         )
 

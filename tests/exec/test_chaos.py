@@ -198,6 +198,73 @@ class TestThreadBackendChaos:
         # Raised at the deadline, not when the stalled shard returns.
         assert time.perf_counter() - t0 < 1.0
 
+    def test_no_deadline_runs_on_the_calling_thread(self, monkeypatch):
+        from repro.exec.policy import ExecutionPolicy
+        from repro.formats.conversion import convert
+        from repro.kernels.dispatch import run_spmv
+        from tests.conftest import random_coo
+
+        mat = convert(random_coo(128, 128, density=0.05, seed=0), "csr")
+        x = np.random.default_rng(0).standard_normal(128)
+        expected = run_spmv(mat, x, "k20").y
+
+        def no_threads(self):
+            raise AssertionError("a shard call started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
+        pol = ExecutionPolicy(devices=2, backend="thread")
+        y = run_spmv(mat, x, "k20", policy=pol).y
+        assert np.array_equal(y.view(np.uint64), expected.view(np.uint64))
+
+    def test_deadline_starts_one_runner_thread(self, monkeypatch):
+        from repro.exec.policy import ExecutionPolicy
+        from repro.formats.conversion import convert
+        from repro.kernels.dispatch import run_spmv
+        from tests.conftest import random_coo
+
+        mat = convert(random_coo(128, 128, density=0.05, seed=0), "csr")
+        started = []
+        start = threading.Thread.start
+
+        def counting(self):
+            started.append(self)
+            start(self)
+
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        pol = ExecutionPolicy(devices=4, backend="thread", shard_timeout_s=30.0)
+        run_spmv(mat, np.ones(128), "k20", policy=pol)
+        assert len(started) == 1
+
+    def test_stall_stops_later_shards(self, monkeypatch):
+        from repro.exec import engine
+        from repro.exec.policy import ExecutionPolicy
+        from repro.formats.conversion import convert
+        from repro.kernels.dispatch import run_spmv
+        from tests.conftest import random_coo
+
+        mat = convert(random_coo(128, 128, density=0.05, seed=0), "csr")
+        ran = []
+        run_shard = engine.run_shard
+
+        def spy(run, shard, x, device, policy, event, index):
+            ran.append(index)
+            return run_shard(run, shard, x, device, policy, event, index)
+
+        monkeypatch.setattr(engine, "run_shard", spy)
+        chaos = ChaosPolicy(kinds=("stall-worker",), stall_s=1.5, shard=2)
+        pol = ExecutionPolicy(devices=4, backend="thread",
+                              shard_timeout_s=0.2, chaos=chaos)
+        before = set(threading.enumerate())
+        t0 = time.perf_counter()
+        with pytest.raises(ShardTimeoutError) as info:
+            run_spmv(mat, np.ones(128), "k20", policy=pol)
+        assert info.value.shard == 2
+        assert time.perf_counter() - t0 < 1.0
+        (runner,) = set(threading.enumerate()) - before
+        runner.join(timeout=10.0)  # the stalled shard wakes and finishes
+        assert not runner.is_alive()
+        assert ran == [0, 1, 2]
+
     def test_abandoned_shard_does_not_hold_up_exit(self):
         """The stalled shard's thread is a daemon: the interpreter exits
         without waiting for it to wake."""

@@ -128,6 +128,13 @@ class TestLegacyKeywordsRemoved:
         with pytest.raises(TypeError):
             Session("k20", verify="structure")
 
+    def test_session_run_rejects_legacy_kwargs(self, mat, x):
+        sess = Session("k20").use(mat)
+        with pytest.raises(TypeError):
+            sess.run(x, verify=True)
+        with pytest.raises(TypeError):
+            sess.run(x, engine="reference")
+
     def test_operator_rejects_legacy_kwargs(self, mat):
         with pytest.raises(TypeError):
             SimulatedOperator(mat, "k20", engine="reference")

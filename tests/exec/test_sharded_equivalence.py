@@ -129,13 +129,18 @@ class TestShardedSpMM:
 
     @pytest.mark.parametrize("k", (1, 3, 8))
     @pytest.mark.parametrize("fmt", SPMM_FORMATS)
-    @pytest.mark.parametrize("backend", ("thread", "process"))
+    @pytest.mark.parametrize(
+        "backend, shard_timeout_s",
+        (("thread", None), ("thread", 30.0), ("process", None)),
+        ids=("thread", "thread-deadline", "process"),
+    )
     def test_block_equals_single_device_and_columns(
-        self, spmm_mats, backend, fmt, k
+        self, spmm_mats, backend, shard_timeout_s, fmt, k
     ):
         mat = spmm_mats[fmt]
         X = np.random.default_rng(k).standard_normal((mat.shape[1], k))
-        pol = ExecutionPolicy(devices=2, backend=backend)
+        pol = ExecutionPolicy(devices=2, backend=backend,
+                              shard_timeout_s=shard_timeout_s)
         block = run_spmm(mat, X, "k20", policy=pol)
         columns = [run_spmv(mat, X[:, j], "k20", policy=pol)
                    for j in range(k)]

@@ -272,7 +272,7 @@ class TestToyFormatThroughSession:
         sess.prepare()
         reopened = Session.open(tmp_path / "toy.brx", policy=ExecutionPolicy(plan_cache=cache))
         x = np.random.default_rng(4).standard_normal(coo.shape[1])
-        r = reopened.run(x, verify="full")
+        r = reopened.run(x, policy=reopened.policy.with_(verify="full"))
         assert np.array_equal(r.y, sess.matrix.diag * x)
         assert cache.stats()["builds"] == 1  # content hit, no rebuild
         assert cache.stats()["content_hits"] >= 1

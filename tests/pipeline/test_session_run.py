@@ -58,9 +58,9 @@ class TestRunDispatch:
     def test_engine_and_verify_overrides_still_work(self, sess, n):
         x = np.linspace(0, 1, n)
         fast = sess.run(x)
-        ref = sess.run(x, engine="reference")
+        ref = sess.run(x, policy=sess.policy.with_(engine="reference"))
         assert np.allclose(fast.y, ref.y)
-        verified = sess.run(x, verify=True)
+        verified = sess.run(x, policy=sess.policy.with_(verify=True))
         assert verified.fault_detected is False
 
 
