@@ -781,7 +781,7 @@ def _cmd_formats(args: argparse.Namespace) -> int:
             f"{k}={v}" for k, v in sorted(row["default_kwargs"].items())
         ) or "-"
         for key in ("kernel", "planner", "tracer", "tuner", "validator",
-                    "integrity", "serializer", "compiled"):
+                    "integrity", "serializer"):
             out[key] = "yes" if row[key] else "-"
         out["codec"] = row["codec"] or "-"
         printable.append(out)
@@ -796,7 +796,7 @@ def _cmd_formats(args: argparse.Namespace) -> int:
     print(format_table(
         printable,
         ["format", "container", "kernel", "planner", "tracer", "tuner",
-         "validator", "integrity", "serializer", "compiled", "codec",
+         "validator", "integrity", "serializer", "codec",
          "default_kwargs"],
         "Format capability matrix (from repro.registry)",
     ))

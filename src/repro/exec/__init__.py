@@ -5,8 +5,8 @@ multi-GPU one, and owns the configuration object every execution entry
 point now shares:
 
 * :class:`~repro.exec.policy.ExecutionPolicy` — one frozen dataclass for
-  engine/verify/fallback/plan-cache/devices/partitioner plus the
-  fault-tolerance knobs (backend/shard_timeout_s/max_retries/elastic/
+  engine/verify/fallback/plan-cache/compute_backend/devices/partitioner
+  plus the fault-tolerance knobs (backend/shard_timeout_s/max_retries/
   chaos), accepted by ``run_spmv``/``run_spmm``,
   :class:`~repro.pipeline.Session` and
   :class:`~repro.solvers.operators.SimulatedOperator`;
@@ -19,7 +19,7 @@ point now shares:
   producing bit-identical results and merged counters, in process with
   the shards one after another (replay holds the GIL, so threads would
   not overlap them) or on the fault-tolerant :mod:`~repro.exec.workers`
-  process pool (heartbeats, shard failover, elastic respawn);
+  process pool (heartbeats, shard failover, respawn of lost workers);
 * :class:`~repro.exec.chaos.ChaosPolicy` and
   :func:`~repro.exec.chaos.run_chaos_campaign` — seeded fault injection
   into the sharded engines and the zero-silent-corruption campaign

@@ -4,7 +4,7 @@ A :class:`ChaosPolicy` describes *which* faults to inject into a sharded
 run and *how often*; attaching one to an
 :class:`~repro.exec.policy.ExecutionPolicy` (``policy.chaos``) makes the
 engine inject at most one fault per call, always on a shard's first
-attempt, so the recovery machinery — retry, failover, elastic respawn —
+attempt, so the recovery machinery — retry, failover, respawn —
 is what determines the outcome. Three process-level injectors target the
 :mod:`repro.exec.workers` pool:
 

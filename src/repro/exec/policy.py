@@ -4,9 +4,9 @@ Every execution entry point — ``run_spmv``, ``run_spmm``,
 :meth:`Session.run`, ``SimulatedOperator`` — is configured by a
 single frozen :class:`ExecutionPolicy`. The policy carries the
 single-device knobs (``engine``, ``verify``, ``fallback``, plan
-sourcing), the multi-device knobs (``devices``, ``partitioner``,
-``comms``) and the fault-tolerance knobs (``backend``,
-``shard_timeout_s``, ``max_retries``, ``elastic``, ``chaos``)::
+sourcing, ``compute_backend``), the multi-device knobs (``devices``,
+``partitioner``, ``comms``) and the fault-tolerance knobs (``backend``,
+``shard_timeout_s``, ``max_retries``, ``chaos``)::
 
     from repro import ExecutionPolicy, run_spmv
 
@@ -44,7 +44,7 @@ ENGINES = ("auto", "reference")
 BACKENDS = ("thread", "process")
 
 #: Accepted executor (compute) backend requests for plan replay.
-COMPUTE_BACKENDS = ("auto", "numpy", "jit")
+COMPUTE_BACKENDS = ("auto", "numpy")
 
 #: Registered row-partitioner names (mirrored by repro.exec.partition).
 PARTITIONERS = ("contiguous", "greedy-nnz", "slice-aligned")
@@ -118,7 +118,8 @@ class ExecutionPolicy:
         per call when ``shard_timeout_s`` is set; or ``"process"`` — a
         coordinator plus ``multiprocessing`` workers that each mmap
         their own ``.brx`` shard container, with heartbeats, shard
-        failover and elastic respawn (:mod:`repro.exec.workers`).
+        failover and respawn of every lost worker
+        (:mod:`repro.exec.workers`).
     shard_timeout_s:
         Per-shard execution deadline in seconds (``None`` disables).
         The thread backend raises a typed
@@ -131,10 +132,6 @@ class ExecutionPolicy:
         a shard may be re-executed (with backoff and reassignment) after
         a worker death, a stall or a corrupt result before the engine
         raises a typed error.
-    elastic:
-        Whether the process pool respawns a replacement worker after a
-        death or a forced stall termination (default ``True``). With
-        ``False`` the pool shrinks and shards pile onto the survivors.
     chaos:
         Optional seeded :class:`~repro.exec.chaos.ChaosPolicy` injecting
         faults into the sharded engines — worker kills, stalls and
@@ -144,11 +141,10 @@ class ExecutionPolicy:
         (:mod:`repro.kernels.backends`): ``"auto"`` (default) picks the
         Numba-compiled loops when Numba is importable, else SciPy's
         compiled CSR row loops when they pass their first-use probe,
-        else interpreted NumPy; ``"numpy"`` forces the interpreted path;
-        ``"jit"`` requests compiled loops and, when they are unavailable,
-        resolves like ``"auto"`` (counter-visible as
-        ``exec.backend_fallback``, never an exception). Results are
-        bit-identical across backends.
+        else interpreted NumPy; ``"numpy"`` forces the interpreted path.
+        Results are bit-identical across backends. A specific compiled
+        executor is named at :func:`~repro.kernels.plan.prepare`, which
+        raises when this host cannot run it.
     """
 
     engine: str = "auto"
@@ -162,7 +158,6 @@ class ExecutionPolicy:
     backend: str = "thread"
     shard_timeout_s: Optional[float] = None
     max_retries: int = 2
-    elastic: bool = True
     chaos: Optional["ChaosPolicy"] = field(default=None, compare=False)
     compute_backend: str = "auto"
 
@@ -245,7 +240,6 @@ class ExecutionPolicy:
             "backend": self.backend,
             "shard_timeout_s": self.shard_timeout_s,
             "max_retries": self.max_retries,
-            "elastic": self.elastic,
             "chaos": self.chaos is not None,
             "compute_backend": self.compute_backend,
         }

@@ -1,4 +1,4 @@
-"""Process-backed sharded execution: elastic workers with shard failover.
+"""Process-backed sharded execution: self-healing workers with shard failover.
 
 ``ExecutionPolicy(backend="process")`` routes the sharded engine through
 a :class:`WorkerPool`: a coordinator that writes every shard to its own
@@ -42,9 +42,9 @@ task. A plan that fails is dropped from the worker's cache, so the
 retry rebuilds it from the shard, which was verified when loaded.
 
 Failover re-enqueues the shard on the least-loaded surviving worker with
-an exponential deadline backoff, bounded by ``policy.max_retries``; with
-``policy.elastic`` (default) a replacement worker is respawned into the
-vacated slot. Exhausting the budget raises a typed
+an exponential deadline backoff, bounded by ``policy.max_retries``, and
+a replacement worker is respawned into the vacated slot, so the pool
+never shrinks. Exhausting the budget raises a typed
 :class:`~repro.errors.ShardTimeoutError` or
 :class:`~repro.errors.WorkerFailureError` — the caller never sees wrong
 numbers. Every recovery action is counted (worker deaths, shard
@@ -326,7 +326,6 @@ class WorkerPool:
         self.compute_backend = policy.compute_backend
         self.shard_timeout_s = policy.shard_timeout_s
         self.max_retries = policy.max_retries
-        self.elastic = policy.elastic
         self.n_shards = sharded.n_shards
         self.shape = sharded.shape
         self._bounds = [int(b) for b in sharded.bounds]
@@ -351,7 +350,7 @@ class WorkerPool:
         self.generation = -1
         self._width = 0
         self._grow(_SEGMENT_COLUMNS)
-        self._workers: List[Optional[_Worker]] = [
+        self._workers: List[_Worker] = [
             self._spawn(slot) for slot in range(self.n_shards)
         ]
         self._finalizer = weakref.finalize(
@@ -431,8 +430,8 @@ class WorkerPool:
         return None
 
     # -- liveness -------------------------------------------------------
-    def _alive(self, worker: Optional[_Worker]) -> bool:
-        if worker is None or not worker.process.is_alive():
+    def _alive(self, worker: _Worker) -> bool:
+        if not worker.process.is_alive():
             return False
         age = time.time() - self._heartbeats[worker.slot]
         return age <= _HEARTBEAT_TIMEOUT_S
@@ -441,7 +440,7 @@ class WorkerPool:
         return [w for w in self._workers if self._alive(w)]
 
     def _fence(self, worker: _Worker, stats: CallStats, reason: str) -> None:
-        """Remove a dead or wedged worker; respawn its slot when elastic."""
+        """Replace a dead or wedged worker with a fresh one in its slot."""
         slot = worker.slot
         if worker.process.is_alive():
             worker.process.terminate()
@@ -449,21 +448,17 @@ class WorkerPool:
         stats.worker_deaths += 1
         self.total.worker_deaths += 1
         stats.note("worker_lost", slot=slot, reason=reason)
-        if self.elastic:
-            self._workers[slot] = self._spawn(slot)
-            stats.respawns += 1
-            self.total.respawns += 1
-            stats.note("worker_respawned", slot=slot)
-        else:
-            self._workers[slot] = None
+        self._workers[slot] = self._spawn(slot)
+        stats.respawns += 1
+        self.total.respawns += 1
+        stats.note("worker_respawned", slot=slot)
 
     # -- task routing ---------------------------------------------------
     def _pick_slot(self, avoid: int) -> _Worker:
         live = self.live_workers()
         if not live:
             raise WorkerFailureError(
-                "no live workers remain to take reassigned shards "
-                "(elastic respawn disabled?)"
+                "no live workers remain to take reassigned shards"
             )
         preferred = [w for w in live if w.slot != avoid] or live
         return min(preferred, key=lambda w: (len(w.busy), w.slot))
@@ -498,9 +493,7 @@ class WorkerPool:
     ) -> None:
         """Retry a failed shard on another worker, or exhaust typed."""
         state.failures.append(f"attempt {state.attempt}: {reason}")
-        worker = self._workers[state.slot]
-        if worker is not None:
-            worker.busy.discard(state.shard)
+        self._workers[state.slot].busy.discard(state.shard)
         previous = state.slot
         state.attempt += 1
         stats.retries += 1
@@ -590,8 +583,7 @@ class WorkerPool:
         finally:
             self._telem_ctx = None
             for worker in self._workers:
-                if worker is not None:
-                    worker.busy.clear()
+                worker.busy.clear()
             self._call += 1
         return y, [done[d] for d in range(self.n_shards)], stats
 
@@ -630,9 +622,7 @@ class WorkerPool:
         done[shard] = counters
         if batch is not None:
             stats.telemetry.append(batch)
-        worker = self._workers[state.slot]
-        if worker is not None:
-            worker.busy.discard(shard)
+        self._workers[state.slot].busy.discard(shard)
 
     def _check_liveness(
         self,
@@ -641,7 +631,7 @@ class WorkerPool:
         stats: CallStats,
     ) -> None:
         for worker in list(self._workers):
-            if worker is None or self._alive(worker):
+            if self._alive(worker):
                 continue
             pending = [s for s in states
                        if s.shard not in done and s.slot == worker.slot]
@@ -667,9 +657,8 @@ class WorkerPool:
                 continue
             # Fence the wedged worker first so its late result can never
             # be confused with the retry (stale tags are dropped anyway).
-            worker = self._workers[state.slot]
-            if worker is not None:
-                self._fence(worker, stats, reason="missed shard deadline")
+            self._fence(self._workers[state.slot], stats,
+                        reason="missed shard deadline")
             self._fail(
                 state, stats,
                 f"missed {self.shard_timeout_s}s deadline", stalled=True,
@@ -678,11 +667,9 @@ class WorkerPool:
     # -- teardown -------------------------------------------------------
     @staticmethod
     def _cleanup(
-        workers: List[Optional[_Worker]], results: Any, tmpdir: str
+        workers: List[_Worker], results: Any, tmpdir: str
     ) -> None:
         for worker in workers:
-            if worker is None:
-                continue
             try:
                 if worker.process.is_alive():
                     worker.task_queue.put(("stop",))
@@ -690,8 +677,6 @@ class WorkerPool:
                 pass
         deadline = time.monotonic() + 1.0
         for worker in workers:
-            if worker is None:
-                continue
             worker.process.join(timeout=max(0.0, deadline - time.monotonic()))
             if worker.process.is_alive():
                 worker.process.terminate()
@@ -719,7 +704,6 @@ def _pool_key(device: DeviceSpec, policy: ExecutionPolicy) -> Tuple:
         policy.compute_backend,
         policy.shard_timeout_s,
         policy.max_retries,
-        policy.elastic,
         id(policy.chaos) if policy.chaos is not None else None,
     )
 

@@ -10,8 +10,6 @@ model (:mod:`repro.gpu.timing`) turns those counters into predicted time.
 
 from .backends import (
     COMPUTE_BACKENDS,
-    JIT_FORMATS,
-    compiled_formats,
     jit_available,
     resolve_backend,
 )
@@ -44,8 +42,6 @@ __all__ = [
     "PlanCache",
     "PLAN_CACHE",
     "COMPUTE_BACKENDS",
-    "JIT_FORMATS",
-    "compiled_formats",
     "jit_available",
     "resolve_backend",
     "BELLPACKKernel",

@@ -43,13 +43,14 @@ of ``y`` bits and :class:`KernelCounters` across executors.
 Selection
 ---------
 Callers request a backend through
-:attr:`repro.exec.policy.ExecutionPolicy.compute_backend`
-(``"auto"``/``"numpy"``/``"jit"``); :func:`resolve_backend` maps the
-request to a concrete executor per format: ``"jit"`` when Numba is
-importable, else ``"scipy"`` when the probe passes, else ``"numpy"``.
-An explicit ``"jit"`` request that cannot be honoured (Numba missing, or
-the format has no compiled loops) resolves the same way as ``"auto"``
-and emits an ``exec.backend_fallback`` counter instead of raising.
+:attr:`repro.exec.policy.ExecutionPolicy.compute_backend`: ``"auto"``
+or ``"numpy"``. :func:`resolve_backend` maps ``"auto"`` to the fastest
+executor this host runs: ``"jit"`` when Numba is importable, else
+``"scipy"`` when the probe passes, else ``"numpy"``. Every plannable
+format replays through the one jagged loop, so the choice never depends
+on the format. :func:`repro.kernels.plan.prepare` also takes an executor
+name and raises :class:`~repro.errors.ValidationError` when this host
+cannot run it.
 """
 
 from __future__ import annotations
@@ -62,38 +63,23 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .. import registry as _registry
 from ..errors import ValidationError
-from ..telemetry import metrics as _metrics
 
 __all__ = [
     "COMPUTE_BACKENDS",
     "EXECUTOR_BACKENDS",
-    "JIT_FORMATS",
     "csr_row_sums",
     "jit_available",
     "numba_version",
     "resolve_backend",
     "scipy_refusal",
-    "supports_jit",
-    "compiled_formats",
 ]
 
 #: Backends a policy may request.
-COMPUTE_BACKENDS = ("auto", "numpy", "jit")
+COMPUTE_BACKENDS = ("auto", "numpy")
 
 #: Concrete backends a plan can execute with (what "auto" resolves to).
 EXECUTOR_BACKENDS = ("numpy", "scipy", "jit")
-
-#: Formats whose prepared-plan replay has compiled inner loops: every
-#: plannable format. The leaf plans all replay through the one jagged
-#: loop ``jagged_spmv``/``jagged_spmm``; the composite formats (bro_hyb,
-#: bro_ell_mt, hyb) compile through their part plans.
-JIT_FORMATS = frozenset(
-    {"bro_ell", "bro_ell_mt", "bro_ell_vc", "bro_coo", "bro_hyb", "bro_sell",
-     "csr", "ellpack", "ellpack_r", "sliced_ellpack", "sell_c_sigma",
-     "coo", "cmrs", "hyb", "bellpack"}
-)
 
 # ----------------------------------------------------------------------
 # Numba availability (optional import, probed once)
@@ -275,28 +261,12 @@ def scipy_refusal() -> Optional[str]:
     return _scipy_state()[1]
 
 
-def supports_jit(format_name: str) -> bool:
-    """Whether the format's plan replay has compiled inner loops."""
-    return format_name in JIT_FORMATS
-
-
-def compiled_formats() -> Tuple[str, ...]:
-    """Format names with a compiled replay path, sorted."""
-    return tuple(sorted(JIT_FORMATS))
-
-
-def resolve_backend(
-    requested: str, format_name: Optional[str] = None
-) -> str:
+def resolve_backend(requested: str) -> str:
     """Map a policy's ``compute_backend`` request to a concrete executor.
 
-    ``"auto"`` resolves to ``"jit"`` when Numba is importable, else to
-    ``"scipy"`` when SciPy's loops pass the probe, else to ``"numpy"``;
-    a format without compiled loops always gets ``"numpy"``. An explicit
-    ``"jit"`` that cannot be honoured records an
-    ``exec.backend_fallback`` counter and resolves as ``"auto"`` would —
-    never an exception, so a policy written for a Numba-equipped host
-    runs unchanged everywhere.
+    ``"numpy"`` stays ``"numpy"``; ``"auto"`` resolves to ``"jit"`` when
+    Numba is importable, else to ``"scipy"`` when SciPy's loops pass the
+    probe, else to ``"numpy"``.
     """
     if requested not in COMPUTE_BACKENDS:
         raise ValidationError(
@@ -305,15 +275,9 @@ def resolve_backend(
         )
     if requested == "numpy":
         return "numpy"
-    format_ok = format_name is None or supports_jit(format_name)
-    if jit_available() and format_ok:
+    if jit_available():
         return "jit"
-    if requested == "jit":
-        reason = "numba-missing" if not jit_available() else "format-unsupported"
-        _metrics.record_backend_fallback(format_name or "*", reason)
-    if format_ok and scipy_refusal() is None:
-        return "scipy"
-    return "numpy"
+    return "scipy" if scipy_refusal() is None else "numpy"
 
 
 # ----------------------------------------------------------------------
@@ -369,9 +333,3 @@ def _compile(fn: Callable) -> Callable:
 
 jagged_spmv = _compile(_jagged_spmv)
 jagged_spmm = _compile(_jagged_spmm)
-
-
-# Surface the compiled capability on the registry so `repro formats`
-# (and its --json consumers) report per-format compiled support.
-for _fmt in sorted(JIT_FORMATS):
-    _registry.bind_compiled(_fmt)

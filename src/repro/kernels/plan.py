@@ -442,19 +442,22 @@ def prepare(
 ) -> SpMVPlan:
     """Build an :class:`SpMVPlan` — the one-time decode + accounting pass.
 
-    ``backend`` selects the executor the plan replays with: ``"numpy"``
-    (default), ``"jit"`` or ``"auto"``, resolved per format by
-    :func:`repro.kernels.backends.resolve_backend`, or a concrete
-    ``"scipy"``. The format's planner is called as ``planner(matrix,
-    device, executor)`` with the resolved name and builds only the lane
-    layout that executor reads. Resolution (whose first call runs the
-    SciPy probe) counts in ``build_seconds``. A JIT plan warm-compiles
-    its loops here so compilation cost is part of the build, recorded
-    on the plan as ``jit_compile_seconds``.
+    ``backend`` selects the executor the plan replays with: a policy
+    request (``"numpy"``, the default, or ``"auto"``, resolved by
+    :func:`repro.kernels.backends.resolve_backend`) or an executor name
+    (``"jit"`` or ``"scipy"``). The format's planner is called as
+    ``planner(matrix, device, executor)`` with the resolved name and
+    builds only the lane layout that executor reads. Resolution (whose
+    first call runs the SciPy probe) counts in ``build_seconds``. A JIT
+    plan warm-compiles its loops here so compilation cost is part of the
+    build, recorded on the plan as ``jit_compile_seconds``.
 
-    Raises :class:`~repro.errors.KernelError` for formats without a plan
-    builder (they stay on the reference engine) and propagates the same
-    typed errors a reference run would raise on a corrupted container.
+    Raises :class:`~repro.errors.ValidationError` for an executor this
+    host cannot run (``"jit"`` without Numba, ``"scipy"`` when its probe
+    refused), :class:`~repro.errors.KernelError` for formats without a
+    plan builder (they stay on the reference engine) and propagates the
+    same typed errors a reference run would raise on a corrupted
+    container.
     """
     if isinstance(device, str):
         device = get_device(device)
@@ -466,9 +469,11 @@ def prepare(
         )
     t0 = time.perf_counter()
     resolved = (
-        backend if backend == "scipy"
-        else _backends.resolve_backend(backend, matrix.format_name)
+        backend if backend in ("jit", "scipy")
+        else _backends.resolve_backend(backend)
     )
+    if resolved == "jit" and not _backends.jit_available():
+        raise ValidationError("jit executor unavailable (numba-missing)")
     with _span(
         "spmv.plan", "pipeline", format=matrix.format_name, device=device.name
     ):

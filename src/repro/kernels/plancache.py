@@ -177,10 +177,10 @@ class PlanCache:
         """Return a cached plan for ``(matrix, device)``, building on miss.
 
         ``validate`` selects the staleness check (see module docstring).
-        ``backend`` is a ``compute_backend`` request (``"auto"``,
-        ``"numpy"`` or ``"jit"``), resolved to a concrete executor
-        backend *once* here so ``"auto"`` and ``"jit"`` share cache
-        entries whenever they resolve alike. An identity miss with a sealed container
+        ``backend`` is a ``compute_backend`` request (``"auto"`` or
+        ``"numpy"``), resolved to a concrete executor backend *once*
+        here and keyed by that executor, so ``"numpy"`` and an ``"auto"``
+        that resolves to ``"numpy"`` share an entry. An identity miss with a sealed container
         falls through to the content index before building: equal
         fingerprints mean equal bytes, so a plan built for a twin object
         replays bit-identically. ``verify`` is the level the container
@@ -191,7 +191,7 @@ class PlanCache:
             raise ValueError(f"unknown validate level {validate!r}")
         if isinstance(device, str):
             device = get_device(device)
-        resolved = _backends.resolve_backend(backend, matrix.format_name)
+        resolved = _backends.resolve_backend(backend)
         key = self._key(matrix, device, resolved)
         rank = verify_rank(verify)
 

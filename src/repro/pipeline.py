@@ -121,34 +121,11 @@ class Session:
         self.fallbacks_used = 0  #: executions served by the fallback matrix
         self._tuner = None  #: OnlineTuner attached by autotune(), if any
 
-    # -- policy views ----------------------------------------------------
-    # Read/write aliases kept so pre-policy call sites (and the fluent
-    # with_fallback step) keep working against the single policy object.
-    @property
-    def verify(self) -> Union[bool, str]:
-        return self.policy.verify
-
-    @verify.setter
-    def verify(self, value: Union[bool, str, None]) -> None:
-        self.policy = self.policy.with_(verify=value)
-
-    @property
-    def fallback(self) -> Optional[SparseFormat]:
-        return self.policy.fallback
-
-    @fallback.setter
-    def fallback(self, value: Optional[SparseFormat]) -> None:
-        self.policy = self.policy.with_(fallback=value)
-
-    @property
-    def engine(self) -> str:
-        return self.policy.engine
-
     @property
     def plan_cache(self) -> Optional[PlanCache]:
         """The cache this session's plans come from: the policy's, else
         the process-wide one (``None`` on the reference engine)."""
-        if self.engine == "reference":
+        if self.policy.engine == "reference":
             return None
         return cache_for(self.policy)
 
@@ -258,7 +235,9 @@ class Session:
 
     def with_fallback(self, target: str = "csr", **kwargs: Any) -> "Session":
         """Build a trusted fallback container from the session's source."""
-        self.fallback = _convert(self.source, target, **kwargs)
+        self.policy = self.policy.with_(
+            fallback=_convert(self.source, target, **kwargs)
+        )
         return self
 
     # -- persistence ----------------------------------------------------
@@ -269,40 +248,27 @@ class Session:
         save_container(self.matrix, path)
         return self
 
-    def open_into(
-        self,
-        path: Union[str, os.PathLike],
-        *,
-        mmap_arrays: bool = True,
-        verify_seal: bool = True,
-    ) -> "Session":
-        """Load a ``.brx`` container into *this* session."""
+    def open_into(self, path: Union[str, os.PathLike]) -> "Session":
+        """Load a ``.brx`` container into *this* session: memory-mapped,
+        its stored seal verified against the loaded bytes."""
         from .serialize import load_container
 
-        return self.use(
-            load_container(path, mmap_arrays=mmap_arrays, verify=verify_seal)
-        )
+        return self.use(load_container(path))
 
     @classmethod
     def open(
         cls,
         path: Union[str, os.PathLike],
         device: DeviceSpec | str = "k20",
-        *,
-        mmap_arrays: bool = True,
-        verify_seal: bool = True,
         **kwargs: Any,
     ) -> "Session":
         """Open a saved ``.brx`` container as a fresh session.
 
-        The stored integrity seal is reattached, so a sealed container's
-        first :meth:`prepare` is a content hit in the plan cache when the
-        original object's plan is still resident.
+        The stored integrity seal is verified and reattached, so a sealed
+        container's first :meth:`prepare` is a content hit in the plan
+        cache when the original object's plan is still resident.
         """
-        sess = cls(device, **kwargs)
-        return sess.open_into(
-            path, mmap_arrays=mmap_arrays, verify_seal=verify_seal
-        )
+        return cls(device, **kwargs).open_into(path)
 
     # -- execution ------------------------------------------------------
     def prepare(self) -> "Session":
@@ -421,7 +387,7 @@ class Session:
             "shape": list(self._matrix.shape) if self._matrix is not None else None,
             "nnz": int(self._matrix.nnz) if self._matrix is not None else None,
             "device": self.device.name,
-            "engine": self.engine,
+            "engine": self.policy.engine,
             "compute_backend": self.policy.compute_backend,
             "devices": self.policy.devices,
             "sealed": header is not None,

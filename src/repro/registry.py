@@ -59,7 +59,6 @@ __all__ = [
     "bind_integrity_fields",
     "bind_tracer",
     "bind_tuner",
-    "bind_compiled",
     "kernel_for",
     "kernel_formats",
     "planner_for",
@@ -117,10 +116,6 @@ class FormatSpec:
     integrity_fields: Optional[Callable[[Any], Tuple[Dict[str, Any], Tuple]]] = None
     tracer: Optional[BlockTracer] = None
     tuner: Optional[TunerProfile] = None
-    #: whether the prepared-plan replay has a compiled (JIT) executor path
-    #: (see :mod:`repro.kernels.backends`); independent of whether Numba
-    #: is importable in this process.
-    compiled: bool = False
     #: BROCodec delta policy the container's index stream runs through
     #: ("columns", "lanes", "columns+lanes"), or ``None`` for formats that
     #: store indices uncompressed.
@@ -169,7 +164,6 @@ class FormatSpec:
             "validator": self.validator is not None,
             "integrity": self.integrity_fields is not None,
             "serializer": self.has_serializer,
-            "compiled": self.compiled,
             "codec": self.codec is not None,
         }
 
@@ -188,7 +182,6 @@ _CAPABILITY_MODULES = {
     "tracer": "repro.gpu.trace",
     "validator": "repro.integrity.validators",
     "integrity_fields": "repro.integrity.checksums",
-    "compiled": "repro.kernels.backends",
 }
 _LOADED_MODULES: set = set()
 
@@ -229,7 +222,6 @@ def register_format(
     integrity_fields: Optional[Callable] = None,
     tracer: Optional[BlockTracer] = None,
     tuner: Optional[TunerProfile] = None,
-    compiled: bool = False,
     codec: Optional[str] = None,
 ):
     """Class decorator registering a format and its capabilities.
@@ -263,8 +255,6 @@ def register_format(
                 _bind(name, "tracer", tracer, FormatError)
             if tuner is not None:
                 _bind(name, "tuner", tuner, FormatError)
-            if compiled:
-                spec.compiled = True
             if codec is not None:
                 spec.codec = codec
         return klass
@@ -319,17 +309,6 @@ def bind_tracer(name: str, tracer: BlockTracer) -> None:
 def bind_tuner(name: str, profile: TunerProfile) -> None:
     """Attach a tuner cost profile to a format name."""
     _bind(name, "tuner", profile, FormatError)
-
-
-def bind_compiled(name: str) -> None:
-    """Mark a format's plan replay as having a compiled executor path.
-
-    Idempotent (unlike the other ``bind_*`` hooks): the flag is declared
-    once at the backend module's import site, which may run more than
-    once across registry reload cycles.
-    """
-    with _LOCK:
-        _slot(name).compiled = True
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +447,7 @@ def capability_matrix() -> List[Dict[str, Any]]:
         }
         caps = spec.capabilities()
         for key in ("kernel", "planner", "tracer", "tuner", "validator",
-                    "integrity", "serializer", "compiled"):
+                    "integrity", "serializer"):
             row[key] = caps[key]
         row["codec"] = spec.codec or ""
         row["default_kwargs"] = dict(spec.default_kwargs)

@@ -62,12 +62,12 @@ POLICY_OVERRIDE_FIELDS = (
 
 
 def policy_key(overrides: Optional[Mapping[str, Any]]) -> Tuple:
-    """Canonical hashable identity of a request's policy overrides.
+    """Canonical identity of a request's policy overrides.
 
-    Requests coalesce into one micro-batch only when their keys are
-    equal, so two spellings of the same overrides must map to one key.
-    Unknown fields raise a typed error at admission rather than being
-    silently dropped into a shared batch.
+    Two spellings of the same overrides map to one key. Unknown fields
+    raise a typed error at admission rather than being silently dropped
+    into a shared batch; the values are checked when the server builds
+    the request's policy (:func:`apply_policy_overrides`).
     """
     if not overrides:
         return ()

@@ -66,11 +66,9 @@ class MatrixPool:
         device: Union[DeviceSpec, str] = "k20",
         *,
         plan_cache: Optional[PlanCache] = None,
-        compute_backend: str = "auto",
     ) -> None:
         self.device = get_device(device) if isinstance(device, str) else device
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
-        self.compute_backend = compute_backend
         self._entries: Dict[str, PoolEntry] = {}
         self._lock = threading.Lock()
 
@@ -95,19 +93,12 @@ class MatrixPool:
             self._entries[name] = entry
         return entry
 
-    def load(
-        self,
-        name: str,
-        path: Union[str, os.PathLike],
-        *,
-        mmap_arrays: bool = True,
-    ) -> PoolEntry:
-        """Load a sealed ``.brx`` container (seal verified on load)."""
+    def load(self, name: str, path: Union[str, os.PathLike]) -> PoolEntry:
+        """Load a sealed ``.brx`` container, memory-mapped (seal verified
+        on load)."""
         from ..serialize import load_container
 
-        return self.add(
-            name, load_container(path, mmap_arrays=mmap_arrays, verify=True)
-        )
+        return self.add(name, load_container(path))
 
     def load_suite(
         self,
@@ -157,16 +148,14 @@ class MatrixPool:
             return len(self._entries)
 
     # -- warm-up --------------------------------------------------------
-    def warm(self, backend: Optional[str] = None) -> int:
-        """Build the plan of every plannable entry now; returns how many
-        plans were ensured. Idempotent: warm plans are cache hits."""
+    def warm(self) -> int:
+        """Build the ``"auto"`` plan of every plannable entry now (what
+        the default server policy replays); returns how many plans were
+        ensured. Idempotent: warm plans are cache hits."""
         warmed = 0
-        backend = backend if backend is not None else self.compute_backend
         for entry in self.entries():
             if _registry.has_planner(entry.matrix.format_name):
-                self.plan_cache.get_or_build(
-                    entry.matrix, self.device, backend=backend
-                )
+                self.plan_cache.get_or_build(entry.matrix, self.device)
                 warmed += 1
         return warmed
 

@@ -19,7 +19,7 @@ Two layers, deliberately separable:
 The request lifecycle::
 
     admission ──rejected──────────────► SpMVResponse(status="rejected")
-        │ admitted (inflight < max_queue)
+        │ admitted (inflight < max_queue; known matrix, valid policy)
         ▼
     micro-batcher (same matrix+policy coalesce, window/max_batch bound)
         ▼
@@ -42,7 +42,7 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -57,7 +57,6 @@ from .api import (
     SpMVRequest,
     SpMVResponse,
     apply_policy_overrides,
-    policy_key,
 )
 from .batcher import MicroBatcher
 from .pool import MatrixPool
@@ -106,13 +105,12 @@ class ServerCore:
         self._drained: Optional[asyncio.Event] = None
         self.started_at = time.time()
 
-    # -- policy ---------------------------------------------------------
-    def _policy_for(self, overrides: Optional[Dict[str, Any]]) -> ExecutionPolicy:
-        return apply_policy_overrides(self._base_policy, overrides)
-
     # -- admission ------------------------------------------------------
-    def _admit(self, request: SpMVRequest) -> Optional[SpMVResponse]:
-        """Admission control: a rejected response, or ``None`` if admitted.
+    def _admit(
+        self, request: SpMVRequest
+    ) -> Union[SpMVResponse, ExecutionPolicy]:
+        """Admission control: the request's policy if admitted, else a
+        rejected or failed response.
 
         Rejection is always an in-band typed response (the wire analogue
         of HTTP 429), so a client under backpressure sees *why* instead
@@ -133,11 +131,11 @@ class ServerCore:
                 max_queue=self.config.max_queue,
             )
             return self._reject(request, exc)
-        # Validate against the pool *before* the request can join (and
-        # poison) a shared batch window.
+        # Validate against the pool and build the policy *before* the
+        # request can join (and poison) a shared batch window.
         try:
             matrix = self.pool.get(request.matrix)
-            policy_key(request.policy)
+            policy = apply_policy_overrides(self._base_policy, request.policy)
         except ReproError as exc:
             return SpMVResponse.failure(request, exc)
         if request.x.shape[0] != matrix.shape[1]:
@@ -148,7 +146,7 @@ class ServerCore:
                     f"{request.matrix!r} needs {matrix.shape[1]}"
                 ),
             )
-        return None
+        return policy
 
     def _reject(self, request: SpMVRequest, exc: AdmissionError) -> SpMVResponse:
         self.metrics.counter(
@@ -179,21 +177,24 @@ class ServerCore:
         """Serve one request end to end; never raises for request-shaped
         failures — errors come back as typed responses."""
         started = time.perf_counter()
-        early = self._admit(request)
-        if early is not None:
+        policy = self._admit(request)
+        if isinstance(policy, SpMVResponse):
             return (
-                early if early.rejected
-                else self._finish(request, early, started)
+                policy if policy.rejected
+                else self._finish(request, policy, started)
             )
         self._inflight += 1
         self.metrics.gauge("serve.queue_depth").set(self._inflight)
         try:
             if request.is_batch:
-                response = await self._execute_direct(request, started)
+                response = await self._execute_direct(
+                    request, policy, started
+                )
             else:
                 loop = asyncio.get_running_loop()
                 future: "asyncio.Future[SpMVResponse]" = loop.create_future()
-                key = (request.matrix, policy_key(request.policy))
+                # Equal effective policies share a batch, however spelled.
+                key = (request.matrix, policy)
                 self._batcher.submit(key, _Waiter(request, future, started))
                 response = await future
             return self._finish(request, response, started)
@@ -204,14 +205,13 @@ class ServerCore:
                 self._drained.set()
 
     async def _execute_direct(
-        self, request: SpMVRequest, started: float
+        self, request: SpMVRequest, policy: ExecutionPolicy, started: float
     ) -> SpMVResponse:
         """An explicit (n, k) batch: one run_spmm, no coalescing."""
         loop = asyncio.get_running_loop()
         queue_ms = 1e3 * (time.perf_counter() - started)
         t0 = time.perf_counter()
         try:
-            policy = self._policy_for(request.policy)
             matrix = self.pool.get(request.matrix)
             result = await loop.run_in_executor(
                 self._executor, self._run_spmm, matrix, request.x, policy
@@ -246,7 +246,7 @@ class ServerCore:
 
     async def _flush(self, key: Hashable, waiters: List[Any]) -> None:
         """Batch flush: one kernel call, one response per waiter."""
-        matrix_name, pkey = key
+        matrix_name, policy = key
         loop = asyncio.get_running_loop()
         flushed_at = time.perf_counter()
         queue_ms = {
@@ -255,7 +255,6 @@ class ServerCore:
         }
         try:
             matrix = self.pool.get(matrix_name)
-            policy = self._policy_for(dict(pkey) if pkey else None)
             xs = [w.request.x for w in waiters]
             t0 = time.perf_counter()
             result = await loop.run_in_executor(

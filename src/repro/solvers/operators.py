@@ -10,7 +10,7 @@ solve would run with a BRO format — the paper's motivating use-case.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from ..exec.policy import ExecutionPolicy
 from ..formats.base import SparseFormat
 from ..gpu.device import DeviceSpec
 from ..pipeline import Session
-from ..kernels.plancache import PlanCache
 
 __all__ = ["FormatOperator", "SimulatedOperator"]
 
@@ -68,22 +67,6 @@ class SimulatedOperator(FormatOperator):
     @property
     def device(self) -> DeviceSpec:
         return self.session.device
-
-    @property
-    def verify(self) -> Union[bool, str, None]:
-        return self.session.verify
-
-    @property
-    def fallback(self) -> Optional[SparseFormat]:
-        return self.session.fallback
-
-    @property
-    def engine(self) -> str:
-        return self.session.engine
-
-    @property
-    def plan_cache(self) -> Optional[PlanCache]:
-        return self.session.plan_cache
 
     @property
     def device_time(self) -> float:

@@ -44,7 +44,6 @@ __all__ = [
     "record_bitstream_decode",
     "record_plan_build",
     "record_plan_cache",
-    "record_backend_fallback",
     "record_jit_compile",
     "record_retune",
     "record_exec",
@@ -530,23 +529,6 @@ def record_plan_cache(event: str, count: int = 1) -> None:
     if reg is None:
         return
     reg.counter(f"plan_cache.{event}").inc(count)
-
-
-def record_backend_fallback(format_name: str, reason: str) -> None:
-    """An explicit ``compute_backend="jit"`` request served by another
-    executor (whatever ``"auto"`` resolves to: scipy or numpy).
-
-    Emitted by :func:`repro.kernels.backends.resolve_backend` when the
-    Numba path is unavailable (Numba missing, or the format has no
-    compiled loops) — the degradation is silent in results but visible
-    here as ``exec.backend_fallback{format=..., reason=...}``.
-    """
-    reg = _ACTIVE
-    if reg is None:
-        return
-    reg.counter(
-        "exec.backend_fallback", {"format": format_name, "reason": reason}
-    ).inc()
 
 
 def record_jit_compile(format_name: str, device_name: str, seconds: float) -> None:

@@ -3,9 +3,9 @@
 The pre-policy loose keywords (``verify=``/``fallback=``/``engine=``/
 ``plan=``/``plan_cache=``) were deprecated shims for one release and are
 now removed: every entry point accepts ``policy=`` only, and passing a
-legacy keyword is a plain ``TypeError``. The new fault-tolerance fields
-(``backend``/``shard_timeout_s``/``max_retries``/``elastic``/``chaos``)
-validate like the rest of the frozen dataclass.
+legacy keyword is a plain ``TypeError``. The fault-tolerance fields
+(``backend``/``shard_timeout_s``/``max_retries``/``chaos``) validate like
+the rest of the frozen dataclass.
 """
 
 import dataclasses
@@ -45,8 +45,8 @@ class TestPolicyValidation:
         assert pol.backend == "thread"
         assert pol.shard_timeout_s is None
         assert pol.max_retries == 2
-        assert pol.elastic is True
         assert pol.chaos is None
+        assert pol.compute_backend == "auto"
         assert not pol.sharded
 
     def test_verify_normalization(self):
@@ -139,6 +139,12 @@ class TestLegacyKeywordsRemoved:
         with pytest.raises(TypeError):
             SimulatedOperator(mat, "k20", engine="reference")
 
+    def test_policy_rejects_removed_fields(self):
+        # The process pool always respawns a lost worker.
+        with pytest.raises(TypeError):
+            ExecutionPolicy(elastic=False)
+        assert len(dataclasses.fields(ExecutionPolicy)) == 13
+
     def test_policy_module_no_longer_exports_shims(self):
         import repro.exec.policy as policy_mod
 
@@ -161,12 +167,16 @@ class TestSessionPolicyView:
         ref = Session("k20", policy=ExecutionPolicy(engine="reference"))
         assert ref.plan_cache is None
 
-    def test_property_setters_update_policy(self):
-        sess = Session("k20")
-        sess.verify = "checksum"
+    def test_policy_is_the_only_view(self, mat):
+        sess = Session("k20", policy=ExecutionPolicy(verify="checksum"))
+        op = SimulatedOperator(mat, "k20")
+        for name in ("verify", "fallback", "engine"):
+            assert not hasattr(sess, name), name
+            assert not hasattr(op, name), name
+        assert not hasattr(op, "plan_cache")
+        sess.use(mat).with_fallback("csr")
+        assert sess.policy.fallback.format_name == "csr"
         assert sess.policy.verify == "checksum"
-        sess.fallback = None
-        assert sess.policy.fallback is None
 
     def test_describe_reports_devices(self, mat):
         sess = Session("k20", policy=ExecutionPolicy(devices=4)).use(mat)

@@ -8,12 +8,13 @@ Three contracts, in order of importance:
   ``"scipy"`` replay (SciPy's CSR row loops). On a Numba-free host the
   compiled aliases *are* the pure-Python twins, so a plan the planner
   builds for ``"jit"`` drives the exact loops Numba would compile.
-* **graceful resolution** — ``resolve_backend`` maps policy requests to
-  concrete backends: ``"auto"`` degrades silently (jit, then scipy, then
-  numpy), an explicit ``"jit"`` that cannot be honoured resolves the same
-  way with an ``exec.backend_fallback`` counter, nothing ever raises for
-  a missing Numba or SciPy, and a SciPy build that fails the probe (an
-  FMA-contracting loop, say) is refused with a reason.
+* **one executor rule** — ``resolve_backend`` maps the two policy
+  requests to concrete backends: ``"numpy"`` stays numpy and ``"auto"``
+  takes the fastest executor the host runs (jit, then scipy, then numpy)
+  without raising for a missing Numba or SciPy; ``"jit"`` is no policy
+  request, ``prepare`` raises for an executor the host cannot run, and
+  a SciPy build that fails the probe (an FMA-contracting loop, say) is
+  refused with a reason.
 * **plan wiring** — the planner's executor reaches every part of a
   composite plan, ``warm_compile`` records ``jit_compile_seconds`` at
   prepare() time, and legacy plans that override ``_replay`` directly
@@ -74,7 +75,7 @@ def _built_for(mat, executor):
 
 
 def _auto_without_numba():
-    """What ``"auto"`` resolves to for a compiled format without Numba."""
+    """What ``"auto"`` resolves to without Numba."""
     return "scipy" if backends.scipy_refusal() is None else "numpy"
 
 
@@ -82,62 +83,30 @@ def _auto_without_numba():
 # Backend resolution
 # ----------------------------------------------------------------------
 class TestResolveBackend:
-    def test_numpy_always_numpy(self):
-        assert backends.resolve_backend("numpy", "bro_ell") == "numpy"
+    def test_numpy_always_numpy(self, monkeypatch):
+        assert backends.resolve_backend("numpy") == "numpy"
+        monkeypatch.setattr(backends, "jit_available", lambda: True)
         assert backends.resolve_backend("numpy") == "numpy"
 
     def test_bad_name_rejected(self):
-        with pytest.raises(ValidationError, match="compute_backend"):
-            backends.resolve_backend("cuda", "bro_ell")
+        # Executor names are no requests: only prepare() takes them.
+        for name in ("cuda", "jit", "scipy"):
+            with pytest.raises(ValidationError, match="compute_backend"):
+                backends.resolve_backend(name)
 
     def test_auto_without_numba_is_silent(self):
         if backends.jit_available():  # container never has numba; CI may
             pytest.skip("host has Numba")
         reg = M.start_collecting(M.MetricsRegistry())
         try:
-            assert (backends.resolve_backend("auto", "bro_ell")
-                    == _auto_without_numba())
+            assert backends.resolve_backend("auto") == _auto_without_numba()
         finally:
             M.stop_collecting()
-        assert not any(
-            k.startswith("exec.backend_fallback")
-            for k in reg.snapshot()["counters"]
-        )
-
-    def test_explicit_jit_without_numba_counts_fallback(self):
-        if backends.jit_available():
-            pytest.skip("host has Numba")
-        reg = M.start_collecting(M.MetricsRegistry())
-        try:
-            # Resolves as "auto" does, but counts the unhonoured request.
-            assert (backends.resolve_backend("jit", "bro_ell")
-                    == _auto_without_numba())
-        finally:
-            M.stop_collecting()
-        key = 'exec.backend_fallback{format="bro_ell",reason="numba-missing"}'
-        assert reg.snapshot()["counters"][key] == 1
-
-    def test_jit_on_unsupported_format_counts_fallback(self, monkeypatch):
-        monkeypatch.setattr(backends, "jit_available", lambda: True)
-        reg = M.start_collecting(M.MetricsRegistry())
-        try:
-            assert backends.resolve_backend("jit", "bro_ell_rowwise") == "numpy"
-            assert backends.resolve_backend("auto", "bro_ell_rowwise") == "numpy"
-        finally:
-            M.stop_collecting()
-        key = 'exec.backend_fallback{format="bro_ell_rowwise",reason="format-unsupported"}'
-        assert reg.snapshot()["counters"][key] == 1  # auto stays silent
+        assert not reg.snapshot()["counters"]
 
     def test_jit_resolves_when_available(self, monkeypatch):
         monkeypatch.setattr(backends, "jit_available", lambda: True)
-        assert backends.resolve_backend("jit", "bro_ell") == "jit"
-        assert backends.resolve_backend("auto", "csr") == "jit"
-
-    def test_compiled_formats_sorted_and_complete(self):
-        assert backends.compiled_formats() == tuple(sorted(backends.JIT_FORMATS))
-        for fmt in BRO_FORMATS + PLAIN_FORMATS:
-            assert backends.supports_jit(fmt), fmt
-        assert not backends.supports_jit("bro_ell_rowwise")
+        assert backends.resolve_backend("auto") == "jit"
 
 
 class _FakeSparsetools:
@@ -187,16 +156,8 @@ class TestScipyProbe:
                                   reason, resolved):
         monkeypatch.setattr(backends, "_load_sparsetools",
                             lambda: _FakeSparsetools(kind))
-        reg = M.start_collecting(M.MetricsRegistry())
-        try:
-            assert backends.resolve_backend("auto", "bro_ell") == resolved
-        finally:
-            M.stop_collecting()
+        assert backends.resolve_backend("auto") == resolved
         assert backends.scipy_refusal() == reason
-        assert not any(  # "auto" stays silent either way
-            k.startswith("exec.backend_fallback")
-            for k in reg.snapshot()["counters"]
-        )
 
     def test_fma_loop_is_refused(self, fresh_probe, monkeypatch):
         monkeypatch.setattr(backends, "_load_sparsetools",
@@ -212,7 +173,7 @@ class TestScipyProbe:
                                                  monkeypatch):
         monkeypatch.setattr(backends, "_SPARSETOOLS_NAME",
                             "scipy.sparse._no_such_extension")
-        assert backends.resolve_backend("auto", "bro_ell") == "numpy"
+        assert backends.resolve_backend("auto") == "numpy"
         assert backends.scipy_refusal() == "scipy-missing"
 
     @requires_scipy_executor
@@ -329,21 +290,23 @@ class TestPlanWiring:
         assert seconds > 0.0
         assert plan.jit_compile_seconds == seconds
 
-    def test_prepare_jit_without_numba_builds_the_auto_plan(self):
-        if backends.jit_available():
-            pytest.skip("host has Numba")
+    def test_prepare_jit_without_numba_raises(self, monkeypatch):
+        monkeypatch.setattr(backends, "jit_available", lambda: False)
+        mat = suite_mat("epb3", "bro_ell", 32)
         reg = M.start_collecting(M.MetricsRegistry())
         try:
-            plan = prepare(suite_mat("epb3", "bro_ell", 32), "k20",
-                           backend="jit")
+            # An executor this host cannot run is refused, never swapped
+            # for another one.
+            with pytest.raises(ValidationError, match="numba-missing"):
+                prepare(mat, "k20", backend="jit")
+            plan = prepare(mat, "k20", backend="auto")
         finally:
             M.stop_collecting()
         assert plan.backend == _auto_without_numba()
         assert plan.jit_compile_seconds == 0.0
-        counters = reg.snapshot()["counters"]
-        assert any(k.startswith("exec.backend_fallback") for k in counters)
         # Only a jit warm-compile counts as a JIT build.
-        assert not any(k.startswith("plan.jit_builds") for k in counters)
+        assert not any(k.startswith("plan.jit_builds")
+                       for k in reg.snapshot()["counters"])
 
     def test_prepare_jit_with_numba_warm_compiles(self, monkeypatch):
         monkeypatch.setattr(backends, "jit_available", lambda: True)
@@ -378,73 +341,32 @@ class TestPlanWiring:
 
 
 # ----------------------------------------------------------------------
-# Policy-level graceful fallback (the satellite acceptance check)
+# Policy-level executor requests
 # ----------------------------------------------------------------------
 class TestPolicyFallback:
-    def test_jit_policy_runs_unchanged_without_numba(self):
-        if backends.jit_available():
-            pytest.skip("host has Numba")
-        mat = suite_mat("dense2", "bro_ell", 32)
-        x = _x_for(mat)
-        y_numpy = run_spmv(
-            mat, x, "k20",
-            policy=ExecutionPolicy(plan_cache=PlanCache(),
-                                   compute_backend="numpy"),
-        )
-        reg = M.start_collecting(M.MetricsRegistry())
-        try:
-            y_jit = run_spmv(
-                mat, x, "k20",
-                policy=ExecutionPolicy(plan_cache=PlanCache(),
-                                       compute_backend="jit"),
-            )
-        finally:
-            M.stop_collecting()
-        assert np.array_equal(y_numpy.y, y_jit.y)
-        assert y_numpy.counters == y_jit.counters
-        assert any(
-            k.startswith("exec.backend_fallback")
-            for k in reg.snapshot()["counters"]
-        )
-
-    @pytest.mark.skipif(backends.jit_available(),
-                        reason="Numba is importable: jit is honoured")
-    def test_bare_jit_policy_records_fallback_without_numba(self):
-        # The CI "Fallback pin" script, as a test: no plan source in the
-        # policy, so only the default engine's plan lookup resolves the
-        # backend request and can record the fallback.
+    def test_auto_policy_is_default_and_silent(self):
+        """The default request gives numpy's bits on dense2 BRO-ELL
+        whatever executor it resolves to (the CI executor-request pin)."""
+        assert ExecutionPolicy().compute_backend == "auto"
         mat = convert(generate("dense2", scale=0.05, seed=0), "bro_ell")
         x = np.random.default_rng(0).standard_normal(mat.shape[1])
         y_np = run_spmv(mat, x, "k20",
-                        policy=ExecutionPolicy(compute_backend="numpy")).y
-        reg = M.start_collecting(M.MetricsRegistry())
-        try:
-            y_jit = run_spmv(mat, x, "k20",
-                             policy=ExecutionPolicy(compute_backend="jit")).y
-        finally:
-            M.stop_collecting()
-        assert np.array_equal(y_np, y_jit)
-        assert any(
-            k.startswith("exec.backend_fallback")
-            for k in reg.snapshot()["counters"]
-        )
-
-    def test_auto_policy_is_default_and_silent(self):
-        assert ExecutionPolicy().compute_backend == "auto"
-        mat = suite_mat("dense2", "bro_ell", 32)
-        x = _x_for(mat)
-        reg = M.start_collecting(M.MetricsRegistry())
-        try:
-            res = run_spmv(mat, x, "k20",
-                           policy=ExecutionPolicy(plan_cache=PlanCache()))
-        finally:
-            M.stop_collecting()
-        assert res.y.shape == (mat.shape[0],)
-        assert not any(
-            k.startswith("exec.backend_fallback")
-            for k in reg.snapshot()["counters"]
-        )
+                        policy=ExecutionPolicy(plan_cache=PlanCache(),
+                                               compute_backend="numpy"))
+        y_auto = run_spmv(mat, x, "k20",
+                          policy=ExecutionPolicy(plan_cache=PlanCache()))
+        assert np.array_equal(y_np.y, y_auto.y)
+        assert y_np.counters == y_auto.counters
 
     def test_policy_validates_backend_name(self):
         with pytest.raises(ValidationError, match="compute_backend"):
             ExecutionPolicy(compute_backend="cuda")
+
+    def test_jit_is_not_a_policy_request(self):
+        # "jit" used to resolve exactly as "auto" does; the policy names
+        # only the two requests and prepare() names executors.
+        with pytest.raises(ValidationError, match="compute_backend"):
+            ExecutionPolicy(compute_backend="jit")
+        with pytest.raises(ValidationError, match="compute_backend"):
+            PlanCache().get_or_build(suite_mat("epb3", "bro_ell", 32), "k20",
+                                     backend="jit")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.errors import ValidationError
 from repro.formats.conversion import convert
 from repro.integrity.checksums import seal
 from repro.kernels import PLAN_CACHE, PlanCache, run_spmv
@@ -183,7 +184,8 @@ class TestContentIndex:
 
 class TestBackendKeying:
     """The cache key includes the resolved executor backend: a numpy plan
-    is never served to a jit request and vice versa (satellite 1)."""
+    is never served to an ``"auto"`` request that resolves to jit, and
+    vice versa."""
 
     def test_numpy_and_jit_plans_cached_separately(self, monkeypatch):
         from repro.kernels import backends
@@ -192,20 +194,20 @@ class TestBackendKeying:
         cache = PlanCache()
         mat = small_matrix()
         p_numpy = cache.get_or_build(mat, "k20", backend="numpy")
-        p_jit = cache.get_or_build(mat, "k20", backend="jit")
+        p_jit = cache.get_or_build(mat, "k20", backend="auto")
         assert p_numpy is not p_jit
         assert p_numpy.backend == "numpy"
         assert p_jit.backend == "jit"
         assert len(cache) == 2
         # Repeat requests hit their own entry, never the other backend's.
         assert cache.get_or_build(mat, "k20", backend="numpy") is p_numpy
-        assert cache.get_or_build(mat, "k20", backend="jit") is p_jit
+        assert cache.get_or_build(mat, "k20", backend="auto") is p_jit
         assert cache.stats()["builds"] == 2
         assert cache.stats()["hits"] == 2
 
     def test_auto_and_honoured_jit_share_an_entry(self, monkeypatch):
-        # "auto" resolves before keying, so it lands on the same entry as
-        # an explicit (honourable) "jit" request — no double builds.
+        # "auto" resolves before keying: with Numba every "auto" request
+        # lands on the one jit entry — no double builds.
         from repro.kernels import backends
 
         monkeypatch.setattr(backends, "jit_available", lambda: True)
@@ -213,7 +215,7 @@ class TestBackendKeying:
         mat = small_matrix()
         p_auto = cache.get_or_build(mat, "k20", backend="auto")
         assert p_auto.backend == "jit"
-        assert cache.get_or_build(mat, "k20", backend="jit") is p_auto
+        assert cache.get_or_build(mat, "k20", backend="auto") is p_auto
         assert cache.stats()["builds"] == 1
 
     def test_unfulfillable_jit_shares_the_auto_entry(self):
@@ -226,9 +228,12 @@ class TestBackendKeying:
         p_auto = cache.get_or_build(mat, "k20", backend="auto")
         assert p_auto.backend == (
             "scipy" if backends.scipy_refusal() is None else "numpy")
-        # Without Numba, "jit" resolves as "auto" does (scipy, or numpy
-        # where SciPy's loops are refused) — same key, zero rebuilds.
-        assert cache.get_or_build(mat, "k20", backend="jit") is p_auto
+        # "jit" is no request: it is refused and builds nothing, so the
+        # auto entry stays the only one.
+        with pytest.raises(ValidationError, match="compute_backend"):
+            cache.get_or_build(mat, "k20", backend="jit")
+        assert cache.get_or_build(mat, "k20", backend="auto") is p_auto
+        assert len(cache) == 1
         assert cache.stats()["builds"] == 1
 
     def test_eviction_is_per_backend_entry(self, monkeypatch):
@@ -238,12 +243,12 @@ class TestBackendKeying:
         cache = PlanCache(maxsize=2)
         mat = small_matrix()
         p_numpy = cache.get_or_build(mat, "k20", backend="numpy")
-        p_jit = cache.get_or_build(mat, "k20", backend="jit")
+        p_jit = cache.get_or_build(mat, "k20", backend="auto")
         other = small_matrix(seed=5)
         cache.get_or_build(other, "k20", backend="numpy")  # evicts p_numpy
         assert cache.stats()["evictions"] == 1
         # The jit entry survived; only the numpy plan rebuilds.
-        assert cache.get_or_build(mat, "k20", backend="jit") is p_jit
+        assert cache.get_or_build(mat, "k20", backend="auto") is p_jit
         rebuilt = cache.get_or_build(mat, "k20", backend="numpy")
         assert rebuilt is not p_numpy
         assert rebuilt.backend == "numpy"
@@ -255,7 +260,7 @@ class TestBackendKeying:
         cache = PlanCache()
         mat = small_matrix()
         cache.get_or_build(mat, "k20", backend="numpy")
-        cache.get_or_build(mat, "k20", backend="jit")
+        cache.get_or_build(mat, "k20", backend="auto")
         cache.get_or_build(mat, "c2070", backend="numpy")
         assert cache.invalidate(mat) == 3
         assert len(cache) == 0

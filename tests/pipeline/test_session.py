@@ -91,7 +91,7 @@ class TestSessionPipeline:
         r = sess.run(x)
         assert r.fallback_used
         assert sess.fallbacks_used == 1
-        assert np.allclose(r.y, sess.fallback.spmv(x))
+        assert np.allclose(r.y, sess.policy.fallback.spmv(x))
 
     def test_empty_session_raises(self):
         with pytest.raises(ReproError, match="no matrix"):
@@ -179,9 +179,6 @@ def _make_toy_format():
             "per-diagonal profile", lambda: "   idx      value", _toy_trace_rows
         ),
         tuner=_registry.TunerProfile(candidate=False),
-        # _ToyPlan overrides _replay directly, so it runs unchanged under
-        # any compute_backend — declare the compiled capability covered.
-        compiled=True,
         # The diagonal array is its own (trivial) index encoding; the label
         # only needs to show up in the capability matrix.
         codec="columns",

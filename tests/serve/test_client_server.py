@@ -158,6 +158,36 @@ class TestSpmvOverSocket:
         assert "engine must be one of" in bad.error
         assert good.ok
 
+    def test_bad_override_values_fail_at_admission(self, pool, xs):
+        """Each request's policy is built at admission: an unhashable
+        value, an invalid one and the retired ``"jit"`` request each get
+        a typed error frame without reaching the batcher, and the next
+        pipelined frame on the same connection is still answered."""
+        frames = [
+            {"op": "spmv", "id": f"bad{i}", "matrix": MATRIX,
+             "x": xs[0].tolist(), "policy": policy}
+            for i, policy in enumerate([{"verify": [1]},
+                                        {"verify": "bogus"},
+                                        {"compute_backend": "jit"}])
+        ]
+        frames.append({"op": "spmv", "id": "good", "matrix": MATRIX,
+                       "x": xs[0].tolist()})
+        with ServerThread(pool) as st:
+            with socket.create_connection(("127.0.0.1", st.port),
+                                          timeout=10) as sock:
+                f = sock.makefile("rwb")
+                f.write(b"".join(json.dumps(fr).encode() + b"\n"
+                                 for fr in frames))
+                f.flush()
+                replies = {r["id"]: r for r in
+                           (json.loads(f.readline()) for _ in frames)}
+            batches = st.server.core.stats()["batches"]
+        for i in range(3):
+            assert replies[f"bad{i}"]["status"] == "error"
+            assert replies[f"bad{i}"]["error_type"] == "ValidationError"
+        assert replies["good"]["ok"] is True
+        assert batches == 1  # only the good request was flushed
+
     def test_pipeline_rejects_duplicate_ids(self, server, xs):
         reqs = [SpMVRequest(request_id="dup", matrix=MATRIX, x=xs[0])] * 2
         with ServeClient("127.0.0.1", server.port) as c:

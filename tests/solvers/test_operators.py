@@ -38,13 +38,13 @@ class TestSimulatedOperator:
         x = np.random.default_rng(1).standard_normal(72)
         fast = SimulatedOperator(mat, "k20", policy=ExecutionPolicy(plan_cache=PlanCache()))
         ref = SimulatedOperator(mat, "k20", policy=ExecutionPolicy(engine="reference"))
-        assert fast.engine == "auto"
-        assert ref.engine == "reference"
+        assert fast.session.policy.engine == "auto"
+        assert ref.session.policy.engine == "reference"
         assert np.array_equal(fast(x), ref(x))
         # Equal counters => equal predicted device time and traffic.
         assert fast.device_time == ref.device_time
         assert fast.dram_bytes == ref.dram_bytes
-        assert fast.plan_cache.stats()["builds"] == 1
+        assert fast.session.plan_cache.stats()["builds"] == 1
 
     def test_unplannable_format_falls_back_to_reference_engine(self, monkeypatch):
         # Every shipped format with a kernel now has a planner; unbind one

@@ -182,6 +182,15 @@ class TestFormatsCommand:
         assert bro["kernel"] and bro["planner"] and bro["serializer"]
         assert bro["default_kwargs"] == {"h": 256, "sym_len": 32}
 
+    def test_formats_json_has_no_compiled_column(self, capsys):
+        # Every plannable format runs on every executor, so "has compiled
+        # loops" was the planner column under another name.
+        import json
+
+        assert main(["formats", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert rows and not any("compiled" in r for r in rows)
+
 
 class TestSpmvSaveLoad:
     def test_save_then_spmv_from_container(self, capsys, tmp_path):
