@@ -21,7 +21,9 @@ have been removed; ``policy=`` is the only spelling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from numbers import Real
 from typing import TYPE_CHECKING, Any, Optional, Union
 
 from ..errors import ValidationError
@@ -48,6 +50,11 @@ COMPUTE_BACKENDS = ("auto", "numpy")
 
 #: Registered row-partitioner names (mirrored by repro.exec.partition).
 PARTITIONERS = ("contiguous", "greedy-nnz", "slice-aligned")
+
+
+def _is_int(value: Any) -> bool:
+    """An ``int`` that is not a ``bool`` (``True`` is not a count)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def normalize_verify(verify: Union[bool, str, None]) -> Union[bool, str]:
@@ -167,7 +174,7 @@ class ExecutionPolicy:
                 f"engine must be one of {ENGINES}, got {self.engine!r}"
             )
         object.__setattr__(self, "verify", normalize_verify(self.verify))
-        if not isinstance(self.devices, int) or self.devices < 1:
+        if not _is_int(self.devices) or self.devices < 1:
             raise ValidationError(
                 f"devices must be a positive integer, got {self.devices!r}"
             )
@@ -190,12 +197,18 @@ class ExecutionPolicy:
                 f"compute_backend must be one of {COMPUTE_BACKENDS}, "
                 f"got {self.compute_backend!r}"
             )
-        if self.shard_timeout_s is not None and self.shard_timeout_s <= 0:
+        timeout = self.shard_timeout_s
+        if timeout is not None and not (
+            isinstance(timeout, Real)
+            and not isinstance(timeout, bool)
+            and math.isfinite(timeout)
+            and timeout > 0
+        ):
             raise ValidationError(
-                f"shard_timeout_s must be positive or None, "
-                f"got {self.shard_timeout_s!r}"
+                f"shard_timeout_s must be a positive finite number or None, "
+                f"got {timeout!r}"
             )
-        if not isinstance(self.max_retries, int) or self.max_retries < 0:
+        if not _is_int(self.max_retries) or self.max_retries < 0:
             raise ValidationError(
                 f"max_retries must be a non-negative integer, "
                 f"got {self.max_retries!r}"

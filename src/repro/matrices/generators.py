@@ -98,7 +98,9 @@ def _window_sample(
 
     Positions live in ``[0, domain)`` inside a window of half-width
     ``window`` around each (clipped) center. Without-replacement sampling
-    uses the argsort-of-uniforms trick, vectorized over the chunk.
+    uses the argsort-of-uniforms trick, vectorized over the chunk; only
+    the ``lengths.max()`` smallest keys of a row are ever taken, so those
+    are partitioned off first and only they are sorted.
 
     Returns ``(sel, positions)`` where ``sel`` indexes the chunk row each
     position belongs to.
@@ -106,11 +108,16 @@ def _window_sample(
     chunk = centers.shape[0]
     if chunk == 0:
         return np.zeros(0, np.int64), np.zeros(0, np.int64)
-    width = int(min(2 * window + 1, domain))
-    width = max(width, int(lengths.max()) if lengths.size else 1)
+    L = int(lengths.max())
+    width = max(int(min(2 * window + 1, domain)), L)
     keys = rng.random((chunk, width))
-    perm = np.argsort(keys, axis=1)
-    take = np.arange(width)[np.newaxis, :] < lengths[:, np.newaxis]
+    if L == width:
+        perm = np.argsort(keys, axis=1)
+    else:  # L == 0 partitions at kth=-1 and keeps no column
+        perm = np.argpartition(keys, L - 1, axis=1)[:, :L]
+        order = np.argsort(np.take_along_axis(keys, perm, axis=1), axis=1)
+        perm = np.take_along_axis(perm, order, axis=1)
+    take = np.arange(L)[np.newaxis, :] < lengths[:, np.newaxis]
     sel, j = np.nonzero(take)
     offsets = perm[sel, j]
     ctr = np.clip(centers[sel], window, max(domain - 1 - window, 0))

@@ -9,15 +9,32 @@ to the equi-partition capacity.
 
 Implementation notes
 --------------------
-The greedy needs the *incremental* cost of adding a row to every cluster.
-The bit-width term is exact and vectorized over clusters (per-cluster
-running column maxima). The cacheline term ``c`` (Eqn. 3) needs per-column
-*distinct-line* sets; storing a real set per (cluster, column) would make
-the inner loop Python-bound, so membership is tracked in a 1024-bit hashed
-bitmap per (cluster, column) — line ``l`` maps to bit ``l mod 1024``.
-Collisions can only *undercount* new lines (they make BAR slightly
-over-eager to group far-apart rows); with h = 256 rows per cluster the
-bitmap is at most quarter-full and the approximation error is marginal.
+The greedy needs the *incremental* cost of adding a row to every open
+cluster, so the loop is O(m * v * K) for ``m`` rows, ``v`` clusters and
+``K`` ELLPACK columns. The state is cluster-major: every per-column
+quantity is a ``(K, v)`` (or ``(K * 128, v)``) array whose column ``j``
+is one cluster, so a row with ``s`` stored entries reads ``s`` contiguous
+rows of it; its padding (zero width, no line) could never change a cost
+and is not read. A cluster that fills is deleted from the state, keeping
+ascending cluster-id order: a full cluster can never take a row, and
+``argmin`` over the remaining ones picks the same cluster, ties
+included, as over all of them with the full ones at infinity.
+
+* Bit-width term: exact. Per-cluster running column maxima (``int8``;
+  a Gamma width is at most 64) give each cluster's width increase; the
+  stream term ``ceil((Sd + inc) / alpha) - ceil(Sd / alpha)`` is computed
+  as ``(fill + inc) // alpha`` from ``fill = (Sd - 1) mod alpha``, which
+  is kept per cluster and updated on each insert.
+* Cacheline term ``c`` (Eqn. 3): needs per-column *distinct-line* sets;
+  storing a real set per (cluster, column) would make the inner loop
+  Python-bound, so membership is tracked in a 1024-bit hashed bitmap per
+  (cluster, column), stored as 128 bytes — line ``l`` maps to bit
+  ``l mod 1024``. Each stored entry's byte index and bit mask are
+  computed once before the loop. Collisions can only *undercount* new
+  lines (they make BAR slightly over-eager to group far-apart rows); with
+  h = 256 rows per cluster the bitmap is at most quarter-full and the
+  approximation error is marginal.
+
 The exact objective (:func:`repro.reorder.objective.bar_objective`) is used
 in the test-suite to confirm BAR lowers Eqn. (1) versus the identity order.
 """
@@ -37,7 +54,7 @@ from .objective import delta_rows_for_bar
 __all__ = ["bar_permutation", "BARReordering"]
 
 _BITMAP_BITS = 1024
-_BITMAP_WORDS = _BITMAP_BITS // 64
+_BITMAP_BYTES = _BITMAP_BITS // 8
 
 
 @dataclass
@@ -93,7 +110,7 @@ def bar_reordering(
     if h <= 0 or alpha <= 0 or w <= 0:
         raise ReorderingError("h, alpha and w must be positive")
     m = coo.shape[0]
-    bits, lines, _valid = delta_rows_for_bar(coo)
+    bits, lines, valid = delta_rows_for_bar(coo)
     K = bits.shape[1]
     v = max(1, ceil_div(m, h))
 
@@ -112,58 +129,67 @@ def bar_reordering(
     is_seed[seeds] = True
     rest = order[~is_seed[order]]
 
-    # Cluster state.
-    D = np.zeros((v, K), dtype=np.int64)  # per-column max bit widths
-    Sd = np.zeros(v, dtype=np.int64)  # sum_j d(S, j)
-    bitmap = np.zeros((v, K, _BITMAP_WORDS), dtype=np.uint64)
-    sizes = np.zeros(v, dtype=np.int64)
+    # Per-row work, done once: the stored count (``valid`` is a prefix of
+    # every row) and each entry's bitmap byte and bit mask, in place of
+    # its line. Column c owns bytes c * 128 .. c * 128 + 127; padding
+    # entries are never read.
+    stored = valid.sum(axis=1)
+    lines %= _BITMAP_BITS
+    mask = np.bitwise_and(lines, 7, dtype=np.uint8, casting="unsafe")
+    np.left_shift(np.uint8(1), mask, out=mask)
+    slot = np.right_shift(lines, 3, out=lines)
+    slot += np.arange(K) * _BITMAP_BYTES
+    widths = bits.astype(np.int8)
+    del bits
+
+    # Lines 3-6 seed cluster t with row seeds[t]. The state holds the open
+    # clusters only, in ascending id order: column j is cluster ids[j].
+    ids = np.arange(v)
+    DT = np.ascontiguousarray(widths[seeds].T)  # d(S, j): column maxima
+    fill = (DT.sum(axis=0) - 1) % alpha  # (Sd - 1) mod alpha
+    bm = np.zeros((K * _BITMAP_BYTES, v), dtype=np.uint8)
+    t, c = np.nonzero(valid[seeds])
+    bm[slot[seeds[t], c], t] = mask[seeds[t], c]
+    left = caps - 1
     assignment = np.empty(m, dtype=np.int64)
+    assignment[seeds] = ids
 
-    col_ar = np.arange(K)
-
-    def insert(t: int, r: int) -> None:
-        row_bits = bits[r]
-        D[t] = np.maximum(D[t], row_bits)
-        Sd[t] = int(D[t].sum())
-        row_lines = lines[r]
-        ok = row_lines >= 0
-        pos = (row_lines[ok] % _BITMAP_BITS).astype(np.int64)
-        words, bit_pos = pos // 64, pos % 64
-        np.bitwise_or.at(
-            bitmap[t], (col_ar[ok], words), np.uint64(1) << bit_pos.astype(np.uint64)
+    def close_full() -> None:
+        nonlocal ids, DT, fill, bm, left
+        keep = left > 0
+        ids, DT, fill, bm, left = (
+            ids[keep], DT[:, keep], fill[keep], bm[:, keep], left[keep]
         )
-        sizes[t] += 1
-        assignment[r] = t
 
-    for t, r in enumerate(seeds):  # lines 3-6
-        insert(t, int(r))
-
+    close_full()
+    score_lines = cache_weight > 0.0
     for r in rest:  # lines 7-13
-        row_bits = bits[r]
-        inc = np.maximum(row_bits[np.newaxis, :] - D, 0).sum(axis=1)
-        # ceil((Sd + inc) / alpha) - ceil(Sd / alpha)
-        stream_cost = (Sd + inc + alpha - 1) // alpha - (Sd + alpha - 1) // alpha
-
-        row_lines = lines[r]
-        ok = row_lines >= 0
-        if cache_weight > 0.0 and np.any(ok):
-            pos = (row_lines[ok] % _BITMAP_BITS).astype(np.int64)
-            words, bit_pos = pos // 64, pos % 64
-            present = (
-                bitmap[:, col_ar[ok], words] >> bit_pos.astype(np.uint64)
-            ) & np.uint64(1)
-            new_lines = (present == 0).sum(axis=1)
+        s = stored[r]
+        row_bits = widths[r, :s]
+        inc = row_bits[:, np.newaxis] - DT[:s]
+        total = np.maximum(inc, 0, out=inc).sum(axis=0) + fill
+        stream_cost = total // alpha
+        row_slot = slot[r, :s]
+        row_mask = mask[r, :s]
+        if score_lines and s:
+            absent = (bm[row_slot] & row_mask[:, np.newaxis]) == 0
+            new_lines = absent.sum(axis=0)
         else:
-            new_lines = np.zeros(v, dtype=np.int64)
-
-        cost = stream_cost + cache_weight * new_lines
-        cost = np.where(sizes < caps, cost, np.inf)
-        insert(int(np.argmin(cost)), int(r))
+            new_lines = np.zeros(ids.size, dtype=np.int64)
+        j = int(np.argmin(stream_cost + cache_weight * new_lines))
+        DT[:s, j] = np.maximum(DT[:s, j], row_bits)
+        fill[j] = total[j] % alpha
+        bm[row_slot, j] |= row_mask
+        assignment[r] = ids[j]
+        left[j] -= 1
+        if not left[j]:
+            close_full()
 
     # Clusters in index order become consecutive row blocks (slices).
-    perm = np.concatenate(
-        [np.flatnonzero(assignment == t) for t in range(v)]
-    )
+    perm = np.argsort(assignment, kind="stable")
     return BARReordering(
-        perm=check_permutation(perm, m), cluster_sizes=sizes.copy(), v=v, h=h
+        perm=check_permutation(perm, m),
+        cluster_sizes=np.bincount(assignment, minlength=v),
+        v=v,
+        h=h,
     )

@@ -67,6 +67,15 @@ class TestPolicyValidation:
         {"max_retries": -1},
         {"max_retries": 1.5},
         {"chaos": "kill-worker"},
+        # A bool is not a count or a duration, and a deadline must be a
+        # finite real number: all raise typed, none a bare TypeError.
+        {"devices": True},
+        {"max_retries": False},
+        {"shard_timeout_s": True},
+        {"shard_timeout_s": "1"},
+        {"shard_timeout_s": float("nan")},
+        {"shard_timeout_s": float("inf")},
+        {"shard_timeout_s": 1j},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValidationError):

@@ -158,6 +158,22 @@ class TestSpmvOverSocket:
         assert "engine must be one of" in bad.error
         assert good.ok
 
+    def test_bool_devices_override_is_rejected_typed(self, server, pool, xs):
+        # JSON ``true`` is not a device count; the next request on the
+        # same connection is still served.
+        expected = run_spmv(
+            pool.get(MATRIX), xs[0], "k20",
+            policy=ExecutionPolicy(plan_cache=pool.plan_cache),
+        ).y
+        with ServeClient("127.0.0.1", server.port) as c:
+            bad = c.spmv(MATRIX, xs[0], policy={"devices": True})
+            good = c.spmv(MATRIX, xs[0])
+        assert bad.status == "error"
+        assert bad.error_type == "ValidationError"
+        assert "devices must be a positive integer" in bad.error
+        assert good.ok
+        assert np.array_equal(good.y, expected)
+
     def test_bad_override_values_fail_at_admission(self, pool, xs):
         """Each request's policy is built at admission: an unhashable
         value, an invalid one and the retired ``"jit"`` request each get
