@@ -149,13 +149,12 @@ def model_comms(
     # Halo: per device, the distinct remote cachelines its columns reach.
     halo_per_dev = []
     halo_messages = 0
-    for d, shard in enumerate(sharded.shards):
-        cols = shard.to_coo().col_idx
+    for d, cols in enumerate(sharded.shard_columns()):
         remote = cols[(cols < col_bounds[d]) | (cols >= col_bounds[d + 1])]
         if remote.size == 0:
             halo_per_dev.append(0)
             continue
-        lines_needed = np.unique(remote.astype(np.int64) // per_line)
+        lines_needed = np.unique(remote // per_line)
         halo_per_dev.append(int(lines_needed.size) * line)
         # One inbound transfer per remote owner this device pulls lines
         # from; the critical path is the device talking to the most peers.

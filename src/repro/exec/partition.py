@@ -101,6 +101,12 @@ def partition_bounds(
     """Row boundaries of every shard: ``devices + 1`` strictly increasing
     values from ``0`` to ``m`` — shard ``d`` owns rows
     ``[bounds[d], bounds[d+1])`` and every shard has at least one row."""
+    _check_request(matrix, devices, partitioner)
+    return _bounds(matrix, matrix.to_coo().row_lengths(), devices, partitioner)
+
+
+def _check_request(matrix: SparseFormat, devices: int, partitioner: str) -> None:
+    """Reject a bad request before anything is decoded."""
     if partitioner not in PARTITIONERS:
         raise ValidationError(
             f"partitioner must be one of {PARTITIONERS}, got {partitioner!r}"
@@ -113,7 +119,16 @@ def partition_bounds(
             f"cannot split {m} rows across {devices} devices "
             f"(every shard needs at least one row)"
         )
-    nnz_per_row = matrix.to_coo().row_lengths()
+
+
+def _bounds(
+    matrix: SparseFormat,
+    nnz_per_row: np.ndarray,
+    devices: int,
+    partitioner: str,
+) -> np.ndarray:
+    """:func:`partition_bounds` over row lengths the caller has decoded."""
+    m = matrix.shape[0]
     if partitioner == "contiguous":
         bounds = _bounds_contiguous(m, nnz_per_row, devices)
     else:
@@ -219,6 +234,8 @@ class ShardedMatrix(SparseFormat):
         self._bounds = bounds
         self._shape = (m, n)
         self._partitioner = str(partitioner)
+        #: Per-shard distinct columns; :func:`partition` records them.
+        self._columns: Optional[Tuple[np.ndarray, ...]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -244,6 +261,20 @@ class ShardedMatrix(SparseFormat):
     def partitioner(self) -> str:
         """Balancer that chose the boundaries (manifest metadata)."""
         return self._partitioner
+
+    def shard_columns(self) -> Tuple[np.ndarray, ...]:
+        """The distinct columns each shard reads, ascending (``int64``).
+
+        :func:`partition` records them as it slices the shards; a
+        container built any other way (a ``.brx`` load) decodes each
+        shard once, on first use.
+        """
+        if self._columns is None:
+            n = self._shape[1]
+            self._columns = tuple(
+                _distinct(shard.to_coo().col_idx, n) for shard in self._shards
+            )
+        return self._columns
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -357,6 +388,13 @@ class ShardedMatrix(SparseFormat):
 # ---------------------------------------------------------------------------
 
 
+def _distinct(cols: np.ndarray, n: int) -> np.ndarray:
+    """The distinct values of ``cols`` (all in ``[0, n)``), ascending."""
+    seen = np.zeros(n, dtype=bool)
+    seen[cols] = True
+    return np.flatnonzero(seen)
+
+
 def _sub_coo(coo: COOMatrix, start: int, end: int) -> COOMatrix:
     """Rows ``[start, end)`` of a sorted COO with shard-local numbering."""
     lo = int(np.searchsorted(coo.row_idx, start, side="left"))
@@ -397,16 +435,18 @@ def partition(
         return partition(matrix, devices, partitioner,
                          conversion_kwargs=conversion_kwargs)
 
-    bounds = partition_bounds(matrix, devices, partitioner)
+    _check_request(matrix, devices, partitioner)
+    coo = matrix.to_coo()
+    bounds = _bounds(matrix, coo.row_lengths(), devices, partitioner)
     kwargs = recover_conversion_kwargs(matrix)
     if conversion_kwargs:
         kwargs.update(conversion_kwargs)
     container = type(matrix)
-    coo = matrix.to_coo()
-    shards = tuple(
-        container.from_coo(
-            _sub_coo(coo, int(bounds[d]), int(bounds[d + 1])), **kwargs
-        )
-        for d in range(devices)
+    subs = [_sub_coo(coo, int(bounds[d]), int(bounds[d + 1]))
+            for d in range(devices)]
+    sharded = ShardedMatrix(
+        tuple(container.from_coo(sub, **kwargs) for sub in subs),
+        bounds, matrix.shape, partitioner=partitioner,
     )
-    return ShardedMatrix(shards, bounds, matrix.shape, partitioner=partitioner)
+    sharded._columns = tuple(_distinct(sub.col_idx, coo.shape[1]) for sub in subs)
+    return sharded

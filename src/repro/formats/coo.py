@@ -1,7 +1,9 @@
 """Coordinate (COO) format — the canonical interchange representation.
 
 Entries are kept sorted by ``(row, col)`` with duplicates summed, so every
-other format can convert through COO deterministically. Index arrays are
+other format can convert through COO deterministically. The order is that
+of one ``int64`` key per entry, ``row * n + col``; input already in key
+order is kept as it is, without a sort. Index arrays are
 ``int32`` (as in CUSP) and values ``float64``.
 """
 
@@ -35,6 +37,11 @@ class COOMatrix(SparseFormat):
     sum_duplicates:
         When ``True`` (default) repeated coordinates are summed, as SciPy
         does; when ``False`` duplicates raise :class:`FormatError`.
+
+    Entries are ordered by the key ``row * n + col``, which sorts by row,
+    then column. Input whose keys never decrease is not sorted at all;
+    otherwise a stable argsort of the keys orders it, so repeated
+    coordinates stay in input order and are summed in that order.
     """
 
     format_name = "coo"
@@ -65,20 +72,25 @@ class COOMatrix(SparseFormat):
             if col_idx.min() < 0 or col_idx.max() >= n:
                 raise ValidationError("column index out of range")
 
-        order = np.lexsort((col_idx, row_idx))
-        row_idx, col_idx, vals = row_idx[order], col_idx[order], vals[order]
-        if row_idx.size > 1:
-            dup = (row_idx[1:] == row_idx[:-1]) & (col_idx[1:] == col_idx[:-1])
-            if np.any(dup):
-                if not sum_duplicates:
-                    raise FormatError("duplicate coordinates present")
-                # Segment-sum values over runs of identical coordinates.
-                first = np.concatenate(([True], ~dup))
-                seg = np.cumsum(first) - 1
-                summed = np.zeros(int(seg[-1]) + 1, dtype=VALUE_DTYPE)
-                np.add.at(summed, seg, vals)
-                keep = np.flatnonzero(first)
-                row_idx, col_idx, vals = row_idx[keep], col_idx[keep], summed
+        # One int64 key per entry orders by (row, col); m, n < 2**31 keeps
+        # it below 2**62. A stable sort keeps duplicates in input order,
+        # so their sums do not depend on how the keys were ordered.
+        key = row_idx * n + col_idx
+        if np.any(key[1:] < key[:-1]):
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            row_idx, col_idx, vals = row_idx[order], col_idx[order], vals[order]
+        dup = key[1:] == key[:-1]
+        if np.any(dup):
+            if not sum_duplicates:
+                raise FormatError("duplicate coordinates present")
+            # Segment-sum values over runs of identical coordinates.
+            first = np.concatenate(([True], ~dup))
+            seg = np.cumsum(first) - 1
+            summed = np.zeros(int(seg[-1]) + 1, dtype=VALUE_DTYPE)
+            np.add.at(summed, seg, vals)
+            keep = np.flatnonzero(first)
+            row_idx, col_idx, vals = row_idx[keep], col_idx[keep], summed
 
         self._row = row_idx.astype(INDEX_DTYPE)
         self._col = col_idx.astype(INDEX_DTYPE)

@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _CHUNK = 65536  # rows per vectorized generation chunk
+_KEY_ROWS = 256  # rows per block of sampling keys (bounds their memory)
 
 
 # ----------------------------------------------------------------------
@@ -98,9 +99,10 @@ def _window_sample(
 
     Positions live in ``[0, domain)`` inside a window of half-width
     ``window`` around each (clipped) center. Without-replacement sampling
-    uses the argsort-of-uniforms trick, vectorized over the chunk; only
-    the ``lengths.max()`` smallest keys of a row are ever taken, so those
-    are partitioned off first and only they are sorted.
+    uses the argsort-of-uniforms trick, vectorized over blocks of
+    ``_KEY_ROWS`` rows; only the ``lengths.max()`` smallest keys of a row
+    are ever taken, so those are partitioned off first and only they are
+    sorted.
 
     Returns ``(sel, positions)`` where ``sel`` indexes the chunk row each
     position belongs to.
@@ -110,13 +112,17 @@ def _window_sample(
         return np.zeros(0, np.int64), np.zeros(0, np.int64)
     L = int(lengths.max())
     width = max(int(min(2 * window + 1, domain)), L)
-    keys = rng.random((chunk, width))
-    if L == width:
-        perm = np.argsort(keys, axis=1)
-    else:  # L == 0 partitions at kth=-1 and keeps no column
-        perm = np.argpartition(keys, L - 1, axis=1)[:, :L]
-        order = np.argsort(np.take_along_axis(keys, perm, axis=1), axis=1)
-        perm = np.take_along_axis(perm, order, axis=1)
+    perm = np.empty((chunk, L), dtype=np.int64)
+    for r0 in range(0, chunk, _KEY_ROWS):
+        # Consecutive draws consume the stream as one (chunk, width) draw.
+        keys = rng.random((min(_KEY_ROWS, chunk - r0), width))
+        if L == width:
+            block = np.argsort(keys, axis=1)
+        else:  # L == 0 partitions at kth=-1 and keeps no column
+            block = np.argpartition(keys, L - 1, axis=1)[:, :L]
+            order = np.argsort(np.take_along_axis(keys, block, axis=1), axis=1)
+            block = np.take_along_axis(block, order, axis=1)
+        perm[r0:r0 + keys.shape[0]] = block
     take = np.arange(L)[np.newaxis, :] < lengths[:, np.newaxis]
     sel, j = np.nonzero(take)
     offsets = perm[sel, j]

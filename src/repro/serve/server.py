@@ -400,6 +400,8 @@ class SpMVServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopping: Optional[asyncio.Event] = None
         self._conn_tasks: "set[asyncio.Task]" = set()
+        #: Open connections: each handler task and its writer.
+        self._connections: "dict[asyncio.Task, asyncio.StreamWriter]" = {}
 
     # -- lifecycle ------------------------------------------------------
     @property
@@ -442,11 +444,21 @@ class SpMVServer:
     async def _shutdown(self) -> None:
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-            self._server = None
         await self.core.shutdown()
         for task in list(self._conn_tasks):
             task.cancel()
+        # A handler parked in readline on an idle connection would be
+        # cancelled by the loop's teardown; closing its transport hands
+        # it EOF instead, so it returns normally.
+        for writer in list(self._connections.values()):
+            writer.close()
+        if self._connections:
+            await asyncio.wait(
+                list(self._connections), timeout=self.config.drain_timeout_s
+            )
+        if self._server is not None:
+            await self._server.wait_closed()
+            self._server = None
 
     # -- protocol -------------------------------------------------------
     async def _on_connection(
@@ -454,6 +466,9 @@ class SpMVServer:
     ) -> None:
         write_lock = asyncio.Lock()
         spmv_tasks: "set[asyncio.Task]" = set()
+        me = asyncio.current_task()
+        assert me is not None  # start_server runs each handler as a task
+        self._connections[me] = writer
         try:
             while True:
                 try:
@@ -499,6 +514,8 @@ class SpMVServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
+            finally:
+                self._connections.pop(me, None)
 
     async def _dispatch(
         self,

@@ -32,7 +32,9 @@ class TestTables:
 
     def test_table5_structure(self):
         rows = E.table5_bar_savings(scale=0.01, h=64)
-        assert len(rows) == 17
+        # The paper's Table 5: Test Set 1 without the dense control matrix.
+        assert len(rows) == 16
+        assert "dense2" not in {r["matrix"] for r in rows}
         for r in rows:
             assert r["delta_pp"] == pytest.approx(
                 r["eta_after_pct"] - r["eta_before_pct"], abs=1e-9

@@ -5,7 +5,10 @@ and graceful shutdown.
 
 import asyncio
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -242,3 +245,40 @@ class TestShutdown:
             # The socket is gone: new connections are refused.
             with pytest.raises(OSError):
                 socket.create_connection(("127.0.0.1", st.port), timeout=2)
+
+    def test_idle_client_does_not_break_process_shutdown(self, tmp_path):
+        # `repro serve` in its own process: one client stays connected and
+        # idle while a second one asks for shutdown. The idle handler must
+        # return normally, not be cancelled mid-readline at loop teardown.
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, REPRO_MATRIX_CACHE=str(tmp_path), PYTHONPATH=path)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve",
+             "--matrix", MATRIX, "--scale", str(SCALE)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        idle = None
+        try:
+            port = None
+            for line in proc.stdout:
+                if "listening on" in line:
+                    port = int(line.rsplit(":", 1)[1].split()[0])
+                    break
+            assert port is not None, proc.stderr.read()
+            idle = socket.create_connection(("127.0.0.1", port), timeout=10)
+            with ServeClient("127.0.0.1", port, timeout_s=30) as c:
+                assert c.ping()
+                assert c.shutdown_server() is True
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if idle is not None:
+                idle.close()
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, err
+        assert "Traceback" not in err, err
+        assert "CancelledError" not in err, err
