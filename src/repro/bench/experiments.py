@@ -91,11 +91,18 @@ def table2_suite(scale: float | None = None) -> List[Dict]:
     return rows
 
 
+def _paper_test_set_1() -> List[str]:
+    """Test Set 1 as the paper's Tables 3 and 5 and Fig. 6 list it: the
+    16 sparse matrices, without the dense control matrix ``dense2``."""
+    return [name for name in test_set_1() if name != "dense2"]
+
+
 def table3_savings(scale: float | None = None, h: int = 256) -> List[Dict]:
-    """Table 3: BRO-ELL index space savings on Test Set 1."""
+    """Table 3: BRO-ELL index space savings on Test Set 1 (the paper's
+    16 sparse matrices)."""
     scale = bench_scale() if scale is None else scale
     rows = []
-    for name in test_set_1():
+    for name in _paper_test_set_1():
         bro = cached_format(name, scale, "bro_ell", h)
         assert isinstance(bro, BROELLMatrix)
         report = index_compression_report(bro, name)
@@ -132,16 +139,11 @@ def table4_hyb_split(scale: float | None = None, h: int = 256) -> List[Dict]:
 def table5_bar_savings(
     scale: float | None = None, h: int = 256, alpha: int = 32
 ) -> List[Dict]:
-    """Table 5: space savings after BAR reordering, Test Set 1.
-
-    The paper's Table 5 lists Test Set 1 without the dense control
-    matrix ``dense2``, so its 16 sparse matrices are the rows here.
-    """
+    """Table 5: space savings after BAR reordering, Test Set 1 (the
+    paper's 16 sparse matrices)."""
     scale = bench_scale() if scale is None else scale
     rows = []
-    for name in test_set_1():
-        if name == "dense2":
-            continue
+    for name in _paper_test_set_1():
         coo = cached_matrix(name, scale)
         before = index_compression_report(
             BROELLMatrix.from_coo(coo, h=h), name
@@ -261,8 +263,9 @@ def fig6_bandwidth(
     devices: Sequence[str] = _ALL_DEVICES,
     h: int = 256,
 ) -> List[Dict]:
-    """Fig. 6: BRO-ELL DRAM bandwidth utilization, first six matrices."""
-    first_six = test_set_1()[:6]
+    """Fig. 6: BRO-ELL DRAM bandwidth utilization, the paper's first six
+    matrices."""
+    first_six = _paper_test_set_1()[:6]
     rows = fig4_bro_ell(scale=scale, devices=devices, matrices=first_six, h=h)
     return [
         {

@@ -339,7 +339,7 @@ class WorkerPool:
         self._ctx = mp.get_context("fork" if "fork" in methods else "spawn")
         self._tmpdir = Path(tempfile.mkdtemp(prefix="repro-shards-"))
         self._paths = self._save_shards(sharded)
-        self._heartbeats = self._ctx.Array("d", self.n_shards)
+        self._heartbeats = self._ctx.Array("d", self.n_shards, lock=False)
         self._results = self._ctx.Queue()
         self._call = 0
         self._closed = False

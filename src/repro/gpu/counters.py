@@ -8,7 +8,7 @@ launches) and :mod:`repro.gpu.timing` turns the record into predicted time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Dict, Iterable, Union
 
 from ..errors import ValidationError
@@ -76,6 +76,16 @@ class KernelCounters:
             return 0.0
         return self.useful_flops / self.dram_bytes
 
+    def copy(self) -> "KernelCounters":
+        """An independent record with the same counts.
+
+        Skips ``__init__``/``__post_init__``: the source was validated
+        when it was built, and a copy is taken on every plan replay.
+        """
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__)
+        return new
+
     def __add__(self, other: "KernelCounters") -> "KernelCounters":
         if not isinstance(other, KernelCounters):
             return NotImplemented
@@ -100,7 +110,7 @@ class KernelCounters:
         # total exact (a `KernelCounters()` start value would inject its
         # default launches=1 into the sum).
         if other == 0:
-            return replace(self)
+            return self.copy()
         if isinstance(other, KernelCounters):
             return other.__add__(self)
         return NotImplemented
@@ -115,7 +125,7 @@ class KernelCounters:
         total: Union[int, KernelCounters] = 0
         for c in counters:
             total = c if total == 0 else total + c
-        return replace(total) if isinstance(total, KernelCounters) else cls(launches=0)
+        return total.copy() if isinstance(total, KernelCounters) else cls(launches=0)
 
     def to_dict(self) -> Dict[str, int]:
         """Plain-int view of every counter field plus the derived totals."""

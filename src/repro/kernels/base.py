@@ -9,7 +9,7 @@ its format's :class:`~repro.registry.FormatSpec`; look kernels up with
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Type
 
 import numpy as np
@@ -62,6 +62,11 @@ class SpMVResult:
     fallback_used: bool = False
     integrity_error: Optional[str] = None
     integrity_counters: Optional["IntegritySnapshot"] = None
+    #: ``timing.time`` as the producer already knew it — a plan replay
+    #: sets its per-(plan, k) memo — so :class:`~repro.pipeline.Session`
+    #: accumulates device time without re-running the timing model.
+    #: ``None`` when unknown.
+    _time: Optional[float] = field(default=None, repr=False, compare=False)
 
     @property
     def timing(self) -> TimingBreakdown:

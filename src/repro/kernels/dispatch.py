@@ -163,7 +163,7 @@ def _primary(
                 if policy.plan is None:
                     cache.discard(plan)  # the next call rebuilds it
                 raise
-        return plan.execute_many(x) if x.ndim == 2 else plan.execute(x)
+        return plan.execute_checked(x)
     kernel = kernel_for(matrix.format_name)
     if x.ndim == 1:
         return kernel.run(matrix, x, device)

@@ -83,7 +83,6 @@ from __future__ import annotations
 import time
 import zlib
 from abc import ABC
-from dataclasses import replace
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
@@ -107,6 +106,7 @@ from ..formats.sell_c_sigma import SELLCSigmaMatrix
 from ..formats.sliced_ellpack import SlicedELLPACKMatrix
 from ..gpu.counters import KernelCounters
 from ..gpu.device import DeviceSpec, get_device
+from ..gpu.timing import predict
 from ..telemetry import metrics as _metrics
 from ..telemetry import tracer as _tracer
 from ..telemetry.tracer import span as _span
@@ -191,10 +191,11 @@ class SpMVPlan(ABC):
         self.device = device
         self._counters = counters
         self._parts = parts
-        #: scaled counters prototypes per k, derived once instead of on
-        #: every replay (the prototype is x-independent, so a warm plan
-        #: never re-derives it).
-        self._counters_memo: dict = {}
+        #: scaled counters prototypes and their predicted seconds per k,
+        #: derived once instead of on every replay (both are
+        #: x-independent, so a warm plan never re-derives them).
+        self._counters_memo: Dict[int, KernelCounters] = {}
+        self._time_memo: Dict[int, float] = {}
         #: wall-clock seconds the one-time build took (set by prepare()).
         self.build_seconds = 0.0
         #: executor backend replays dispatch to (one of EXECUTOR_BACKENDS),
@@ -217,6 +218,16 @@ class SpMVPlan(ABC):
         occupancy model sees the same grid ``k`` times, not a bigger one).
         The scaled prototype is memoized per ``k``; callers get a copy.
         """
+        return self._prototype(k).copy()
+
+    def _predicted_time(self, k: int) -> float:
+        """``predict(self.counters(k), self.device).time``, memoized per ``k``."""
+        t = self._time_memo.get(k)
+        if t is None:
+            t = self._time_memo[k] = predict(self._prototype(k), self.device).time
+        return t
+
+    def _prototype(self, k: int) -> KernelCounters:
         proto = self._counters_memo.get(k)
         if proto is None:
             c = self._counters
@@ -236,7 +247,7 @@ class SpMVPlan(ABC):
                     threads=c.threads,
                 )
             self._counters_memo[k] = proto
-        return replace(proto)
+        return proto
 
     # -- integrity ------------------------------------------------------
     def _children(self) -> Tuple["SpMVPlan", ...]:
@@ -323,13 +334,7 @@ class SpMVPlan(ABC):
     # -- execution ------------------------------------------------------
     def execute(self, x: np.ndarray) -> SpMVResult:
         """Replay the plan for one input vector."""
-        x = self.matrix.check_x(x)
-        tracer = _tracer.get_tracer()
-        if tracer is None and not _metrics.collecting():
-            return SpMVResult(
-                y=self._replay(x), counters=self.counters(), device=self.device
-            )
-        return self._instrumented(tracer, lambda: self._replay(x), 1)
+        return self.execute_checked(self.matrix.check_x(x))
 
     def execute_many(self, X: np.ndarray) -> SpMVResult:
         """Replay the plan for a multi-RHS block ``X`` of shape ``(n, k)``.
@@ -337,15 +342,23 @@ class SpMVPlan(ABC):
         Returns an :class:`SpMVResult` whose ``y`` has shape ``(m, k)``;
         column ``j`` is bit-identical to ``execute(X[:, j]).y``.
         """
-        X = check_multi_x(self.matrix, X)
-        k = X.shape[1]
+        return self.execute_checked(check_multi_x(self.matrix, X))
+
+    def execute_checked(self, x: np.ndarray) -> SpMVResult:
+        """:meth:`execute` (1-D ``x``) or :meth:`execute_many` (2-D) for
+        an input the caller already validated with ``check_x`` /
+        :func:`check_multi_x` — dispatch validates once, not twice."""
+        if x.ndim == 1:
+            k, replay = 1, self._replay
+        else:
+            k, replay = x.shape[1], self._replay_many
         tracer = _tracer.get_tracer()
         if tracer is None and not _metrics.collecting():
             return SpMVResult(
-                y=self._replay_many(X), counters=self.counters(k),
-                device=self.device,
+                y=replay(x), counters=self.counters(k), device=self.device,
+                _time=self._predicted_time(k),
             )
-        return self._instrumented(tracer, lambda: self._replay_many(X), k)
+        return self._instrumented(tracer, lambda: replay(x), k)
 
     def _instrumented(
         self, tracer, fn: Callable[[], np.ndarray], k: int
@@ -361,7 +374,8 @@ class SpMVPlan(ABC):
                 attrs["k"] = k
             with tracer.start(f"kernel.{self.format_name}", "kernel", attrs) as sp:
                 result = SpMVResult(
-                    y=fn(), counters=self.counters(k), device=self.device
+                    y=fn(), counters=self.counters(k), device=self.device,
+                    _time=self._predicted_time(k),
                 )
                 sp.attach_counters(result.counters)
                 try:
@@ -370,7 +384,8 @@ class SpMVPlan(ABC):
                     pass
         else:
             result = SpMVResult(
-                y=fn(), counters=self.counters(k), device=self.device
+                y=fn(), counters=self.counters(k), device=self.device,
+                _time=self._predicted_time(k),
             )
         _metrics.record_kernel(self.format_name, self.device.name, result.counters)
         return result
@@ -825,11 +840,11 @@ class MultiRowBROELLPlan(SpMVPlan):
     storage, then each row's ``threads_per_row`` partial sums added."""
 
     def _replay_numpy(self, x: np.ndarray) -> np.ndarray:
-        inner = self._parts[0].execute(x)
+        inner = self._parts[0].execute_checked(x)
         return self.matrix.fold(inner.y)
 
     def _replay_many_numpy(self, X: np.ndarray) -> np.ndarray:
-        partial = self._parts[0].execute_many(X).y
+        partial = self._parts[0].execute_checked(X).y
         m = self.matrix.shape[0]
         t = self.matrix.threads_per_row
         return partial.reshape(m, t, X.shape[1]).sum(axis=1)
@@ -904,11 +919,11 @@ class SumPlan(SpMVPlan):
     """
 
     def _replay_numpy(self, x: np.ndarray) -> np.ndarray:
-        ys = [p.execute(x).y for p in self._parts]
+        ys = [p.execute_checked(x).y for p in self._parts]
         return add_parts(ys, self.matrix.shape[0], x)
 
     def _replay_many_numpy(self, X: np.ndarray) -> np.ndarray:
-        ys = [p.execute_many(X).y for p in self._parts]
+        ys = [p.execute_checked(X).y for p in self._parts]
         return add_parts(ys, self.matrix.shape[0], X)
 
 

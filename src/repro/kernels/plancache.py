@@ -77,14 +77,23 @@ class _Entry(NamedTuple):
 
 
 def fingerprint_token(header: Optional[IntegrityHeader]) -> _Token:
-    """Hashable identity token of an integrity header (``None`` if unsealed)."""
+    """Hashable identity token of an integrity header (``None`` if unsealed).
+
+    Headers are immutable values, so the token is built once per header
+    and kept on it: every warm lookup asks for it, and sorting the field
+    CRCs (one per slice stream for BRO formats) dominated a cache hit.
+    """
     if header is None:
         return None
-    return (
-        header.format_name,
-        header.meta_crc,
-        tuple(sorted(header.field_crcs.items())),
-    )
+    token = header.__dict__.get("_token")
+    if token is None:
+        token = (
+            header.format_name,
+            header.meta_crc,
+            tuple(sorted(header.field_crcs.items())),
+        )
+        object.__setattr__(header, "_token", token)
+    return token
 
 
 class PlanCache:

@@ -325,7 +325,8 @@ class Session:
         self.spmv_calls += 1
         if result.fallback_used:
             self.fallbacks_used += 1
-        self.device_time += result.timing.time
+        t = result._time
+        self.device_time += t if t is not None else result.timing.time
         self.dram_bytes += result.counters.dram_bytes
         self.last_result = result
         if self._tuner is not None:

@@ -38,7 +38,14 @@ def bicgstab(
     max_iter: int = 1000,
     raise_on_fail: bool = False,
 ) -> BiCGSTABResult:
-    """Solve ``A x = b`` with the stabilized bi-conjugate gradient method."""
+    """Solve ``A x = b`` with the stabilized bi-conjugate gradient method.
+
+    ``x0=None`` starts from zero without applying the operator to it:
+    the first residual is ``b`` itself (SciPy's convention). For a matrix
+    whose values are all finite ``b - A @ 0`` is ``b`` bit for bit, so no
+    iterate changes; a non-finite value in ``A`` first shows at the
+    first ``A @ p``, not in the initial residual.
+    """
     b = np.asarray(b, dtype=VALUE_DTYPE)
     if b.ndim != 1:
         raise ValidationError("b must be a vector")
@@ -53,7 +60,7 @@ def bicgstab(
     if b_norm == 0.0:
         return BiCGSTABResult(np.zeros(n), 0, 0.0, True, [0.0])
 
-    r = b - operator(x)
+    r = b.copy() if x0 is None else b - operator(x)
     r_hat = r.copy()  # shadow residual
     rho = alpha = omega = 1.0
     v = np.zeros(n, dtype=VALUE_DTYPE)

@@ -7,6 +7,7 @@ same solver runs over the reference or the simulated-GPU SpMV path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -43,11 +44,14 @@ def conjugate_gradient(
     Parameters
     ----------
     operator:
-        Callable applying the SPD matrix ``A``.
+        Callable applying the SPD matrix ``A``. The solver updates its
+        vectors in place, so the operator must not keep its argument.
     b:
         Right-hand side.
     x0:
-        Initial guess (zeros by default).
+        Initial guess. ``None`` starts from zero without applying the
+        operator to it: the first residual is ``b`` itself (SciPy's
+        convention), so a solve makes one operator call per iteration.
     tol:
         Relative-residual convergence tolerance.
     max_iter:
@@ -57,6 +61,16 @@ def conjugate_gradient(
     raise_on_fail:
         Raise :class:`ConvergenceError` instead of returning a
         non-converged result.
+
+    Notes
+    -----
+    For a matrix whose values are all finite, ``A @ 0`` is ``+0.0`` in
+    every row, so ``b - A @ 0`` is ``b`` bit for bit and skipping the
+    product changes no iterate. A non-finite value in ``A`` no longer
+    turns the initial residual into NaN; it first shows at the first
+    ``A @ p``. A ``p^T A p`` of NaN then runs out the iteration budget,
+    and one of ``-inf`` raises :class:`ConvergenceError` (not positive
+    definite) where the solve used to return non-converged.
     """
     b = np.asarray(b, dtype=VALUE_DTYPE)
     if b.ndim != 1:
@@ -79,11 +93,15 @@ def conjugate_gradient(
     if b_norm == 0.0:
         return CGResult(np.zeros(n), 0, 0.0, True, [0.0])
 
-    r = b - operator(x)
+    r = b.copy() if x0 is None else b - operator(x)
+    # ``np.linalg.norm(r)`` is ``sqrt(r.dot(r))``; without a
+    # preconditioner ``r @ z`` is that same dot, so it is taken once.
+    rr = float(r.dot(r))
     z = r * precond if precond is not None else r
+    rz = float(r @ z) if precond is not None else rr
     p = z.copy()
-    rz = float(r @ z)
-    history = [float(np.linalg.norm(r)) / b_norm]
+    work = np.empty(n, dtype=VALUE_DTYPE)
+    history = [math.sqrt(rr) / b_norm]
 
     for it in range(1, max_iter + 1):
         ap = operator(p)
@@ -93,15 +111,20 @@ def conjugate_gradient(
                 "matrix is not positive definite (p^T A p <= 0)", it, history[-1]
             )
         alpha = rz / pap
-        x += alpha * p
-        r -= alpha * ap
-        res = float(np.linalg.norm(r)) / b_norm
+        x += np.multiply(alpha, p, out=work)
+        r -= np.multiply(alpha, ap, out=work)
+        rr = float(r.dot(r))
+        res = math.sqrt(rr) / b_norm
         history.append(res)
         if res < tol:
             return CGResult(x, it, res, True, history)
-        z = r * precond if precond is not None else r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        if precond is not None:
+            z = np.multiply(r, precond, out=z)
+            rz_new = float(r @ z)
+        else:
+            rz_new = rr
+        p *= rz_new / rz
+        p += z
         rz = rz_new
 
     if raise_on_fail:

@@ -39,7 +39,14 @@ def gmres(
     max_iter: int = 1000,
     raise_on_fail: bool = False,
 ) -> GMRESResult:
-    """Solve ``A x = b`` with restarted GMRES."""
+    """Solve ``A x = b`` with restarted GMRES.
+
+    ``x0=None`` starts from zero without applying the operator to it:
+    the first cycle's residual is ``b`` itself (SciPy's convention). For
+    a matrix whose values are all finite ``b - A @ 0`` is ``b`` bit for
+    bit, so no iterate changes; a non-finite value in ``A`` first shows
+    at the first Arnoldi product, not in the initial residual.
+    """
     b = np.asarray(b, dtype=VALUE_DTYPE)
     if b.ndim != 1:
         raise ValidationError("b must be a vector")
@@ -56,9 +63,11 @@ def gmres(
 
     history: List[float] = []
     total_inner = 0
+    from_zero = x0 is None
 
     while total_inner < max_iter:
-        r = b - operator(x)
+        r = b.copy() if from_zero else b - operator(x)
+        from_zero = False
         beta = float(np.linalg.norm(r))
         res = beta / b_norm
         history.append(res)

@@ -475,3 +475,65 @@ def test_workers_exit_when_their_coordinator_is_killed(tmp_path):
         time.sleep(0.05)
     assert all(map(_gone, pids)), pids
     assert not list(tmp_path.glob("repro-shards-*"))
+
+
+class TestHeartbeats:
+    """A heartbeat is one aligned 8-byte float per worker slot, kept in
+    shared memory without a lock: a worker that dies mid-write (a
+    ``kill-worker`` exit, a fence's ``terminate()``) could otherwise
+    leave a process-shared lock held for good, and the coordinator's
+    next liveness read would block with no timeout."""
+
+    def test_reading_a_heartbeat_takes_no_lock(self, coo):
+        mat = convert(coo, "csr")
+        pool = _pool(mat, _policy(devices=2))
+        try:
+            beats = pool._heartbeats
+            assert not hasattr(beats, "get_lock")
+            assert not hasattr(beats, "get_obj")  # a raw ctypes array
+            assert len(beats) == 2
+            assert all(0.0 <= age < 5.0 for age in pool.heartbeat_ages())
+        finally:
+            pool.shutdown()
+
+    def test_back_to_back_worker_kills_finish_in_bounded_time(self, tmp_path):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        t0 = time.monotonic()
+        # A coordinator blocked on a lost lock never returns, so the
+        # calls run in a child that the timeout can stop.
+        done = subprocess.run([sys.executable, "-c", _KILL_EVERY_CALL],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["deaths", "30"]
+        assert time.monotonic() - t0 < 60
+
+
+#: 30 calls on a 2-device process pool, each losing one worker to a
+#: ``kill-worker`` fault; every ``y`` must equal the one-device product.
+_KILL_EVERY_CALL = """
+import numpy as np
+from repro import ExecutionPolicy, run_spmv
+from repro.exec.chaos import ChaosPolicy
+from repro.exec.engine import shutdown_pools
+from repro.formats.conversion import convert
+from repro.matrices.suite import generate
+
+mat = convert(generate("cant", scale=0.02, seed=0), "csr")
+x = np.random.default_rng(17).standard_normal(mat.shape[1])
+base = run_spmv(mat, x, "k20").y
+pol = ExecutionPolicy(devices=2, backend="process", shard_timeout_s=5.0,
+                      max_retries=3,
+                      chaos=ChaosPolicy(seed=0, kinds=("kill-worker",)))
+deaths = 0
+try:
+    for _ in range(30):
+        res = run_spmv(mat, x, "k20", policy=pol)
+        assert np.array_equal(res.y.view(np.uint64), base.view(np.uint64))
+        deaths += res.worker_deaths
+finally:
+    shutdown_pools(mat)
+print("deaths", deaths)
+"""
