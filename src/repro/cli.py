@@ -709,6 +709,26 @@ def _cmd_scale(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_campaign(report, title: str) -> None:
+    """The table, totals, skipped pairs and violations of a fault campaign."""
+    from .integrity.campaign import OUTCOMES
+
+    print(format_table(
+        report.rows(), ["format", "fault", "injected", *OUTCOMES], title))
+    print(f"\ncampaign: {report.injected} faults injected, "
+          f"{report.recovered} recovered bit-identically, "
+          f"{report.unaffected} unaffected, {report.detected} raised "
+          f"typed errors, {report.silent} SILENT, "
+          f"{report.untyped} untyped")
+    if report.skipped:
+        print("skipped (fault does not apply): " + ", ".join(
+            f"{fmt} x {kind}" for fmt, kind in report.skipped))
+    violations = [t for t in report.trials if t.outcome in ("silent", "untyped")]
+    for t in violations[:10]:
+        print(f"{t.outcome.upper()} {t.format_name}/{t.kind}: {t.target} "
+              f"({t.detail})")
+
+
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from .exec.chaos import DEFAULT_CAMPAIGN_KINDS, run_chaos_campaign
 
@@ -740,21 +760,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        print(format_table(
-            report.rows(),
-            ["format", "fault", "injected", "recovered", "unaffected",
-             "detected", "silent", "untyped"],
-            f"Chaos campaign: {args.backend} backend, {args.workers} "
-            f"workers, seed {args.seed}",
-        ))
-        print(f"\ncampaign: {report.injected} faults injected, "
-              f"{report.recovered} recovered bit-identically, "
-              f"{report.unaffected} unaffected, {report.detected} raised "
-              f"typed errors, {report.silent} SILENT, "
-              f"{report.untyped} untyped")
-        if report.skipped:
-            print("skipped (fault does not apply): " + ", ".join(
-                f"{fmt} x {kind}" for fmt, kind in report.skipped))
+        _print_campaign(
+            report, f"Chaos campaign: {args.backend} backend, "
+            f"{args.workers} workers, seed {args.seed}")
         if args.output:
             print(f"wrote campaign report to {args.output}")
     if not report.clean:
@@ -898,21 +906,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = run_campaign(
         n_faults=args.faults, seed=args.seed, device=args.device
     )
-    emit()
-    emit(format_table(
-        report.rows(),
-        ["format", "fault", "injected", "detected", "recovered", "benign",
-         "silent"],
-        f"Fault-injection campaign ({report.injected} faults, "
-        f"seed {args.seed})",
-    ))
-    emit(f"\ncampaign: {report.injected} injected, {report.detected} "
-         f"detected, {report.recovered} recovered via CSR fallback, "
-         f"{report.benign} benign, {report.silent} SILENT")
-    if not report.clean:
-        for r in report.silent_records()[:10]:
-            emit(f"SILENT {r.format_name}/{r.kind}: {r.target}")
-        failures += report.silent
+    if not json_mode:
+        print()
+        _print_campaign(report, f"Fault-injection campaign "
+                                f"({report.injected} faults, seed {args.seed})")
+    failures += report.silent + report.untyped
 
     # 3. On-disk archive corruption: every corrupted cache file must be
     #    rejected by load_matrix with a typed error, never half-loaded.
@@ -949,15 +947,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
         print(json.dumps({
             "formats": format_rows,
-            "campaign": {
-                "injected": report.injected,
-                "detected": report.detected,
-                "recovered": report.recovered,
-                "benign": report.benign,
-                "silent": report.silent,
-                "seed": args.seed,
-                "rows": report.rows(),
-            },
+            "campaign": report.to_dict(),
             "archive": {"ok": archive_ok, "total": archive_total},
             "failures": failures,
             "passed": failures == 0,

@@ -51,7 +51,6 @@ __all__ = [
     "sharded_view",
     "shutdown_pools",
     "ChaosPolicy",
-    "ChaosCampaignReport",
     "PROCESS_FAULT_KINDS",
     "run_chaos_campaign",
     "WorkerPool",
@@ -75,7 +74,6 @@ _EXPORTS = {
     "sharded_view": ".engine",
     "shutdown_pools": ".engine",
     "ChaosPolicy": ".chaos",
-    "ChaosCampaignReport": ".chaos",
     "PROCESS_FAULT_KINDS": ".chaos",
     "run_chaos_campaign": ".chaos",
     "WorkerPool": ".workers",

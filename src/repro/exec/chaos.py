@@ -33,17 +33,19 @@ runs it in the calling process, a process worker in its own. Only
 worker loop, and the thread backend rejects them.
 
 :func:`run_chaos_campaign` sweeps formats × fault kinds and asserts the
-zero-silent-corruption contract end-to-end: every trial must return the
-bit-identical product (recovered) or raise a typed
-:class:`~repro.errors.ReproError` (detected) — never wrong numbers, and
-never an untyped crash.
+zero-silent-corruption contract end-to-end, with the outcomes of
+:mod:`repro.integrity.campaign`: every trial must return the
+bit-identical product or raise a typed
+:class:`~repro.errors.ReproError` — never wrong numbers, and never an
+untyped crash.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,6 +53,7 @@ from ..errors import ReproError, ValidationError
 
 if TYPE_CHECKING:
     from ..formats.base import SparseFormat
+    from ..integrity.campaign import CampaignReport
     from ..kernels.base import SpMVResult
     from .policy import ExecutionPolicy
 
@@ -59,8 +62,6 @@ __all__ = [
     "ChaosPolicy",
     "ChaosEvent",
     "ChaosState",
-    "ChaosTrial",
-    "ChaosCampaignReport",
     "run_chaos_campaign",
     "run_shard",
 ]
@@ -246,107 +247,6 @@ def chaos_state(owner: object, policy: ChaosPolicy) -> ChaosState:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ChaosTrial:
-    """Outcome of one fault injected into one sharded call."""
-
-    format_name: str
-    kind: str
-    repeat: int
-    outcome: str  #: "recovered" | "unaffected" | "detected" | "silent" | "untyped"
-    detail: Optional[str] = None
-    worker_deaths: int = 0
-    shard_reassignments: int = 0
-    retries: int = 0
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "format": self.format_name,
-            "kind": self.kind,
-            "repeat": self.repeat,
-            "outcome": self.outcome,
-            "detail": self.detail,
-            "worker_deaths": self.worker_deaths,
-            "shard_reassignments": self.shard_reassignments,
-            "retries": self.retries,
-        }
-
-
-@dataclass
-class ChaosCampaignReport:
-    """Aggregated chaos-campaign outcome; ``clean`` is the contract gate."""
-
-    trials: List[ChaosTrial] = field(default_factory=list)
-    #: ``(format, kind)`` pairs not run because the fault does not apply.
-    skipped: List[Tuple[str, str]] = field(default_factory=list)
-    workers: int = 0
-    backend: str = "process"
-    seed: int = 0
-
-    @property
-    def injected(self) -> int:
-        return len(self.trials)
-
-    @property
-    def recovered(self) -> int:
-        return sum(t.outcome == "recovered" for t in self.trials)
-
-    @property
-    def unaffected(self) -> int:
-        return sum(t.outcome == "unaffected" for t in self.trials)
-
-    @property
-    def detected(self) -> int:
-        return sum(t.outcome == "detected" for t in self.trials)
-
-    @property
-    def silent(self) -> int:
-        return sum(t.outcome == "silent" for t in self.trials)
-
-    @property
-    def untyped(self) -> int:
-        return sum(t.outcome == "untyped" for t in self.trials)
-
-    @property
-    def clean(self) -> bool:
-        """Zero silent corruptions and zero untyped crashes."""
-        return self.silent == 0 and self.untyped == 0
-
-    def rows(self) -> List[Dict[str, object]]:
-        """Per-(format, kind) aggregate rows for table rendering."""
-        agg: Dict[Tuple[str, str], Dict[str, int]] = {}
-        for t in self.trials:
-            row = agg.setdefault(
-                (t.format_name, t.kind),
-                {"injected": 0, "recovered": 0, "unaffected": 0,
-                 "detected": 0, "silent": 0, "untyped": 0},
-            )
-            row["injected"] += 1
-            row[t.outcome] += 1
-        return [
-            {"format": fmt, "fault": kind, **counts}
-            for (fmt, kind), counts in sorted(agg.items())
-        ]
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "workers": self.workers,
-            "backend": self.backend,
-            "seed": self.seed,
-            "injected": self.injected,
-            "recovered": self.recovered,
-            "unaffected": self.unaffected,
-            "detected": self.detected,
-            "silent": self.silent,
-            "untyped": self.untyped,
-            "clean": self.clean,
-            "rows": self.rows(),
-            "trials": [t.to_dict() for t in self.trials],
-            "skipped": [{"format": fmt, "kind": kind}
-                        for fmt, kind in self.skipped],
-        }
-
-
 def _campaign_fixture(format_name: str, seed: int):
     """A sealed campaign container plus a seeded input vector."""
     from ..integrity.campaign import build_campaign_matrix
@@ -387,20 +287,14 @@ def run_chaos_campaign(
     shard_timeout_s: float = 1.0,
     max_retries: int = 3,
     partitioner: str = "greedy-nnz",
-) -> ChaosCampaignReport:
+) -> CampaignReport:
     """Sweep ``formats`` × ``kinds`` × ``repeats`` single-fault trials.
 
     Each trial runs one sharded ``run_spmv`` with exactly one injected
-    fault (on the first attempt of the targeted shard) and classifies the
-    outcome against the pristine single-device product:
-
-    * ``recovered`` — bit-identical ``y`` with the recovery path visible
-      (``worker_deaths``/``shard_reassignments``/``retries`` > 0);
-    * ``unaffected`` — bit-identical ``y``, fault absorbed without any
-      recovery action (e.g. a stall completing before its deadline);
-    * ``detected`` — a typed :class:`~repro.errors.ReproError`;
-    * ``silent`` — wrong numbers with no error (contract violation);
-    * ``untyped`` — a non-Repro exception escaped (contract violation).
+    fault (on the first attempt of the targeted shard), and
+    :func:`~repro.integrity.campaign.run_trial` classifies it against
+    the pristine single-device product. Its ``target`` is
+    ``"repeat <r>"``.
 
     Process-level kinds require ``backend="process"``; container kinds
     run on either backend. A pair whose fault does not apply to the
@@ -409,6 +303,7 @@ def run_chaos_campaign(
     ``report.skipped``. A fresh worker pool is created and shut down
     per trial so every trial replays deterministically from the seed.
     """
+    from ..integrity.campaign import CampaignReport, run_trial
     from ..kernels.dispatch import run_spmv
     from .engine import shutdown_pools
     from .policy import ExecutionPolicy
@@ -420,7 +315,8 @@ def run_chaos_campaign(
             raise ValidationError(
                 f"fault kind(s) {bad} need backend='process'"
             )
-    report = ChaosCampaignReport(workers=workers, backend=backend, seed=seed)
+    report = CampaignReport(
+        settings={"workers": workers, "backend": backend, "seed": seed})
     for f_idx, fmt in enumerate(formats):
         sealed, x = _campaign_fixture(fmt, seed + 17 * f_idx)
         y_ref = run_spmv(sealed, x, device).y
@@ -440,31 +336,10 @@ def run_chaos_campaign(
                     shard_timeout_s=shard_timeout_s,
                     max_retries=max_retries, chaos=chaos,
                 )
-                trial = ChaosTrial(fmt, kind, rep, outcome="untyped")
+                run = partial(run_spmv, sealed, x, device, policy=policy)
                 try:
-                    result = run_spmv(sealed, x, device, policy=policy)
-                except ReproError as exc:
-                    trial.outcome = "detected"
-                    trial.detail = f"{type(exc).__name__}: {exc}"
-                except Exception as exc:  # noqa: BLE001 - contract check
-                    trial.outcome = "untyped"
-                    trial.detail = f"{type(exc).__name__}: {exc}"
-                else:
-                    trial.worker_deaths = getattr(result, "worker_deaths", 0)
-                    trial.shard_reassignments = getattr(
-                        result, "shard_reassignments", 0
-                    )
-                    trial.retries = getattr(result, "retries", 0)
-                    recovery = (trial.worker_deaths
-                                + trial.shard_reassignments + trial.retries)
-                    if np.array_equal(result.y, y_ref):
-                        trial.outcome = (
-                            "recovered" if recovery > 0 else "unaffected"
-                        )
-                    else:
-                        trial.outcome = "silent"
-                        trial.detail = "product deviates from reference"
+                    report.trials.append(
+                        run_trial(fmt, kind, f"repeat {rep}", run, y_ref))
                 finally:
                     shutdown_pools(sealed)
-                report.trials.append(trial)
     return report

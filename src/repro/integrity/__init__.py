@@ -10,8 +10,9 @@ that row slice. This package closes that hole end to end:
   need no prior seal (:func:`validate_structure`);
 * :mod:`~repro.integrity.faults` — deterministic fault injectors for
   packed streams, widths, metadata, values and on-disk archives;
-* :mod:`~repro.integrity.campaign` — the seeded campaign runner proving
-  the *zero silent corruption* contract;
+* :mod:`~repro.integrity.campaign` — the one trial classifier and report
+  behind both seeded fault campaigns (``repro verify --faults`` and
+  ``repro chaos``), proving the *zero silent corruption* contract;
 * :mod:`~repro.integrity.counters` — per-process detection/fallback
   counters surfaced on every verified :class:`~repro.kernels.base.SpMVResult`.
 """
@@ -19,7 +20,7 @@ that row slice. This package closes that hole end to end:
 from .campaign import (
     DEFAULT_FORMATS,
     CampaignReport,
-    FaultRecord,
+    Trial,
     build_campaign_matrix,
     run_campaign,
 )
@@ -72,7 +73,7 @@ __all__ = [
     "ARCHIVE_FAULT_KINDS",
     "PLAN_FAULT_KIND",
     # campaign
-    "FaultRecord",
+    "Trial",
     "CampaignReport",
     "build_campaign_matrix",
     "run_campaign",

@@ -1,5 +1,6 @@
 """Chaos policy semantics and the zero-silent-corruption campaign."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -20,6 +21,15 @@ from repro.exec.chaos import (
     ChaosState,
     run_chaos_campaign,
 )
+
+
+def _trial_digest(report):
+    """sha256 of a campaign's (format, kind, repeat) trial list. The
+    digests below were captured before the campaign's classifier was
+    rewritten: the CI commands' seeds and draw order must not move."""
+    trials = [(t.format_name, t.kind, int(t.target.removeprefix("repeat ")))
+              for t in report.trials]
+    return hashlib.sha256(repr(trials).encode()).hexdigest()
 
 
 class TestChaosPolicyValidation:
@@ -145,6 +155,16 @@ class TestCampaign:
         out = capsys.readouterr().out
         assert "skipped (fault does not apply): csr x stream_bit_flip\n" in out
 
+    def test_ci_process_command_is_pinned_and_clean(self):
+        report = run_chaos_campaign(
+            kinds=("kill-worker", "stall-worker", "corrupt-shard-result",
+                   "plan_bit_flip"),
+            formats=("bro_ell", "csr"), workers=4, repeats=2, seed=0,
+        )
+        assert report.clean and report.injected == 16
+        assert _trial_digest(report) == (
+            "7e8a91cfe74d7d20add8f78526f5f8d879406e090ee9916feb7aa01b35824a86")
+
     def test_campaign_is_deterministic_in_seed(self):
         kw = dict(
             formats=("csr",), kinds=("kill-worker",), workers=2, seed=42
@@ -164,6 +184,17 @@ class TestThreadBackendChaos:
         for thread in set(threading.enumerate()) - before:
             thread.join(timeout=10.0)
             assert not thread.is_alive()
+
+    def test_ci_thread_command_is_pinned_and_clean(self):
+        report = run_chaos_campaign(
+            backend="thread",
+            kinds=("stall-worker", "stream_bit_flip", "plan_bit_flip"),
+            formats=("bro_ell", "csr"), workers=2, seed=0,
+        )
+        assert report.clean and report.injected == 5
+        assert report.skipped == [("csr", "stream_bit_flip")]
+        assert _trial_digest(report) == (
+            "d7053cd6bff5fefe2a576e4881a95cc332e291c3bebfec440f45596114436a25")
 
     def test_process_only_kind_rejected_at_execution(self):
         from repro.exec.policy import ExecutionPolicy
